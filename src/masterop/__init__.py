@@ -13,7 +13,6 @@ from .handles import (
     combine,
     constant,
     from_callable,
-    from_scalar,
     shifted,
     spatial,
     temporal,
@@ -59,7 +58,6 @@ from .defect import DefectReport, defect_estimate, tail_functional, weight_diagn
 from .families import (
     C0_constant,
     C1_constant,
-    FamilyParams,
     phi_family,
     psi_family,
     rescale,

@@ -15,13 +15,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
-from .defect import defect_estimate
+from .defect import defect_estimate, pool_map
 from .funcdsl import ParseError, parse, to_handle
 from .handles import zero
 from .kernel import (
@@ -176,14 +175,6 @@ def build_config(args) -> RunConfig:
     return cfg
 
 
-def _pool_map(fn, items, jobs: int):
-    """Run fn over items, results in input order regardless of completion."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -245,7 +236,7 @@ def cmd_counterexample(args) -> int:
             u = families.phi_family(j, alpha, args.beta, dim=cfg.n)
             return fractional_laplacian(u, x, p, q).value
 
-        vals = _pool_map(job, [(j, pr) for j in js for pr in probes], cfg.jobs)
+        vals = pool_map(job, [(j, pr) for j in js for pr in probes], cfg.jobs)
         for (j, (x, t)), v in zip([(j, pr) for j in js for pr in probes], vals):
             rows.append((j, float(x[0]), t, v, target, abs(v - target)))
     elif args.which == 2:
@@ -258,7 +249,7 @@ def cmd_counterexample(args) -> int:
             u = families.psi_family(j, alpha, args.beta, dim=cfg.n)
             return marchaud(u, t, p, q).value
 
-        vals = _pool_map(job, [(j, t) for j in js for t in times], cfg.jobs)
+        vals = pool_map(job, [(j, t) for j in js for t in times], cfg.jobs)
         for (j, t), v in zip([(j, t) for j in js for t in times], vals):
             rows.append((j, 0.0, t, v, target, abs(v - target)))
     else:
@@ -274,7 +265,7 @@ def cmd_counterexample(args) -> int:
             return master_op(u, (x, t), p, q).value
 
         pairs = [(j, pr) for j in js for pr in probes]
-        vals = _pool_map(job, pairs, cfg.jobs)
+        vals = pool_map(job, pairs, cfg.jobs)
         for (j, (x, t)), v in zip(pairs, vals):
             rows.append((j, float(x[0]), t, v, target, abs(v - target)))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .handles import FunctionHandle
 from .kernel import KernelParams
 from .operators import check_scale
-from .quadrature import QuadResult, QuadSpec, gl_panel, window_uM_integral, _log_mesh, _shell_rule
+from .quadrature import QuadResult, QuadSpec, shell_rule, window_integral, window_uM_integral
 
 
 def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
@@ -52,6 +53,14 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
                       "estimate; is u nonnegative?", stacklevel=2)
     return QuadResult(value=value, err_estimate=err, truncation_flag=False,
                       nodes_used=n1 + n2)
+
+
+def pool_map(fn, items, jobs: int):
+    """fn over items on ``jobs`` threads, results in input order; serial when jobs <= 1."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(it) for it in items]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -103,12 +112,7 @@ def defect_estimate(family, limit_u: FunctionHandle, probes, R_schedule,
         probe, R, j = cell
         return tail_functional(handles[j], probe, R, p, q)
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, grid))
-    else:
-        results = [one(cell) for cell in grid]
+    results = pool_map(one, grid, jobs)
 
     table: dict[tuple, dict[float, dict[int, tuple[float, float]]]] = {}
     for (probe, R, j), res in zip(grid, results):
@@ -225,12 +229,12 @@ def _parabolic_box_integral(f, n, R_in, R_out, q: QuadSpec, two_sided: bool):
 def _slab_part(f, n, r_lo, r_hi, t_lo, t_hi, q: QuadSpec, two_sided: bool):
     if t_hi <= t_lo or r_hi <= r_lo:
         return 0.0
-    pts, ww = _shell_rule(n, r_lo, r_hi, (r_hi - r_lo) / 24.0, q.gl_order, 16)
-    total = 0.0
-    for lo, hi in _log_mesh(t_lo, t_hi, q.panels_per_decade):
-        tt, tw = gl_panel(lo, hi, q.gl_order)
-        for sign in ((1.0, -1.0) if two_sided else (-1.0,)):
-            vals = f(np.broadcast_to(pts[None, :, :], (len(tt),) + pts.shape),
-                     sign * tt[:, None])
-            total += float(np.dot(tw, vals @ ww))
+    pts, ww = shell_rule(n, r_lo, r_hi, (r_hi - r_lo) / 24.0, q.gl_order, 16)
+    signs = (1.0, -1.0) if two_sided else (-1.0,)
+
+    def shell_sum(tt):
+        ys = np.broadcast_to(pts[None, :, :], (len(tt),) + pts.shape)
+        return sum(f(ys, sign * tt[:, None]) @ ww for sign in signs)
+
+    total, _ = window_integral(shell_sum, t_lo, t_hi, 0.0, q)
     return total

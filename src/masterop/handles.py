@@ -98,15 +98,6 @@ def from_callable(f, dim: int, **meta) -> FunctionHandle:
     return FunctionHandle(evaluator=f, dim=dim, **meta)
 
 
-def from_scalar(f, dim: int, **meta) -> FunctionHandle:
-    """Wrap a scalar ``f(x_tuple, t)`` as a handle (slow path, tests only)."""
-
-    def evaluator(pts, tt):
-        return np.array([f(tuple(p), t) for p, t in zip(pts, tt)], dtype=float)
-
-    return FunctionHandle(evaluator=evaluator, dim=dim, **meta)
-
-
 def constant(value: float, dim: int = 1) -> FunctionHandle:
     v = float(value)
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 RAW = "raw"
 NORMALIZED = "normalized"
@@ -29,19 +28,19 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 def master_constant(n: int, s: float) -> float:
     """c_{n,s} = ((4*pi)^{n/2} |Gamma(-s)|)^{-1}."""
     _check_order(n, s)
-    return 1.0 / ((4.0 * math.pi) ** (n / 2.0) * abs(_gamma(-s)))
+    return 1.0 / ((4.0 * math.pi) ** (n / 2.0) * abs(math.gamma(-s)))
 
 
 def marchaud_constant(s: float) -> float:
     """C_s = s / Gamma(1 - s)."""
     _check_order(1, s)
-    return s / _gamma(1.0 - s)
+    return s / math.gamma(1.0 - s)
 
 
 def laplacian_constant(n: int, s: float) -> float:
     """C_{n,s} = 4^s Gamma(n/2 + s) / (pi^{n/2} |Gamma(-s)|)."""
     _check_order(n, s)
-    return 4.0 ** s * _gamma(n / 2.0 + s) / (math.pi ** (n / 2.0) * abs(_gamma(-s)))
+    return 4.0 ** s * math.gamma(n / 2.0 + s) / (math.pi ** (n / 2.0) * abs(math.gamma(-s)))
 
 
 def _check_order(n: int, s: float) -> None:

@@ -16,7 +16,7 @@ another).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,15 +27,15 @@ from .quadrature import (
     QuadResult,
     QuadSpec,
     adaptive_gl,
+    angular_rule,
     exterior_spatial_mass,
     graded_time_mesh,
     integrate_difference,
     slab_mass,
+    small_a_closure,
     split_panels,
+    window_integral,
     window_uM_integral,
-    _angular_rule,
-    _difference_panels,
-    _small_a_closure,
 )
 
 
@@ -61,7 +61,7 @@ def _laplacian_direct(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> Qua
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
     u0 = u.at(x0, 0.0)
-    dirs, aw = _angular_rule(n, 16)
+    dirs, aw = angular_rule(n, 16)
     omega = float(np.sum(aw))
 
     sup = u.support
@@ -78,30 +78,27 @@ def _laplacian_direct(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> Qua
     gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
     panel_tol = q.rel_tol * 1e-3 * max(1.0, abs(u0))
 
+    nodes = 0
+
     def dens(rr):
+        nonlocal nodes
+        nodes += 2 * len(rr) * len(aw)
         pts_p = x0[None, None, :] + rr[:, None, None] * dirs[None, :, :]
         pts_m = x0[None, None, :] - rr[:, None, None] * dirs[None, :, :]
         tt = np.zeros(pts_p.shape[:2])
         S = 2.0 * u0 * omega - u(pts_p, tt) @ aw - u(pts_m, tt) @ aw
         return rr ** (-1.0 - 2.0 * s) * S
 
-    total, err, nodes, rr_all, fs_all = adaptive_gl(dens, panels, gl_hi, gl_lo,
-                                                    panel_tol)
-    nodes *= 2 * len(aw)
+    total, err, rr_all, fs_all = adaptive_gl(dens, panels, gl_hi, gl_lo, panel_tol)
 
-    # symmetrized second difference of a C^2 function is O(r^2)
-    inner_edge = panels[min(1, len(panels) - 1)][1]
-    m = rr_all <= inner_edge
+    # the symmetrized second difference is O(r^2): close in a = r^2, where
+    # dr = da / (2r) turns the integrand into a^{-(1+s)} times S/2
+    m = rr_all <= panels[min(1, len(panels) - 1)][1]
     rr0 = rr_all[m]
-    SS0 = fs_all[m] * rr0 ** (1.0 + 2.0 * s)
-    A = np.stack([rr0 ** 2, rr0 ** 4], axis=1)
-    coef, *_ = np.linalg.lstsq(A, SS0, rcond=None)
-    r_last = panels[0][0]
-    total += (coef[0] * r_last ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-              + coef[1] * r_last ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s))
-    resid = float(np.max(np.abs(SS0 - A @ coef))) if len(rr0) else 0.0
-    sigma = resid / float(np.max(rr0)) ** 2 if len(rr0) else 0.0
-    err += sigma * r_last ** (2.0 - 2.0 * s) / max(2.0 - 2.0 * s, 1e-2)
+    closure, closure_err = small_a_closure(u, rr0 ** 2, fs_all[m] / (2.0 * rr0),
+                                           panels[0][0] ** 2, s)
+    total += closure
+    err += closure_err
 
     # analytic tail of the 2 u(x) term; the u(x +/- r th) tail vanishes
     # beyond the support and is dropped (flagged) otherwise
@@ -159,15 +156,19 @@ def _marchaud_direct(u: FunctionHandle, t: float, p: KernelParams,
     gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
     panel_tol = q.rel_tol * 1e-3 * max(1.0, abs(u0))
 
-    def dens(aa):
-        return aa ** (-1.0 - s) * (u0 - u(np.zeros((len(aa), u.dim)), t0 - aa))
+    nodes = 0
 
-    total, err, nodes, aa_all, fs_all = adaptive_gl(dens, panels, gl_hi, gl_lo,
-                                                    panel_tol)
-    inner_edge = panels[min(1, len(panels) - 1)][1]
-    m = aa_all <= inner_edge
-    closure, closure_err = _small_a_closure(
-        u, aa_all[m], fs_all[m] * aa_all[m] ** (1.0 + s), panels[0][0], s)
+    def vals(aa):
+        nonlocal nodes
+        nodes += len(aa)
+        return u(np.zeros((len(aa), u.dim)), t0 - aa)
+
+    def dens(aa):
+        return aa ** (-1.0 - s) * (u0 - vals(aa))
+
+    total, err, aa_all, fs_all = adaptive_gl(dens, panels, gl_hi, gl_lo, panel_tol)
+    m = aa_all <= panels[min(1, len(panels) - 1)][1]
+    closure, closure_err = small_a_closure(u, aa_all[m], fs_all[m], panels[0][0], s)
     total += closure
     err += closure_err
 
@@ -175,51 +176,17 @@ def _marchaud_direct(u: FunctionHandle, t: float, p: KernelParams,
     total += u0 * T ** (-s) / s
     truncated = False
     if past_end > T:
-        if math.isfinite(past_end):
-            tail, terr, tn = _marchaud_past_window(u, t0, s, q, T, past_end)
+        if math.isfinite(past_end) or u.past_integrable():
+            # for the infinite past r = a^{-s} leaves u itself as r-integrand
+            tail, terr = window_integral(vals, T, past_end, 1.0 + s, q,
+                                         kinks=[t0 - k for k in u.time_kinks],
+                                         pw=s, tol=q.rel_tol * 1e-3)
             total -= tail
             err += terr
-            nodes += tn
-        elif u.past_integrable():
-            tail, terr, tn = _marchaud_past_window(u, t0, s, q, T, math.inf)
-            total -= tail
-            err += terr
-            nodes += tn
         else:
             truncated = True
     return QuadResult(value=C * total, err_estimate=C * err,
                       truncation_flag=truncated, nodes_used=nodes)
-
-
-def _marchaud_past_window(u, t0, s, q: QuadSpec, a_lo, a_hi):
-    """int_{a_lo}^{a_hi} u(t0 - a) a^{-1-s} da (a_hi may be inf)."""
-    gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
-    kcuts = [t0 - k for k in u.time_kinks]
-    tol = q.rel_tol * 1e-3
-    if math.isinf(a_hi):
-        # r = a^{-s}: a^{-1-s} da = -dr / s; u bounded in the past by envelope
-        r0 = a_lo ** (-s)
-        rpanels = graded_time_mesh(r0, 0.5, r0 * 1e-8)
-        rpanels = split_panels(rpanels, [c ** (-s) for c in kcuts if c > a_lo])
-
-        def vals_r(rr):
-            aa = rr ** (-1.0 / s)
-            return u(np.zeros((len(aa), u.dim)), t0 - aa)
-
-        total, err, nodes, _, _ = adaptive_gl(vals_r, rpanels, gl_hi, gl_lo, tol)
-        r_last = min(lo for lo, hi in rpanels)
-        v_end = u.at(np.zeros(u.dim), t0 - r_last ** (-1.0 / s))
-        err += abs(v_end) * r_last
-        return total / s, err / s, nodes
-    from .quadrature import _log_mesh
-    apanels = split_panels(_log_mesh(a_lo, a_hi, q.panels_per_decade),
-                           [c for c in kcuts if a_lo < c < a_hi])
-
-    def vals_a(aa):
-        return u(np.zeros((len(aa), u.dim)), t0 - aa) * aa ** (-1.0 - s)
-
-    total, err, nodes, _, _ = adaptive_gl(vals_a, apanels, gl_hi, gl_lo, tol)
-    return total, err, nodes
 
 
 def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec,
@@ -256,27 +223,6 @@ def check_scale(at, R: float) -> None:
         raise ValueError(f"need R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
 
 
-def _difference_window(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
-                       T: float):
-    """Exact int_0^T int_{R^n} (u(x,t) - u(y,tau)) M dy da, (value, err, nodes)."""
-    from .quadrature import _auto_handoff
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
-    sup = u.support
-    spatial_ok = sup is not None and math.isfinite(sup.radius)
-    hand = min(_auto_handoff(u, t0), T) if spatial_ok else T
-    hand = max(hand, 16.0 * q.a_min)
-    value, err, nodes = _difference_panels(u, x0, t0, p, q, hand)
-    if T > hand:
-        value += u.at(x0, t0) * slab_mass(hand, T, p)
-        w, we, wn = window_uM_integral(u, (x0, t0), p, q, hand, T,
-                                       r_lo=0.0, r_hi=sup.radius if spatial_ok else None)
-        value -= w
-        err += we
-        nodes += wn
-    return value, err, nodes
-
-
 def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
                              R: float, p: KernelParams,
                              q: QuadSpec) -> DecompositionResult:
@@ -295,19 +241,21 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     v0 = v.at(x0, t0)
     T = t0 + R * R
 
-    D, errD, nodes = _difference_window(v, at, p, q, T)
+    # the difference integral of v with its u(y) part cut at T: the v0
+    # mass beyond T is then removed with the exterior mass below
+    D = integrate_difference(v, at, p, replace(q, horizon=T))
     massI, errM, nm = exterior_spatial_mass(at, R, p, q)
+    ext_mass = massI + slab_mass(T, math.inf, p)
     r_hi_v = v.support.radius if (v.support is not None and math.isfinite(v.support.radius)) else None
     regI, errR, nr = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R, r_hi=r_hi_v)
-    I = D - v0 * massI + regI
+    I = D.value - v0 * ext_mass + regI
 
     F_u = tail_functional(u, at, R, p, q)
     F_ui = tail_functional(ui, at, R, p, q)
-    ext_mass = massI + slab_mass(T, math.inf, p)
     E = v0 * ext_mass - F_u.value
-    err = (errD + errR + abs(v0) * errM + F_u.err_estimate + F_ui.err_estimate)
+    err = (D.err_estimate + errR + abs(v0) * errM + F_u.err_estimate + F_ui.err_estimate)
     return DecompositionResult(I=I, E=E, F=F_ui.value, R=R, err_estimate=err,
-                               nodes_used=nodes + nm + nr + F_u.nodes_used + F_ui.nodes_used,
+                               nodes_used=D.nodes_used + nm + nr + F_u.nodes_used + F_ui.nodes_used,
                                ext_mass=ext_mass)
 
 

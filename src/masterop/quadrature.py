@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
 
-from .handles import FunctionHandle, HOLDER
+from .handles import FunctionHandle, HOLDER, constant
 from .kernel import KernelParams
 
 MAX_GH_ORDER = 200
@@ -169,18 +168,20 @@ def split_panels(panels, cuts):
     return out
 
 
-def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float,
+def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float = math.inf,
                 depth_max: int = 14):
     """Integrate a vectorized integrand over panels with local bisection.
 
-    Each panel is measured by a gl_hi rule against a gl_lo rule (one
-    batched call); panels disagreeing by more than ``tol`` are split.
-    Returns (total, err, nodes, xs, fs) where xs/fs hold every accepted
-    node so callers can post-process (e.g. small-argument fits).
+    This is the one hi/lo panel sum of the package: each panel is measured
+    by a gl_hi rule against a gl_lo rule in one call of ``f``, and the
+    panel error is their difference.  Panels disagreeing by more than
+    ``tol`` are split; the default never splits, so the mesh is exactly
+    ``panels``.  Returns (total, err, xs, fs) where xs/fs hold the gl_hi
+    nodes and values of every accepted panel so callers can post-process
+    (e.g. small-argument fits); callers count their own evaluations.
     """
     total = 0.0
     err = 0.0
-    nodes = 0
     xs_all = []
     fs_all = []
     stack = [(lo, hi, 0) for lo, hi in reversed(list(panels))]
@@ -188,9 +189,7 @@ def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float,
         lo, hi, depth = stack.pop()
         x_h, w_h = gl_panel(lo, hi, gl_hi)
         x_l, w_l = gl_panel(lo, hi, gl_lo)
-        xs = np.concatenate([x_h, x_l])
-        fs = np.asarray(f(xs), dtype=float)
-        nodes += len(xs)
+        fs = np.asarray(f(np.concatenate([x_h, x_l])), dtype=float)
         cur = float(np.dot(w_h, fs[:gl_hi]))
         cur_lo = float(np.dot(w_l, fs[gl_hi:]))
         if not math.isfinite(cur):
@@ -204,7 +203,7 @@ def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float,
         err += abs(cur - cur_lo)
         xs_all.append(x_h)
         fs_all.append(fs[:gl_hi])
-    return total, err, nodes, np.concatenate(xs_all), np.concatenate(fs_all)
+    return total, err, np.concatenate(xs_all), np.concatenate(fs_all)
 
 
 def slab_mass(a_lo: float, a_hi: float, p: KernelParams) -> float:
@@ -221,6 +220,38 @@ def _log_mesh(a_lo: float, a_hi: float, per_decade: int):
     m = max(1, math.ceil(decades * per_decade))
     edges = np.geomspace(a_lo, a_hi, m + 1)
     return list(zip(edges[:-1], edges[1:]))
+
+
+def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
+                    kinks=(), pw: float | None = None, tol: float = math.inf):
+    """int_{a_lo}^{a_hi} a^{-pe} Y(a) da over log-spaced panels split at ``kinks``.
+
+    ``Y`` maps an array of durations to values.  ``a_hi`` may be inf: the
+    infinite past is then mapped to r in (0, a_lo^{-pw}] by r = a^{-pw},
+    where a^{-pe} Y da = a^{pw-pe+1} Y dr / pw.  ``pw`` must make that
+    r-integrand bounded; the piece (0, r_last] below the r-mesh is then at
+    most its endpoint value times r_last and is added to the error.
+    Returns (value, err).
+    """
+    gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
+    if math.isfinite(a_hi):
+        panels = split_panels(_log_mesh(a_lo, a_hi, q.panels_per_decade),
+                              [k for k in kinks if a_lo < k < a_hi])
+        total, err, _, _ = adaptive_gl(lambda a: a ** (-pe) * Y(a), panels,
+                                       gl_hi, gl_lo, tol)
+        return total, err
+    r0 = a_lo ** (-pw)
+    panels = split_panels(graded_time_mesh(r0, 0.5, r0 * 1e-8),
+                          [k ** (-pw) for k in kinks if k > a_lo])
+
+    def dens(rr):
+        a = rr ** (-1.0 / pw)
+        return a ** (pw - pe + 1.0) * Y(a)
+
+    total, err, _, _ = adaptive_gl(dens, panels, gl_hi, gl_lo, tol)
+    r_last = min(lo for lo, hi in panels)
+    err += abs(float(dens(np.array([r_last]))[0])) * r_last
+    return total / pw, err / pw
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +286,7 @@ def _difference_panels(u: FunctionHandle, x0, t0, p: KernelParams, q: QuadSpec,
     err = 0.0
     nodes = 0
     inner_a: list[np.ndarray] = []
-    inner_G: list[np.ndarray] = []
+    inner_dens: list[np.ndarray] = []
 
     for idx, (lo, hi) in enumerate(panels):
         a_h, w_h = gl_panel(lo, hi, gl_hi)
@@ -287,16 +318,20 @@ def _difference_panels(u: FunctionHandle, x0, t0, p: KernelParams, q: QuadSpec,
         err += abs(cur - cur_lo)
         if idx < 2:
             inner_a.append(a_h)
-            inner_G.append(G[:gl_hi])
+            inner_dens.append(dens[:gl_hi])
 
-    a_last = panels[0][0]
-    closure, closure_err = _small_a_closure(u, np.concatenate(inner_a),
-                                            np.concatenate(inner_G), a_last, s)
+    closure, closure_err = small_a_closure(u, np.concatenate(inner_a),
+                                           np.concatenate(inner_dens),
+                                           panels[0][0], s)
     return pref * (total + closure), pref * (err + closure_err), nodes
 
 
-def _small_a_closure(u: FunctionHandle, aa, GG, a_last: float, s: float):
-    """Close int_0^{a_last} a^{-(1+s)} G(a) da from the innermost samples."""
+def small_a_closure(u: FunctionHandle, aa, dens, a_last: float, s: float):
+    """Close int_0^{a_last} dens(a) da from samples dens(aa) of the innermost panels.
+
+    The integrand is written dens = a^{-(1+s)} G(a); returns (value, err).
+    """
+    GG = dens * aa ** (1.0 + s)
     if u.smoothness == HOLDER:
         # only a Hölder bound is claimed: G(a) <~ K a^{s + eps/2}
         eps = u.holder_eps if u.holder_eps else 0.1
@@ -304,7 +339,8 @@ def _small_a_closure(u: FunctionHandle, aa, GG, a_last: float, s: float):
         K = float(np.max(np.abs(GG) / aa ** expo)) if len(aa) else 0.0
         bound = K * a_last ** (0.5 * eps) * 2.0 / eps
         return 0.0, bound
-    # smooth path: even GH rules kill the sqrt(a) term, so G = c1 a + c2 a^2
+    # smooth path: the symmetric rules (even GH, +/- r) kill the sqrt(a)
+    # term, so G = c1 a + c2 a^2
     A = np.stack([aa, aa * aa], axis=1)
     coef, *_ = np.linalg.lstsq(A, GG, rcond=None)
     resid = float(np.max(np.abs(GG - A @ coef))) if len(aa) else 0.0
@@ -320,7 +356,7 @@ def _small_a_closure(u: FunctionHandle, aa, GG, a_last: float, s: float):
 # non-singular shell/window quadratures for int u * M over exterior pieces
 # ---------------------------------------------------------------------------
 
-def _angular_rule(n: int, count: int):
+def angular_rule(n: int, count: int):
     """Directions and weights summing to the sphere surface |S^{n-1}|."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
@@ -340,8 +376,8 @@ def _angular_rule(n: int, count: int):
     return dirs, ww
 
 
-def _shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
-                ang_count: int):
+def shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
+               ang_count: int):
     """Quadrature points/weights for int_{r_lo<|y|<=r_hi} f(y) dy."""
     width = r_hi - r_lo
     npan = int(np.clip(math.ceil(width / max(h_target, 1e-300)), 1, 96))
@@ -354,7 +390,7 @@ def _shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
         rw.append(w)
     rr = np.concatenate(rr)
     rw = np.concatenate(rw)
-    dirs, aw = _angular_rule(n, ang_count)
+    dirs, aw = angular_rule(n, ang_count)
     pts = rr[:, None, None] * dirs[None, :, :]
     ww = (rw * rr ** (n - 1))[:, None] * aw[None, :]
     return pts.reshape(-1, n), ww.ravel()
@@ -372,7 +408,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
     else:
         ang = int(np.clip(8 + 2.0 * r_hi * (np.linalg.norm(x0) + 1.0) / max(a_ref, 1e-12) ** 0.5,
                           12, 64))
-    pts, ww = _shell_rule(n, r_lo, r_hi, h_target, gl, ang)
+    pts, ww = shell_rule(n, r_lo, r_hi, h_target, gl, ang)
     d2 = np.sum((pts[None, :, :] - x0[None, None, :]) ** 2, axis=-1)
     expo = -d2 / (4.0 * avals[:, None])
     kern = np.exp(np.maximum(expo, -745.0))
@@ -416,21 +452,22 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
             "unbounded function without support box or growth envelope: "
             "the exterior integral may diverge")
 
+    nodes = 0
+
     def Y(avals):
-        avals = np.asarray(avals, dtype=float)
-        nodes = 0
+        nonlocal nodes
         if full_space:
             out, k = _fullspace_values(u, x0, t0, avals, p, q.gh_order)
             nodes += k
             if r_lo > 0.0:
-                inner, k2 = _shell_values(u, x0, t0, avals, 0.0, r_lo, p, q.gl_order)
+                inner, k = _shell_values(u, x0, t0, avals, 0.0, r_lo, p, q.gl_order)
                 out = out - inner
-                nodes += k2
-        else:
-            out, nodes = _shell_values(u, x0, t0, avals, r_lo, r_hi, p, q.gl_order)
-        return out, nodes
+                nodes += k
+            return out
+        out, k = _shell_values(u, x0, t0, avals, r_lo, r_hi, p, q.gl_order)
+        nodes += k
+        return out
 
-    pe = p.time_exponent
     a_floor = a_lo
     if r_lo > 0.0:
         # the kernel cannot reach past r_lo before a ~ gap^2: skip the dead zone
@@ -442,57 +479,12 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     if a_floor <= 0.0:
         raise ValueError("the window must start at a positive duration")
 
-    kink_as = [t0 - k for k in u.time_kinks]
-    total = 0.0
-    err = 0.0
-    nodes = 0
-    gl_hi = q.gl_order
-    gl_lo = max(2, q.gl_order // 2)
-
-    if math.isinf(a_hi):
-        # substitution r = a^{-pw}: a^{-pe} Y da = a^{pw-pe+1} Y dr / pw.
-        # pw = n/2+s makes the jacobian factor 1 (shell case, Y bounded);
-        # pw = s leaves a^{-n/2} Y, bounded for the full-space case where
-        # Y grows like a^{n/2}.
-        pw = s if full_space else n / 2.0 + s
-        r0 = a_floor ** (-pw)
-        rpanels = graded_time_mesh(r0, 0.5, r0 * 1e-8)
-        rcuts = [ak ** (-pw) for ak in kink_as if ak > a_floor]
-        rpanels = split_panels(rpanels, rcuts)
-        for lo, hi in rpanels:
-            r_h, w_h = gl_panel(lo, hi, gl_hi)
-            r_l, w_l = gl_panel(lo, hi, gl_lo)
-            a_all = np.concatenate([r_h, r_l]) ** (-1.0 / pw)
-            y_all, k = Y(a_all)
-            nodes += k
-            dens = a_all ** (pw - pe + 1.0) * y_all
-            cur = float(np.dot(w_h, dens[:gl_hi]))
-            cur_lo = float(np.dot(w_l, dens[gl_hi:]))
-            total += cur
-            err += abs(cur - cur_lo)
-        # endpoint remainder (0, r_last]: the transformed integrand is bounded
-        r_last = min(lo for lo, hi in rpanels)
-        a_end = r_last ** (-1.0 / pw)
-        y_end, k = Y(np.array([a_end]))
-        nodes += k
-        err += abs(float(y_end[0])) * a_end ** (pw - pe + 1.0) * r_last
-        total = total / pw
-        err = err / pw
-    else:
-        apanels = _log_mesh(a_floor, a_hi, q.panels_per_decade)
-        apanels = split_panels(apanels, [ak for ak in kink_as if a_floor < ak < a_hi])
-        for lo, hi in apanels:
-            a_h, w_h = gl_panel(lo, hi, gl_hi)
-            a_l, w_l = gl_panel(lo, hi, gl_lo)
-            a_all = np.concatenate([a_h, a_l])
-            y_all, k = Y(a_all)
-            nodes += k
-            dens = a_all ** (-pe) * y_all
-            cur = float(np.dot(w_h, dens[:gl_hi]))
-            cur_lo = float(np.dot(w_l, dens[gl_hi:]))
-            total += cur
-            err += abs(cur - cur_lo)
-
+    # for the infinite past, pw = n/2+s makes the jacobian factor 1 (shell
+    # case, Y bounded); pw = s leaves a^{-n/2} Y, bounded for the
+    # full-space case where Y grows like a^{n/2}
+    pw = s if full_space else n / 2.0 + s
+    total, err = window_integral(Y, a_floor, a_hi, p.time_exponent, q,
+                                 kinks=[t0 - k for k in u.time_kinks], pw=pw)
     if not math.isfinite(total):
         raise NumericError("non-finite exterior window integral")
     return p.constant * total, p.constant * err, nodes
@@ -513,44 +505,29 @@ def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
     a_floor = gap * gap / 2500.0
     if a_floor >= a_hi:
         a_floor = a_hi * 1e-6
-    pe = p.time_exponent
-    total = 0.0
-    err = 0.0
     nodes = 0
-    gl_hi = q.gl_order
-    gl_lo = max(2, q.gl_order // 2)
 
     if p.n == 1:
         x = float(x0[0])
 
         def tail(avals):
-            ra = 2.0 * np.sqrt(avals)
-            return np.sqrt(math.pi * avals) * (erfc((R - x) / ra) + erfc((R + x) / ra))
+            nonlocal nodes
+            nodes += len(avals)
+            erfcs = [math.erfc((R - x) / ra) + math.erfc((R + x) / ra)
+                     for ra in 2.0 * np.sqrt(avals)]
+            return np.sqrt(math.pi * avals) * np.array(erfcs)
     else:
-        one = _const_handle(p.n)
+        one = constant(1.0, p.n)
 
         def tail(avals):
+            nonlocal nodes
+            nodes += len(avals)
             full = (4.0 * math.pi * avals) ** (p.n / 2.0)
             inner, _ = _shell_values(one, x0, t0, avals, 0.0, R, p, q.gl_order)
             return np.maximum(full - inner, 0.0)
 
-    for lo, hi in _log_mesh(a_floor, a_hi, q.panels_per_decade):
-        a_h, w_h = gl_panel(lo, hi, gl_hi)
-        a_l, w_l = gl_panel(lo, hi, gl_lo)
-        a_all = np.concatenate([a_h, a_l])
-        y = tail(a_all)
-        nodes += len(a_all)
-        dens = a_all ** (-pe) * y
-        cur = float(np.dot(w_h, dens[:gl_hi]))
-        cur_lo = float(np.dot(w_l, dens[gl_hi:]))
-        total += cur
-        err += abs(cur - cur_lo)
+    total, err = window_integral(tail, a_floor, a_hi, p.time_exponent, q)
     return p.constant * total, p.constant * err, nodes
-
-
-def _const_handle(dim: int) -> FunctionHandle:
-    from .handles import constant
-    return constant(1.0, dim)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kernel import KernelParams
 
@@ -82,43 +81,29 @@ def _as_point(y, n):
     return y
 
 
+def _label(preds) -> str:
+    return next(label for label, hit in preds.items() if hit[0])
+
+
+def _past_point(y, tau, t):
+    if float(tau) >= float(t):
+        raise ValueError("classification requires tau < t")
+    return np.atleast_1d(np.asarray(y, dtype=float))[None, :], np.array([float(tau)])
+
+
 def classify_step1(y, tau, x, t, R: float) -> RegionLabel:
     """One of Interior/A/B/C for a point of the past half-space."""
-    tau = float(tau)
-    t = float(t)
-    if tau >= t:
-        raise ValueError("classification requires tau < t")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x = _as_point(x, len(y))
-    d = delta_of(R)
-    t0 = shift_of(R)
-    if np.linalg.norm(y) <= R:
-        if tau >= -R * R:
-            return RegionLabel("Interior", d, t0)
-        return RegionLabel("C", d, t0)
-    if np.linalg.norm(y - x) >= d * (t - tau):
-        return RegionLabel("A", d, t0, sector=sector_index(y, x))
-    return RegionLabel("B", d, t0)
+    ys, taus = _past_point(y, tau, t)
+    label = _label(step1_predicates(ys, taus, x, float(t), R))
+    sector = sector_index(ys[0], x) if label == "A" else None
+    return RegionLabel(label, delta_of(R), shift_of(R), sector=sector)
 
 
 def classify_step2(y, tau, t, R: float) -> RegionLabel:
     """One of Interior/C/D/E/F (the spatial point is the origin here)."""
-    tau = float(tau)
-    t = float(t)
-    if tau >= t:
-        raise ValueError("classification requires tau < t")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = delta_of(R)
-    t0 = shift_of(R)
-    if np.linalg.norm(y) <= R:
-        if tau >= -R * R:
-            return RegionLabel("Interior", d, t0)
-        return RegionLabel("C", d, t0)
-    if (t - tau) ** 2 >= R * float(np.dot(y, y)):
-        return RegionLabel("D", d, t0)
-    if tau <= -t0:
-        return RegionLabel("E", d, t0)
-    return RegionLabel("F", d, t0)
+    ys, taus = _past_point(y, tau, t)
+    return RegionLabel(_label(step2_predicates(ys, taus, float(t), R)),
+                       delta_of(R), shift_of(R))
 
 
 def step1_predicates(ys, taus, x, t, R: float):
@@ -268,7 +253,9 @@ def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
         sgn = np.where(ys[:, j] - x[j] >= 0.0, 1.0, -1.0)
         xs = x[None, :] + sgn[:, None] * e[None, :]
         terms.append(_log_kernel_exponent(np.sum((xs - ys) ** 2, axis=1), a, p))
-    den = logsumexp(np.stack(terms, axis=0), axis=0)
+    terms = np.stack(terms, axis=0)
+    top = np.max(terms, axis=0)
+    den = top + np.log(np.sum(np.exp(terms - top), axis=0))
     log_ratio = num - den
     c_fit = (2.0 / math.sqrt(n) - 1.5 * d) / 4.0
     env = -c_fit / d

@@ -17,7 +17,6 @@ from masterop import (
     w_family,
 )
 from masterop.families import (
-    FamilyParams,
     eta_marchaud_closed_form,
     eta_profile,
     surface_measure,
@@ -242,16 +241,6 @@ def test_rescale_support_parabolic():
     assert v.support.t_hi == pytest.approx(1.0)
     assert v.at(np.array([0.5]), 0.5) == 1.0
     assert v.at(np.array([1.5]), 0.0) == 0.0
-
-
-def test_family_params_validation():
-    fp = FamilyParams(j=4, s=0.5, alpha=1.0, beta=1.0)
-    assert fp.critical
-    assert not FamilyParams(j=4, s=0.5, alpha=0.5, beta=1.0).critical
-    with pytest.raises(ValueError):
-        FamilyParams(j=0, s=0.5)
-    with pytest.raises(ValueError):
-        FamilyParams(j=1, s=1.5)
 
 
 # --- the dichotomy -------------------------------------------------------------

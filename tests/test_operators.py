@@ -153,6 +153,18 @@ def test_flap_master_route_cross_check(p_half, q_default):
     assert via_master.value == pytest.approx(direct.value, rel=1e-3, abs=1e-8)
 
 
+
+def test_flap_holder_marking_gets_honest_error(p_half, q_default):
+    # the small-r closure of a Hölder-marked function is a bound, not a fit
+    from dataclasses import replace
+    u = phi_family(8, 1.0, 1.0)
+    x = np.array([20.0])   # inside the support, the closure is not zero
+    smooth = fractional_laplacian(u, x, p_half, q_default)
+    holder = fractional_laplacian(replace(u, smoothness="holder", holder_eps=0.2),
+                                  x, p_half, q_default)
+    assert holder.err_estimate > 5 * smooth.err_estimate
+    assert abs(holder.value - smooth.value) <= holder.err_estimate
+
 # --- Marchaud derivative -----------------------------------------------------
 
 def test_marchaud_constant(p_half, q_default):
