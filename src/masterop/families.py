@@ -105,7 +105,7 @@ def phi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandl
         return amp * standard_bump(scale * np.linalg.norm(pts, axis=-1))
 
     return spatial(f, dim=dim,
-                   support=SupportBox(radius=3.0 * float(j) ** beta))
+                   support=SupportBox(radius=3.0 * float(j) ** beta), radial=True)
 
 
 def psi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandle:
@@ -164,6 +164,7 @@ def w_family(j: int, gamma: float, s: float, n: int = 1,
         growth=GROWTH_FORWARD_POLY,
         smoothness=C1_TIME,
         time_kinks=(0.0,),
+        radial=True,
     )
 
 
@@ -172,7 +173,8 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
     """v(x, t) = u(lambda x + x_bar, lambda^2 t + t_bar) / M, parabolic scaling.
 
     The support box transforms along: spatial radius divides by lambda
-    (plus the offset reach), the time window maps affinely.
+    (plus the offset reach), the time window maps affinely.  v stays radial
+    only when u is and x_bar = 0.
     """
     if Mk <= 0 or lambda_k <= 0:
         raise ValueError("need Mk > 0 and lambda_k > 0")
@@ -195,4 +197,5 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
     return FunctionHandle(
         evaluator=evaluator, dim=u.dim, support=support, growth=u.growth,
         smoothness=u.smoothness, holder_eps=u.holder_eps, time_kinks=kinks,
+        radial=u.radial and not np.any(x_bar),
     )

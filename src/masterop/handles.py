@@ -50,6 +50,10 @@ class FunctionHandle:
     smoothness: SMOOTH, C1_TIME or HOLDER.
     holder_eps: the Hölder margin when smoothness == HOLDER.
     time_kinks: times where u is only C^1 in t (panel split points).
+    radial: u(x, t) depends on x only through |x|.  Like ``support``, this
+        is a declared property, not a tuning option: the shell integrals
+        then use the closed-form angular average (Funk-Hecke) and evaluate
+        u only at points r * e_1, so a wrong declaration gives wrong values.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -62,6 +66,7 @@ class FunctionHandle:
     #: set when u is known to be identically this value (difference
     #: operators short-circuit to an exact 0)
     constant_value: float | None = None
+    radial: bool = False
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -105,7 +110,7 @@ def constant(value: float, dim: int = 1) -> FunctionHandle:
         return np.full(pts.shape[0], v)
 
     return FunctionHandle(evaluator=evaluator, dim=dim, growth=GROWTH_BOUNDED,
-                          constant_value=v)
+                          constant_value=v, radial=True)
 
 
 def zero(dim: int = 1) -> FunctionHandle:
@@ -146,11 +151,12 @@ def combine(coeffs, handles) -> FunctionHandle:
     return FunctionHandle(
         evaluator=evaluator, dim=dim, support=support, growth=growth,
         smoothness=smoothness, holder_eps=eps, time_kinks=kinks,
+        radial=all(h.radial for h in handles),
     )
 
 
 def shifted(u: FunctionHandle, x0, t0: float) -> FunctionHandle:
-    """u(. - x0, . - t0), support box translated along."""
+    """u(. - x0, . - t0), support box translated along; radial only if x0 = 0."""
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     t0 = float(t0)
 
@@ -166,7 +172,8 @@ def shifted(u: FunctionHandle, x0, t0: float) -> FunctionHandle:
             t_hi=u.support.t_hi + t0,
         )
     kinks = tuple(k + t0 for k in u.time_kinks)
-    return replace(u, evaluator=evaluator, support=support, time_kinks=kinks)
+    return replace(u, evaluator=evaluator, support=support, time_kinks=kinks,
+                   radial=u.radial and not np.any(x0))
 
 
 def spatial(f, dim: int = 1, **meta) -> FunctionHandle:

@@ -376,33 +376,81 @@ def angular_rule(n: int, count: int):
     return dirs, ww
 
 
+def radial_nodes(r_lo: float, r_hi: float, h_target: float, gl: int):
+    """Gauss-Legendre nodes/weights on (r_lo, r_hi] in equal panels of width <~ h_target.
+
+    The panel count is clipped to 1..96; nodes of all panels are built at
+    once, with the same arithmetic as ``gl_panel`` on each panel.
+    """
+    npan = int(np.clip(math.ceil((r_hi - r_lo) / max(h_target, 1e-300)), 1, 96))
+    edges = np.linspace(r_lo, r_hi, npan + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    x, w = _leg_base(gl)
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
 def shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
                ang_count: int):
     """Quadrature points/weights for int_{r_lo<|y|<=r_hi} f(y) dy."""
-    width = r_hi - r_lo
-    npan = int(np.clip(math.ceil(width / max(h_target, 1e-300)), 1, 96))
-    edges = np.linspace(r_lo, r_hi, npan + 1)
-    rr = []
-    rw = []
-    for i in range(npan):
-        r, w = gl_panel(edges[i], edges[i + 1], gl)
-        rr.append(r)
-        rw.append(w)
-    rr = np.concatenate(rr)
-    rw = np.concatenate(rw)
+    rr, rw = radial_nodes(r_lo, r_hi, h_target, gl)
     dirs, aw = angular_rule(n, ang_count)
     pts = rr[:, None, None] * dirs[None, :, :]
     ww = (rw * rr ** (n - 1))[:, None] * aw[None, :]
     return pts.reshape(-1, n), ww.ravel()
 
 
+#: i0e switches from np.i0 to its asymptotic series here; np.i0(k) overflows near 713
+_I0E_SWITCH = 500.0
+#: Hankel series I_0(k) ~ e^k / sqrt(2 pi k) * sum_m c_m k^{-m} with
+#: c_m = ((2m-1)!!)^2 / (m! 8^m); ten terms reach double precision for k >= 500
+_I0E_HANKEL = np.cumprod([1.0] + [(2 * m - 1) ** 2 / (8.0 * m) for m in range(1, 10)])
+
+
+def i0e(k):
+    """Exponentially scaled modified Bessel function e^{-k} I_0(k) for k >= 0."""
+    k = np.asarray(k, dtype=float)
+    small = k < _I0E_SWITCH
+    out = np.empty_like(k)
+    ks = k[small]
+    out[small] = np.i0(ks) * np.exp(-ks)
+    kb = k[~small]
+    out[~small] = np.polyval(_I0E_HANKEL[::-1], 1.0 / kb) / np.sqrt(2.0 * math.pi * kb)
+    return out
+
+
+def sphere_average(n: int, k):
+    """e^{-k} int_{S^{n-1}} exp(k theta.e) dtheta (Funk-Hecke), overflow-free for k >= 0."""
+    if n == 1:
+        return 1.0 + np.exp(-2.0 * k)
+    if n == 2:
+        return 2.0 * math.pi * i0e(k)
+    x = 2.0 * np.asarray(k, dtype=float)
+    return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
+
+
 def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
-    """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a."""
+    """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
+
+    A radial u is integrated on the radial rule alone: with k = |x0| r/(2a)
+    the angular integral of the Gaussian is exp(-(|x0|-r)^2/(4a)) times
+    ``sphere_average(n, k)``, and u is evaluated at r * e_1.
+    """
     n = p.n
     a_ref = float(np.min(avals))
     # spacing must resolve both the kernel (scale sqrt(a)) and u itself
     width = r_hi - r_lo
     h_target = max(min(math.sqrt(a_ref), width / 24.0), width / 96.0)
+    tt = t0 - avals[:, None]
+    if u.radial:
+        rr, rw = radial_nodes(r_lo, r_hi, h_target, gl)
+        rho = float(np.linalg.norm(x0))
+        a4 = 4.0 * avals[:, None]
+        kern = np.exp(-(rho - rr) ** 2 / a4) * sphere_average(n, 2.0 * rho * rr / a4)
+        pts = np.zeros((len(rr), n))
+        pts[:, 0] = rr
+        vals = u(np.broadcast_to(pts, (len(avals),) + pts.shape), tt)
+        return (vals * kern) @ (rw * rr ** (n - 1)), vals.size
     if n == 1:
         ang = 2
     else:
@@ -413,8 +461,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
     expo = -d2 / (4.0 * avals[:, None])
     kern = np.exp(np.maximum(expo, -745.0))
     kern[expo < -745.0] = 0.0
-    tt = np.broadcast_to(avals[:, None], kern.shape)
-    vals = u(np.broadcast_to(pts[None, :, :], (len(avals),) + pts.shape), t0 - tt)
+    vals = u(np.broadcast_to(pts[None, :, :], (len(avals),) + pts.shape), tt)
     return (vals * kern) @ ww, len(avals) * len(ww)
 
 
