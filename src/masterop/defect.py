@@ -20,8 +20,16 @@ import numpy as np
 
 from .handles import FunctionHandle
 from .kernel import KernelParams
-from .operators import check_scale
 from .quadrature import QuadResult, QuadSpec, shell_rule, window_integral, window_uM_integral
+
+
+def check_scale(at, R: float) -> None:
+    """Raise unless (x, t) = ``at`` lies in Q_{R/3}: R > 3 max(sqrt|t|, |x|)."""
+    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
+    t0 = float(at[1])
+    bound = 3.0 * max(math.sqrt(abs(t0)), float(np.linalg.norm(x0)))
+    if R <= bound:
+        raise ValueError(f"need R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
 
 
 def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,

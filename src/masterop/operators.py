@@ -2,9 +2,9 @@
 
 ``master_op`` evaluates (d_t - Lap)^s u(x, t) through the space-time
 difference quadrature.  ``fractional_laplacian`` and ``marchaud`` are the
-time- and space-independent reductions; both expose a direct 1-D singular
-quadrature (the default) and the reduction route through the master
-operator as a cross-check.  ``difference_decomposition`` splits the
+time- and space-independent reductions, each by a direct 1-D singular
+quadrature; ``master_op`` at (x, 0) or (0, t) is the independent
+cross-check of either.  ``difference_decomposition`` splits the
 difference of two operator values into the interior, exterior-error and
 tail terms at scale R.
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import handles as hd
+from .defect import check_scale, tail_functional
 from .handles import FunctionHandle
 from .kernel import KernelParams, NORMALIZED, kernel_constants
 from .quadrature import (
@@ -107,19 +108,9 @@ def _laplacian_direct(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> Qua
                       truncation_flag=truncated, nodes_used=nodes)
 
 
-def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec,
-                         route: str = "direct") -> QuadResult:
-    """(-Lap)^s of a time-independent function, at the spatial point x.
-
-    ``route="direct"`` (default) uses the radial singular quadrature;
-    ``route="master"`` evaluates the time-constant extension through the
-    space-time engine (only meaningful in normalized mode).
-    """
-    if route == "direct":
-        return _laplacian_direct(u, x, p, q)
-    if route == "master":
-        return integrate_difference(u, (x, 0.0), p, q)
-    raise ValueError(f"unknown route {route!r}")
+def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> QuadResult:
+    """(-Lap)^s of a time-independent function, at the spatial point x."""
+    return _laplacian_direct(u, x, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +180,9 @@ def _marchaud_direct(u: FunctionHandle, t: float, p: KernelParams,
                       truncation_flag=truncated, nodes_used=nodes)
 
 
-def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec,
-             route: str = "direct") -> QuadResult:
+def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadResult:
     """One-sided fractional time derivative of order s at time t."""
-    if route == "direct":
-        return _marchaud_direct(u, t, p, q)
-    if route == "master":
-        return integrate_difference(u, (np.zeros(u.dim), t), p, q)
-    raise ValueError(f"unknown route {route!r}")
+    return _marchaud_direct(u, t, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +201,6 @@ class DecompositionResult:
     ext_mass: float = 0.0
 
 
-def check_scale(at, R: float) -> None:
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
-    bound = 3.0 * max(math.sqrt(abs(t0)), float(np.linalg.norm(x0)))
-    if R <= bound:
-        raise ValueError(f"need R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
-
-
 def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
                              R: float, p: KernelParams,
                              q: QuadSpec) -> DecompositionResult:
@@ -232,7 +210,6 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     E the exterior error term of u, F the exterior tail of ui; the three
     reproduce the full difference integral up to the error estimates.
     """
-    from .defect import tail_functional
     check_scale(at, R)
     x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
     t0 = float(at[1])

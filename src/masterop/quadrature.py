@@ -466,7 +466,12 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
 
 
 def _fullspace_values(u, x0, t0, avals, p: KernelParams, gh: int):
-    """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite."""
+    """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite.
+
+    A constant c gives the exact c (4 pi a)^{n/2} without evaluating u.
+    """
+    if u.constant_value is not None:
+        return u.constant_value * (4.0 * math.pi * avals) ** (p.n / 2.0), 0
     Z, W = _gh_tensor(gh, p.n)
     root = 2.0 * np.sqrt(avals)
     pts = x0[None, None, :] + root[:, None, None] * Z[None, :, :]
@@ -540,41 +545,11 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
 def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
     """int_0^{t+R^2} int_{|y|>R} M(x-y, a) dy da, for (x, t) in Q_{R/3}.
 
-    n = 1 uses the closed erfc form of the Gaussian tail; n = 2, 3
-    integrate full-slab minus ball numerically.  Returns (value, err, nodes).
+    The exterior window of the constant 1: exact full-space mass minus the
+    ball.  Returns (value, err, nodes).
     """
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
-    a_hi = t0 + R * R
-    if a_hi <= 0:
-        return 0.0, 0.0, 0
-    gap = max(R - float(np.linalg.norm(x0)), 1e-9)
-    a_floor = gap * gap / 2500.0
-    if a_floor >= a_hi:
-        a_floor = a_hi * 1e-6
-    nodes = 0
-
-    if p.n == 1:
-        x = float(x0[0])
-
-        def tail(avals):
-            nonlocal nodes
-            nodes += len(avals)
-            erfcs = [math.erfc((R - x) / ra) + math.erfc((R + x) / ra)
-                     for ra in 2.0 * np.sqrt(avals)]
-            return np.sqrt(math.pi * avals) * np.array(erfcs)
-    else:
-        one = constant(1.0, p.n)
-
-        def tail(avals):
-            nonlocal nodes
-            nodes += len(avals)
-            full = (4.0 * math.pi * avals) ** (p.n / 2.0)
-            inner, _ = _shell_values(one, x0, t0, avals, 0.0, R, p, q.gl_order)
-            return np.maximum(full - inner, 0.0)
-
-    total, err = window_integral(tail, a_floor, a_hi, p.time_exponent, q)
-    return p.constant * total, p.constant * err, nodes
+    return window_uM_integral(constant(1.0, p.n), at, p, q, 0.0,
+                              float(at[1]) + R * R, r_lo=R)
 
 
 # ---------------------------------------------------------------------------

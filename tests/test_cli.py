@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from masterop.cli import fmt_float, main, parse_point
+from masterop.cli import OPTIONS, build_config, fmt_float, main, make_parser, parse_point
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -174,3 +174,65 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == 0.0
+
+
+@pytest.mark.parametrize("args, message", [
+    (["eval", "1", "--config", "{dir}"], "Is a directory"),
+    (["eval", "1", "--out", "{dir}"], "Is a directory"),
+    (["verify", "--R", ","], "empty list"),
+    (["counterexample", "--which", "1", "--j-schedule", ","], "empty list"),
+    (["defect", "--r-schedule", ","], "empty list"),
+], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule"])
+def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "masterop.cli",
+         *[a.format(dir=tmp_path) for a in args]],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+def test_eval_csv_and_json_carry_the_same_fields(tmp_path):
+    base = ["eval", "exp(t)", "--op", "marchaud", "--horizon", "60"]
+    _, csv_text = run_cli(base, tmp_path, "e.csv")
+    _, json_text = run_cli(base + ["--format", "json"], tmp_path, "e.json")
+    header, row = csv_text.strip().split("\n")
+    payload = json.loads(json_text)
+    assert sorted(header.split(",")) == sorted(payload)
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["truncation_flag"] == "true" and payload["truncation_flag"] is True
+    assert float(cells["value"]) == payload["value"]
+    assert int(cells["nodes_used"]) == payload["nodes_used"]
+
+
+#: a non-default value per option
+_SAMPLE_VALUES = {
+    "n": "2", "s": "0.25", "normalization": "raw", "tol": "1e-5",
+    "gh_order": "16", "gl_order": "6", "panels_per_decade": "5",
+    "grading": "0.4", "a_min": "1e-9", "horizon": "60", "seed": "0x7b",
+    "jobs": "2", "format": "json", "out": "run.json",
+}
+
+
+def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch):
+    monkeypatch.delenv("MASTEROP_SEED", raising=False)
+    assert set(_SAMPLE_VALUES) == set(OPTIONS)
+    ap = make_parser()
+    for name, text in _SAMPLE_VALUES.items():
+        default, kind, _ = OPTIONS[name]
+        want = kind(text)
+        assert want != default
+        flag = "--" + name.replace("_", "-")
+        cfg = build_config(ap.parse_args(["eval", "1", flag, text]))
+        assert getattr(cfg, name) == want, flag
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(f"{name} = {text}\n")
+        cfg = build_config(ap.parse_args(["eval", "1", "--config", str(path)]))
+        assert getattr(cfg, name) == want, name
+    # every value reaches the quadrature spec
+    flags = [a for name, text in _SAMPLE_VALUES.items()
+             for a in ("--" + name.replace("_", "-"), text)]
+    q = build_config(ap.parse_args(["eval", "1", *flags])).quad()
+    assert (q.gh_order, q.gl_order, q.panels_per_decade, q.grading, q.a_min,
+            q.horizon, q.rel_tol) == (16, 6, 5, 0.4, 1e-9, 60.0, 1e-5)
