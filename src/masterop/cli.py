@@ -22,7 +22,7 @@ import numpy as np
 
 from . import families
 from .defect import defect_estimate, pool_map
-from .funcdsl import parse, to_handle
+from .funcdsl import FUNCTIONS, OPERATORS, parse, to_handle
 from .handles import GROWTH_BOUNDED, GROWTH_DECAYING, spatial, temporal, zero
 from .kernel import (
     KernelParams,
@@ -216,6 +216,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    if args.probes and args.which == 2:
+        raise ValueError("--probes does not apply to --which 2; use --times")
+    if args.times and args.which != 2:
+        raise ValueError(f"--times applies only to --which 2, not {args.which}")
     cfg = build_config(args)
     p, q, n, s = cfg.kernel(), cfg.quad(), cfg.n, cfg.s
     js = _parse_list(args.j_schedule, int)
@@ -241,7 +245,7 @@ def cmd_counterexample(args) -> int:
             j, args.gamma, s, n=n, normalization=cfg.normalization)
         op = lambda u, x, t: master_op(u, (x, t), p, q)
         points = [(origin, 0.0), (np.ones(n), 1.0), (-np.ones(n), 0.5)]
-    if args.probes and args.which != 2:
+    if args.probes:
         points = _parse_probes(args.probes, n)
 
     cells = [(j, x, t) for j in js for x, t in points]
@@ -327,6 +331,8 @@ def cmd_verify(args) -> int:
     p = cfg.kernel()
     q = cfg.quad()
     n, seed, samples = cfg.n, cfg.seed, args.samples
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
     Rs = _parse_list(args.R, float)
     R = Rs[-1]
     e1 = np.zeros(n)
@@ -411,9 +417,10 @@ def make_parser() -> argparse.ArgumentParser:
         prog="masterop",
         description="Evaluate the fully fractional heat operator and reproduce "
                     "its convergence-defect structure at desk scale.",
-        epilog="Expression grammar: +, -, *, /, ^ (literal exponent), "
-               "exp cos sin abs sqrt pos, variables x1..x3 and t, family atoms "
-               "phi(j,alpha,beta), psi(j,alpha,beta), w(j,gamma), bump(e).")
+        epilog=f"Expression grammar: {', '.join(OPERATORS)}, ^ (literal exponent), "
+               f"-e (neg), {', '.join(f'{f}(e)' for f in FUNCTIONS if f != 'neg')}, "
+               "variables x1..x3 and t, family atoms phi(j,alpha,beta), "
+               "psi(j,alpha,beta), w(j,gamma).")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("eval", help="evaluate an operator at a point")
@@ -429,7 +436,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--probes", default=None, help="semicolon-separated points")
+    sp.add_argument("--probes", default=None, help="semicolon-separated points (which=1, 3)")
     sp.add_argument("--times", default=None, help="comma-separated times (which=2)")
     sp.add_argument("--target-tol", dest="target_tol", type=float, default=5e-2)
     _add_common(sp)

@@ -44,16 +44,12 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
     x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
     t0 = float(at[1])
     sup = u.support
-    r_hi = sup.radius if (sup is not None and math.isfinite(sup.radius)) else None
-
     a_split = t0 + R * R
-    v1, e1, n1 = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split,
-                                    r_lo=R, r_hi=r_hi)
+    v1, e1, n1 = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split, r_lo=R)
     a_end = math.inf
     if sup is not None and sup.t_lo > -math.inf:
         a_end = max(t0 - sup.t_lo, a_split)
-    v2, e2, n2 = window_uM_integral(u, (x0, t0), p, q, a_split, a_end,
-                                    r_lo=0.0, r_hi=r_hi)
+    v2, e2, n2 = window_uM_integral(u, (x0, t0), p, q, a_split, a_end)
     value = v1 + v2
     err = e1 + e2
     if value < -err:

@@ -9,6 +9,7 @@ that family limits are mode-consistent end to end.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -174,7 +175,7 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
 
     The support box transforms along: spatial radius divides by lambda
     (plus the offset reach), the time window maps affinely.  v stays radial
-    only when u is and x_bar = 0.
+    only when u is and x_bar = 0; a constant u gives the constant u / M.
     """
     if Mk <= 0 or lambda_k <= 0:
         raise ValueError("need Mk > 0 and lambda_k > 0")
@@ -194,8 +195,7 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
         t_hi = (sup.t_hi - t_bar) / lam2 if sup.t_hi < math.inf else math.inf
         support = SupportBox(radius=radius, t_lo=t_lo, t_hi=t_hi)
     kinks = tuple((k - t_bar) / lam2 for k in u.time_kinks)
-    return FunctionHandle(
-        evaluator=evaluator, dim=u.dim, support=support, growth=u.growth,
-        smoothness=u.smoothness, holder_eps=u.holder_eps, time_kinks=kinks,
-        radial=u.radial and not np.any(x_bar),
-    )
+    c = u.constant_value
+    return replace(u, evaluator=evaluator, support=support, time_kinks=kinks,
+                   constant_value=None if c is None else c / Mk,
+                   radial=u.radial and not np.any(x_bar))

@@ -8,21 +8,42 @@ Grammar (standard precedence, left associative, pow binds tightest):
     power   := atom ('^' NUMBER)*
     atom    := NUMBER | 'x1'|'x2'|'x3' | 't' | NAME '(' args ')' | '(' expr ')'
 
-Math functions: exp, cos, sin, abs, sqrt, pos (positive part).
-Family atoms: phi(j,alpha,beta), psi(j,alpha,beta), w(j,gamma), bump(expr);
-family arguments must be numeric literals.  Power exponents must be
-literals so differentiability metadata stays decidable.
+The functions are the keys of ``FUNCTIONS``: ``neg`` is the prefix minus,
+every other one is called as ``name(e)``.  Family atoms phi(j,alpha,beta),
+psi(j,alpha,beta), w(j,gamma) take numeric literals.  Power exponents must
+be literals so differentiability metadata stays decidable.
 """
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from . import families
-from .handles import C1_TIME, FunctionHandle, SMOOTH, SupportBox
+from .handles import C1_TIME, FunctionHandle, SMOOTH, SupportBox, constant
 from .kernel import NORMALIZED
+
+#: the functions of the language: name -> numpy callable.  ``neg`` is
+#: written as the prefix minus ``-e``, every other name as ``name(e)``.
+FUNCTIONS = {
+    "neg": np.negative,
+    "exp": np.exp,
+    "cos": np.cos,
+    "sin": np.sin,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "pos": lambda v: np.maximum(v, 0.0),    # positive part
+    "bump": families.standard_bump,
+}
+
+#: the binary operators: symbol -> numpy callable.  '^' is not among them:
+#: its exponent is a literal, stored as a Num.
+OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+_FAMILY_ARITY = {"phi": 3, "psi": 3, "w": 2}
 
 
 class ParseError(ValueError):
@@ -45,13 +66,13 @@ class Var:
 
 @dataclass(frozen=True)
 class Unary:
-    op: str         # neg, exp, cos, sin, abs, sqrt, pos
+    op: str         # a key of FUNCTIONS
     arg: "Expr"
 
 
 @dataclass(frozen=True)
 class Bin:
-    op: str         # + - * / ^
+    op: str         # a key of OPERATORS, or '^' with a Num exponent
     left: "Expr"
     right: "Expr"
 
@@ -62,204 +83,121 @@ class Family:
     args: tuple
 
 
-@dataclass(frozen=True)
-class Bump:
-    arg: "Expr"
+Expr = Num | Var | Unary | Bin | Family
 
 
-Expr = Num | Var | Unary | Bin | Family | Bump
-
-_UNARY_FUNCS = ("exp", "cos", "sin", "abs", "sqrt", "pos")
-_FAMILY_ARITY = {"phi": 3, "psi": 3, "w": 2}
-
-
-# ---------------------------------------------------------------------------
-# tokenizer / parser
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _Token:
-    kind: str       # num, name, op, lparen, rparen, comma, end
-    text: str
-    column: int     # 1-based
-    value: float = 0.0
+#: kind is num, name, end or the punctuation character itself; column is 1-based
+_Token = namedtuple("_Token", "kind text column value", defaults=(0.0,))
+_TOKEN = re.compile(r"(?P<num>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)"
+                    r"|(?P<space>\s+)|(?P<punct>[-+*/^(),])|(?P<bad>.)", re.DOTALL)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        col = i + 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < len(text) and text[j] in "eE":
-                k = j + 1
-                if k < len(text) and text[k] in "+-":
-                    k += 1
-                if k < len(text) and text[k].isdigit():
-                    j = k
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
+    for m in _TOKEN.finditer(text):
+        kind, tok, col = m.lastgroup, m.group(), m.start() + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", col)
+        if kind == "num":
             try:
-                val = float(text[i:j])
+                tokens.append(_Token(kind, tok, col, float(tok)))
             except ValueError:
-                raise ParseError(f"bad number {text[i:j]!r}", col) from None
-            tokens.append(_Token("num", text[i:j], col, val))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], col))
-            i = j
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, col))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, col))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, col))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, col))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", col)
-        i += 1
+                raise ParseError(f"bad number {tok!r}", col) from None
+        elif kind != "space":
+            tokens.append(_Token(tok if kind == "punct" else kind, tok, col))
     tokens.append(_Token("end", "", len(text) + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def take(self, *kinds: str) -> _Token | None:
+        """Consume and return the next token if its kind is one of ``kinds``."""
         tok = self.tokens[self.pos]
+        if tok.kind not in kinds:
+            return None
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.column)
-        return self.advance()
+    def expect(self, kind: str) -> None:
+        if not self.take(kind):
+            raise ParseError(f"expected {kind!r}", self.peek().column)
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ParseError(f"unexpected {tok.text!r}", tok.column)
-        return e
+    def literal(self, message: str) -> float:
+        """An optionally negated numeric literal; ``message`` if there is none."""
+        neg = self.take("-")
+        tok = self.take("num")
+        if not tok:
+            raise ParseError(message, self.peek().column)
+        return -tok.value if neg else tok.value
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.term())
+        while tok := self.take("+", "-"):
+            node = Bin(tok.kind, node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.unary())
+        while tok := self.take("*", "/"):
+            node = Bin(tok.kind, node, self.unary())
         return node
 
     def unary(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
+        if self.take("-"):
             return Unary("neg", self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
         node = self.atom()
-        while self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            neg = False
-            if tok.kind == "op" and tok.text == "-":
-                self.advance()
-                neg = True
-                tok = self.peek()
-            if tok.kind != "num":
-                raise ParseError("power exponent must be a numeric literal", tok.column)
-            self.advance()
-            node = Bin("^", node, Num(-tok.value if neg else tok.value))
+        while self.take("^"):
+            node = Bin("^", node, Num(self.literal("power exponent must be a numeric literal")))
         return node
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "num":
-            self.advance()
+        if self.take("num"):
             return Num(tok.value)
-        if tok.kind == "lparen":
-            self.advance()
+        if self.take("("):
             node = self.expr()
-            self.expect("rparen", "')'")
+            self.expect(")")
             return node
-        if tok.kind == "name":
-            self.advance()
-            name = tok.text
-            if name in ("x1", "x2", "x3", "t"):
-                return Var(name)
-            if name in _UNARY_FUNCS:
-                self.expect("lparen", "'('")
-                arg = self.expr()
-                self.expect("rparen", "')'")
-                return Unary(name, arg)
-            if name == "bump":
-                self.expect("lparen", "'('")
-                arg = self.expr()
-                self.expect("rparen", "')'")
-                return Bump(arg)
-            if name in _FAMILY_ARITY:
-                self.expect("lparen", "'('")
-                args = [self.family_arg()]
-                while self.peek().kind == "comma":
-                    self.advance()
-                    args.append(self.family_arg())
-                self.expect("rparen", "')'")
-                if len(args) != _FAMILY_ARITY[name]:
-                    raise ParseError(
-                        f"{name}() takes {_FAMILY_ARITY[name]} arguments", tok.column)
-                return Family(name, tuple(args))
+        if not self.take("name"):
+            raise ParseError("expected an expression", tok.column)
+        name = tok.text
+        if name in ("x1", "x2", "x3", "t"):
+            return Var(name)
+        if name in FUNCTIONS and name != "neg":
+            self.expect("(")
+            node = Unary(name, self.expr())
+            self.expect(")")
+            return node
+        if name not in _FAMILY_ARITY:
             raise ParseError(f"unknown identifier {name!r}", tok.column)
-        raise ParseError("expected an expression", tok.column)
-
-    def family_arg(self) -> float:
-        tok = self.peek()
-        neg = False
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            neg = True
-            tok = self.peek()
-        if tok.kind != "num":
-            raise ParseError("family arguments must be numeric literals", tok.column)
-        self.advance()
-        return -tok.value if neg else tok.value
+        self.expect("(")
+        args = []
+        while not args or self.take(","):
+            args.append(self.literal("family arguments must be numeric literals"))
+        self.expect(")")
+        if len(args) != _FAMILY_ARITY[name]:
+            raise ParseError(f"{name}() takes {_FAMILY_ARITY[name]} arguments", tok.column)
+        return Family(name, tuple(args))
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises ParseError with a 1-based column."""
     if not text or not text.strip():
         raise ParseError("empty expression", 1)
-    return _Parser(_tokenize(text)).parse()
+    parser = _Parser(text)
+    e = parser.expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise ParseError(f"unexpected {tok.text!r}", tok.column)
+    return e
 
-
-# ---------------------------------------------------------------------------
-# printing, validation, evaluation
-# ---------------------------------------------------------------------------
 
 def to_string(e: Expr) -> str:
     """Fully parenthesized rendering that reparses to an identical tree."""
@@ -275,113 +213,55 @@ def to_string(e: Expr) -> str:
         return f"({to_string(e.left)}{e.op}{to_string(e.right)})"
     if isinstance(e, Family):
         return f"{e.name}({','.join(repr(a) for a in e.args)})"
-    if isinstance(e, Bump):
-        return f"bump({to_string(e.arg)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _nodes(e: Expr):
+    """Every node of the tree, depth first, parents before children."""
+    yield e
+    if isinstance(e, Unary):
+        yield from _nodes(e.arg)
+    elif isinstance(e, Bin):
+        yield from _nodes(e.left)
+        yield from _nodes(e.right)
 
 
 def validate(e: Expr, dim: int) -> None:
     """Check variable indices against the run dimension and family parameters."""
-    if isinstance(e, Var):
-        if e.name != "t" and int(e.name[1]) > dim:
-            raise ParseError(f"variable {e.name} invalid in a {dim}-D run", 1)
-    elif isinstance(e, Unary):
-        validate(e.arg, dim)
-    elif isinstance(e, Bin):
-        validate(e.left, dim)
-        validate(e.right, dim)
-    elif isinstance(e, Bump):
-        validate(e.arg, dim)
-    elif isinstance(e, Family):
-        j = e.args[0]
-        if j < 1 or j != int(j):
-            raise ParseError(f"{e.name}() needs a positive integer index", 1)
-        if any(a <= 0 for a in e.args[1:]):
-            raise ParseError(f"{e.name}() parameters must be positive", 1)
-
-
-def _has_pos(e: Expr) -> bool:
-    if isinstance(e, Unary):
-        return e.op == "pos" or _has_pos(e.arg)
-    if isinstance(e, Bin):
-        return _has_pos(e.left) or _has_pos(e.right)
-    if isinstance(e, Bump):
-        return _has_pos(e.arg)
-    return isinstance(e, Family) and e.name == "w"
-
-
-def _is_constant(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return True
-    if isinstance(e, Unary):
-        return _is_constant(e.arg)
-    if isinstance(e, Bin):
-        return _is_constant(e.left) and _is_constant(e.right)
-    if isinstance(e, Bump):
-        return _is_constant(e.arg)
-    return False
+    for node in _nodes(e):
+        if isinstance(node, Var) and node.name != "t" and int(node.name[1]) > dim:
+            raise ParseError(f"variable {node.name} invalid in a {dim}-D run", 1)
+        if isinstance(node, Family):
+            j = node.args[0]
+            if j < 1 or j != int(j):
+                raise ParseError(f"{node.name}() needs a positive integer index", 1)
+            if any(a <= 0 for a in node.args[1:]):
+                raise ParseError(f"{node.name}() parameters must be positive", 1)
 
 
 def _evaluate(e: Expr, pts, tt, s: float, n: int, normalization: str):
     if isinstance(e, Num):
         return np.full(pts.shape[0], e.value)
     if isinstance(e, Var):
-        if e.name == "t":
-            return tt.astype(float)
-        return pts[:, int(e.name[1]) - 1]
-    if isinstance(e, Unary):
-        v = _evaluate(e.arg, pts, tt, s, n, normalization)
-        if e.op == "neg":
-            return -v
-        if e.op == "exp":
-            return np.exp(v)
-        if e.op == "cos":
-            return np.cos(v)
-        if e.op == "sin":
-            return np.sin(v)
-        if e.op == "abs":
-            return np.abs(v)
-        if e.op == "sqrt":
-            return np.sqrt(v)
-        if e.op == "pos":
-            return np.maximum(v, 0.0)
-        raise TypeError(f"unknown unary {e.op!r}")
-    if isinstance(e, Bin):
-        a = _evaluate(e.left, pts, tt, s, n, normalization)
-        if e.op == "^":
-            return a ** e.right.value
-        b = _evaluate(e.right, pts, tt, s, n, normalization)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            return a / b
-        raise TypeError(f"unknown binary {e.op!r}")
-    if isinstance(e, Bump):
-        return families.standard_bump(_evaluate(e.arg, pts, tt, s, n, normalization))
+        return tt.astype(float) if e.name == "t" else pts[:, int(e.name[1]) - 1]
     if isinstance(e, Family):
-        h = _family_handle(e, s, n, normalization)
-        return h.evaluator(pts, tt)
-    raise TypeError(f"not an expression node: {e!r}")
+        return _family_handle(e, s, n, normalization).evaluator(pts, tt)
+    if isinstance(e, Unary):
+        return FUNCTIONS[e.op](_evaluate(e.arg, pts, tt, s, n, normalization))
+    a = _evaluate(e.left, pts, tt, s, n, normalization)
+    if e.op == "^":
+        return a ** e.right.value
+    return OPERATORS[e.op](a, _evaluate(e.right, pts, tt, s, n, normalization))
 
 
 @lru_cache(maxsize=256)
 def _family_handle(e: Family, s: float, n: int, normalization: str) -> FunctionHandle:
-    if e.name == "phi":
-        j, alpha, beta = e.args
-        return families.phi_family(int(j), alpha, beta, dim=n)
-    if e.name == "psi":
-        j, alpha, beta = e.args
-        return families.psi_family(int(j), alpha, beta, dim=n)
-    if e.name == "w":
-        j, gamma = e.args
-        if s is None:
-            raise ParseError("w() needs the fractional order from the run config", 1)
-        return families.w_family(int(j), gamma, s, n=n, normalization=normalization)
-    raise TypeError(f"unknown family {e.name!r}")
+    if e.name != "w":
+        make = {"phi": families.phi_family, "psi": families.psi_family}[e.name]
+        return make(int(e.args[0]), *e.args[1:], dim=n)
+    if s is None:
+        raise ParseError("w() needs the fractional order from the run config", 1)
+    return families.w_family(int(e.args[0]), e.args[1], s, n=n, normalization=normalization)
 
 
 def to_handle(e: Expr, dim: int, s: float | None = None,
@@ -401,16 +281,16 @@ def to_handle(e: Expr, dim: int, s: float | None = None,
             base = replace(base, support=support or base.support,
                            growth=growth or base.growth)
         return base
-    if _is_constant(e):
-        from .handles import constant as _constant
-        value = float(_evaluate(e, np.zeros((1, dim)), np.zeros(1), s, dim,
-                                normalization)[0])
-        return _constant(value, dim)
+    nodes = list(_nodes(e))
+    if not any(isinstance(node, (Var, Family)) for node in nodes):
+        return constant(float(_evaluate(e, np.zeros((1, dim)), np.zeros(1), s, dim,
+                                        normalization)[0]), dim)
 
     def evaluator(pts, tt):
         return np.asarray(_evaluate(e, pts, tt, s, dim, normalization), dtype=float)
 
-    c1 = _has_pos(e)
+    c1 = any((isinstance(node, Unary) and node.op == "pos")
+             or (isinstance(node, Family) and node.name == "w") for node in nodes)
     return FunctionHandle(
         evaluator=evaluator, dim=dim, support=support, growth=growth,
         smoothness=C1_TIME if c1 else SMOOTH,

@@ -49,9 +49,10 @@ def master_op(u: FunctionHandle, at, p: KernelParams, q: QuadSpec) -> QuadResult
 # fractional Laplacian
 # ---------------------------------------------------------------------------
 
-def _laplacian_direct(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> QuadResult:
-    """C_{n,s}/2 * int r^{-1-2s} * sum_angles (2u(x) - u(x+r th) - u(x-r th)) dr.
+def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> QuadResult:
+    """(-Lap)^s of a time-independent function, at the spatial point x.
 
+    C_{n,s}/2 * int r^{-1-2s} * sum_angles (2u(x) - u(x+r th) - u(x-r th)) dr.
     The fixed angular rule is exact for radial profiles; for globally
     oscillatory u in n >= 2 the angular resolution, not the radial mesh,
     limits accuracy at large radii.
@@ -108,18 +109,15 @@ def _laplacian_direct(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> Qua
                       truncation_flag=truncated, nodes_used=nodes)
 
 
-def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> QuadResult:
-    """(-Lap)^s of a time-independent function, at the spatial point x."""
-    return _laplacian_direct(u, x, p, q)
-
-
 # ---------------------------------------------------------------------------
 # Marchaud fractional time derivative
 # ---------------------------------------------------------------------------
 
-def _marchaud_direct(u: FunctionHandle, t: float, p: KernelParams,
-                     q: QuadSpec) -> QuadResult:
-    """C_s int_0^inf (u(t) - u(t-a)) a^{-1-s} da with graded panels."""
+def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadResult:
+    """One-sided fractional time derivative of order s at time t.
+
+    C_s int_0^inf (u(t) - u(t-a)) a^{-1-s} da with graded panels.
+    """
     s = p.s
     C = p.C_s if p.normalization == NORMALIZED else 1.0
     t0 = float(t)
@@ -180,11 +178,6 @@ def _marchaud_direct(u: FunctionHandle, t: float, p: KernelParams,
                       truncation_flag=truncated, nodes_used=nodes)
 
 
-def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadResult:
-    """One-sided fractional time derivative of order s at time t."""
-    return _marchaud_direct(u, t, p, q)
-
-
 # ---------------------------------------------------------------------------
 # the I / E / F decomposition
 # ---------------------------------------------------------------------------
@@ -223,8 +216,7 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     D = integrate_difference(v, at, p, replace(q, horizon=T))
     massI, errM, nm = exterior_spatial_mass(at, R, p, q)
     ext_mass = massI + slab_mass(T, math.inf, p)
-    r_hi_v = v.support.radius if (v.support is not None and math.isfinite(v.support.radius)) else None
-    regI, errR, nr = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R, r_hi=r_hi_v)
+    regI, errR, nr = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R)
     I = D.value - v0 * ext_mass + regI
 
     F_u = tail_functional(u, at, R, p, q)

@@ -486,13 +486,16 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     """int over a in (a_lo, a_hi], shell r_lo < |y| <= r_hi, of u(y, t-a) M(x-y, a).
 
     ``a_hi`` may be inf (handled by the substitution r = a^{-(n/2+s)}).
-    ``r_hi`` of None means the full space beyond r_lo; the exterior of a
-    ball is then formed as full-space minus inner ball, which requires a
-    declared growth envelope on u.  Returns (value, err, nodes).
+    ``r_hi`` of None means the full space beyond r_lo.  When u declares a
+    finite support radius that is the shell up to it, exactly; otherwise
+    the exterior of a ball is formed as full-space minus inner ball, which
+    requires a declared growth envelope on u.  Returns (value, err, nodes).
     """
     x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
     t0 = float(at[1])
     n, s = p.n, p.s
+    if r_hi is None and u.support is not None and math.isfinite(u.support.radius):
+        r_hi = u.support.radius
     if a_hi <= a_lo:
         return 0.0, 0.0, 0
     if r_hi is not None and r_hi <= r_lo:

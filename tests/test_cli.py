@@ -182,7 +182,15 @@ def test_console_entry_point():
     (["verify", "--R", ","], "empty list"),
     (["counterexample", "--which", "1", "--j-schedule", ","], "empty list"),
     (["defect", "--r-schedule", ","], "empty list"),
-], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule"])
+    (["verify", "--samples", "0"], "--samples must be at least 1"),
+    (["verify", "--samples", "-5", "--what", "c1"], "--samples must be at least 1"),
+    (["verify", "--samples", "0", "--what", "partition1"], "--samples must be at least 1"),
+    (["counterexample", "--which", "2", "--probes", "1,1"], "--probes does not apply"),
+    (["counterexample", "--which", "1", "--times", "1"], "--times applies only"),
+    (["counterexample", "--which", "3", "--times", "1"], "--times applies only"),
+], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
+        "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
+        "times-which-1", "times-which-3"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli",

@@ -7,6 +7,8 @@ from scipy.special import gamma
 from masterop import (
     C0_constant,
     C1_constant,
+    QuadSpec,
+    constant,
     fractional_laplacian,
     marchaud,
     master_op,
@@ -227,6 +229,14 @@ def test_rescale_point_value():
     Mk, lam, xb, tb = 2.0, 3.0, np.array([9.0]), -1.0
     v = rescale(u, Mk, lam, xb, tb)
     assert v.at(np.zeros(1), 0.0) == pytest.approx(u.at(xb, tb) / Mk, rel=1e-14)
+
+
+def test_rescale_of_a_constant_is_a_constant(p_half):
+    v = rescale(constant(2.0), 2.0, 1.5, 0.0, 0.0)
+    assert v.constant_value == 1.0
+    res = master_op(v, (np.zeros(1), 0.0), p_half, QuadSpec(horizon=10.0))
+    assert res.value == 0.0 and res.err_estimate == 0.0
+    assert res.nodes_used == 1 and not res.truncation_flag
 
 
 def test_rescale_support_parabolic():

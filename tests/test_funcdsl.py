@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from masterop import w_family
 from masterop.funcdsl import (
     Bin,
-    Bump,
     Num,
     ParseError,
     Unary,
@@ -56,6 +55,25 @@ def test_syntax_error_column():
     with pytest.raises(ParseError) as exc:
         parse("squiggle(x1)")
     assert exc.value.column == 1
+
+
+@pytest.mark.parametrize("text, column, message", [
+    ("1.2.3", 1, "bad number '1.2.3'"),
+    ("(1", 3, "expected ')'"),
+    ("1 2", 3, "unexpected '2'"),
+    ("x1^t", 4, "power exponent must be a numeric literal"),
+    ("phi(2,1)", 1, "phi() takes 3 arguments"),
+    ("w(x1,1)", 3, "family arguments must be numeric literals"),
+    ("cos(", 5, "expected an expression"),
+    ("1 + @", 5, "unexpected character '@'"),
+    ("sin x1", 5, "expected '('"),
+    ("neg(x1)", 1, "unknown identifier 'neg'"),
+])
+def test_parse_error_column_and_message(text, column, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.column == column
+    assert str(exc.value) == f"{message} (column {column})"
 
 
 def test_nonliteral_exponent_rejected():
@@ -143,7 +161,7 @@ def _exprs(children):
     return st.one_of(
         st.builds(Unary, unaries, children),
         st.builds(Bin, bins, children, children),
-        st.builds(Bump, children),
+        st.builds(lambda e: Unary("bump", e), children),
         st.builds(lambda e: Bin("^", e, Num(2.0)), children),
     )
 

@@ -1,11 +1,15 @@
 """Package-level structure: module boundaries and runtime dependencies."""
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from masterop.funcdsl import FUNCTIONS
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_no_module_imports_private_names_of_another():
@@ -24,3 +28,14 @@ def test_import_does_not_load_scipy():
         [sys.executable, "-c", "import sys, masterop; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_readme_and_help_name_every_dsl_function():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    help_text = subprocess.run(
+        [sys.executable, "-m", "masterop.cli", "--help"],
+        env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    readme = (ROOT / "README.md").read_text()
+    for name in FUNCTIONS:
+        assert re.search(rf"\b{name}\b", help_text), name
+        assert re.search(rf"\b{name}\b", readme), name

@@ -150,6 +150,17 @@ def test_window_integral_radial_matches_angular(n, rho, r_lo, r_hi):
     _agree(n, rad[:2], ang[:2])
 
 
+def test_window_beyond_a_ball_stops_at_the_support_radius():
+    # the support 2 < |y| < 3 of w_1 lies outside the ball r_lo = 1, so the
+    # integral beyond the ball equals the one over the shell (0, 3)
+    p = kernel_constants(3, 0.5)
+    w, at = w_family(1, 1.0, 0.5, n=3), (np.zeros(3), 0.1)
+    got, err, _ = window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=1.0)
+    shell, _, _ = window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=0.0, r_hi=3.0)
+    assert abs(got - shell) <= 1e-6 and err < 1e-6
+    assert window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=3.0) == (0.0, 0.0, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tail_of_w_at_origin_is_one(n):
     # for R <= 2j the support of w_j lies outside Q_R, and at (0, 0) the tail is
