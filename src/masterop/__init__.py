@@ -22,20 +22,11 @@ from .kernel import (
     KernelParams,
     NORMALIZED,
     RAW,
-    fit_lambda,
     kernel_constants,
     kernel_decay_check,
     kernel_eval,
-    kernel_log_eval,
-    kernel_log_ratio,
 )
-from .quadrature import (
-    QuadResult,
-    QuadSpec,
-    gauss_hermite_nodes,
-    graded_time_mesh,
-    integrate_difference,
-)
+from .quadrature import QuadResult, QuadSpec
 from .operators import (
     DecompositionResult,
     difference_decomposition,
@@ -44,17 +35,8 @@ from .operators import (
     marchaud,
     master_op,
 )
-from .regions import (
-    ParabolicCylinder,
-    RegionLabel,
-    classify_step1,
-    classify_step2,
-    sector_index,
-    verify_ratio_c1,
-    verify_ratio_c2_c3,
-    verify_ratio_step2,
-)
-from .defect import DefectReport, defect_estimate, tail_functional, weight_diagnostic
+from .regions import verify_ratio_c1, verify_ratio_c2_c3, verify_ratio_step2
+from .defect import DefectReport, defect_estimate, tail_functional
 from .families import (
     C0_constant,
     C1_constant,

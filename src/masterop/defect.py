@@ -20,7 +20,7 @@ import numpy as np
 
 from .handles import FunctionHandle
 from .kernel import KernelParams
-from .quadrature import QuadResult, QuadSpec, shell_rule, window_integral, window_uM_integral
+from .quadrature import QuadResult, QuadSpec, window_uM_integral
 
 
 def check_scale(at, R: float) -> None:
@@ -175,70 +175,3 @@ def defect_estimate(family, limit_u: FunctionHandle, probes, R_schedule,
 def _probe_key(probe):
     x0 = np.atleast_1d(np.asarray(probe[0], dtype=float))
     return (tuple(round(float(c), 12) for c in x0), round(float(probe[1]), 12))
-
-
-# ---------------------------------------------------------------------------
-# membership weight diagnostics
-# ---------------------------------------------------------------------------
-
-def weight_diagnostic(u: FunctionHandle, truncation_radii, p: KernelParams,
-                      q: QuadSpec):
-    """Truncated weight integrals over expanding parabolic boxes.
-
-    Returns (slow_growth_increments, past_cone_increments): successive
-    integrals of |u| against 1/(1 + |x|^{n+2+2s} + |t|^{n/2+1+s}) over
-    Q_{R_k} \\ Q_{R_{k-1}}, and of |u(x,tau)| e^{-|x|^2/(4|tau|)} /
-    (1 + |tau|^{n/2+1+s}) over the past cone at t = 0.  Decreasing
-    increments indicate membership in the corresponding space; no boolean
-    claim is made (membership is a limit statement).
-    """
-    radii = [float(r) for r in truncation_radii]
-    if sorted(radii) != radii or len(radii) < 1:
-        raise ValueError("truncation radii must be increasing")
-    n, s = p.n, p.s
-    pe = p.time_exponent
-
-    def w_slow(pts, tt):
-        r = np.linalg.norm(pts, axis=-1)
-        return np.abs(u(pts, tt)) / (1.0 + r ** (n + 2.0 + 2.0 * s) + np.abs(tt) ** pe)
-
-    def w_cone(pts, tt):
-        r2 = np.sum(pts * pts, axis=-1)
-        a = -tt
-        return (np.abs(u(pts, tt)) * np.exp(-r2 / (4.0 * a)) / (1.0 + a ** pe))
-
-    slow, cone = [], []
-    prev = 0.0
-    for R in radii:
-        slow.append(_parabolic_box_integral(w_slow, n, prev, R, q, two_sided=True))
-        cone.append(_parabolic_box_integral(w_cone, n, prev, R, q, two_sided=False))
-        prev = R
-    return slow, cone
-
-
-def _parabolic_box_integral(f, n, R_in, R_out, q: QuadSpec, two_sided: bool):
-    """int f over Q_{R_out} \\ Q_{R_in} (time restricted to tau < 0 if one-sided)."""
-    total = 0.0
-    # deep-time slab: |x| <= R_out, R_in^2 < |tau| <= R_out^2
-    if R_out > 0:
-        total += _slab_part(f, n, 0.0, R_out, max(R_in * R_in, 1e-12),
-                            R_out * R_out, q, two_sided)
-    # side annulus: R_in < |x| <= R_out, |tau| <= R_in^2
-    if R_in > 0:
-        total += _slab_part(f, n, R_in, R_out, 1e-12 * R_in * R_in,
-                            R_in * R_in, q, two_sided)
-    return total
-
-
-def _slab_part(f, n, r_lo, r_hi, t_lo, t_hi, q: QuadSpec, two_sided: bool):
-    if t_hi <= t_lo or r_hi <= r_lo:
-        return 0.0
-    pts, ww = shell_rule(n, r_lo, r_hi, (r_hi - r_lo) / 24.0, q.gl_order, 16)
-    signs = (1.0, -1.0) if two_sided else (-1.0,)
-
-    def shell_sum(tt):
-        ys = np.broadcast_to(pts[None, :, :], (len(tt),) + pts.shape)
-        return sum(f(ys, sign * tt[:, None]) @ ww for sign in signs)
-
-    total, _ = window_integral(shell_sum, t_lo, t_hi, 0.0, q)
-    return total

@@ -287,7 +287,9 @@ def to_handle(e: Expr, dim: int, s: float | None = None,
                                         normalization)[0]), dim)
 
     def evaluator(pts, tt):
-        return np.asarray(_evaluate(e, pts, tt, s, dim, normalization), dtype=float)
+        # a non-finite value is reported by the quadrature, not as a warning
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            return np.asarray(_evaluate(e, pts, tt, s, dim, normalization), dtype=float)
 
     c1 = any((isinstance(node, Unary) and node.op == "pos")
              or (isinstance(node, Family) and node.name == "w") for node in nodes)

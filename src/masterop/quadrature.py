@@ -73,16 +73,16 @@ class QuadSpec:
             raise ValueError(f"gh_order > {MAX_GH_ORDER} unsupported")
         if not 0.0 < self.grading < 1.0:
             raise ValueError("grading must lie in (0, 1)")
-        if self.a_min <= 0:
-            raise ValueError("a_min must be positive")
-        if self.horizon is not None and self.horizon <= self.a_min:
-            raise ValueError("horizon must exceed a_min")
+        if not 0.0 < self.a_min < math.inf:
+            raise ValueError("a_min must be positive and finite")
+        if self.horizon is not None and not self.a_min < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and exceed a_min")
         if self.gl_order < 2:
             raise ValueError("gl_order must be at least 2")
         if self.panels_per_decade < 1:
             raise ValueError("panels_per_decade must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise ValueError("rel_tol must be positive and finite")
 
 
 @dataclass
@@ -145,8 +145,8 @@ def graded_time_mesh(horizon: float, grading: float, a_min: float):
     The panel count is ceil(log(horizon/a_min) / log(1/grading)); the
     panels are disjoint, descending, and cover (a_last, horizon].
     """
-    if not (horizon > a_min > 0.0):
-        raise ValueError("need horizon > a_min > 0")
+    if not math.inf > horizon > a_min > 0.0:
+        raise ValueError("need finite horizon > a_min > 0")
     if not 0.0 < grading < 1.0:
         raise ValueError("grading must lie in (0, 1)")
     panels = []

@@ -23,37 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelParams
+from .kernel import KernelParams, kernel_log_eval, kernel_log_ratio
 
 DEFAULT_SEED = 0xA11CE
-
-
-@dataclass(frozen=True)
-class ParabolicCylinder:
-    """Q_R centered at (cx, ct): |x - cx| <= R and |t - ct| <= R^2."""
-
-    R: float
-    center_x: tuple = ()
-    center_t: float = 0.0
-
-    def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("R must be positive")
-
-    def contains(self, y, tau):
-        y = np.asarray(y, dtype=float)
-        cx = np.zeros(y.shape[-1]) if not self.center_x else np.asarray(self.center_x)
-        r = np.linalg.norm(np.atleast_2d(y) - cx[None, :], axis=-1)
-        inside = (r <= self.R) & (np.abs(np.asarray(tau) - self.center_t) <= self.R ** 2)
-        return bool(inside) if np.ndim(tau) == 0 else inside
-
-
-@dataclass(frozen=True)
-class RegionLabel:
-    label: str                      # Interior, A, B, C, D, E, F
-    delta: float
-    t0: float
-    sector: tuple | None = None     # (j, sign) for points classified into A
 
 
 def delta_of(R: float) -> float:
@@ -64,46 +36,11 @@ def shift_of(R: float) -> float:
     return R ** 1.5
 
 
-def sector_index(y, x):
-    """Largest-offset coordinate sector: (j, sign), 1-based, ties to smallest j."""
-    d = np.atleast_1d(np.asarray(y, dtype=float)) - np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.any(d != 0.0):
-        raise ValueError("sector undefined at y = x")
-    j = int(np.argmax(np.abs(d)))
-    sign = 1 if d[j] >= 0.0 else -1
-    return j + 1, sign
-
-
 def _as_point(y, n):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (n,):
         raise ValueError(f"point has shape {y.shape}, expected ({n},)")
     return y
-
-
-def _label(preds) -> str:
-    return next(label for label, hit in preds.items() if hit[0])
-
-
-def _past_point(y, tau, t):
-    if float(tau) >= float(t):
-        raise ValueError("classification requires tau < t")
-    return np.atleast_1d(np.asarray(y, dtype=float))[None, :], np.array([float(tau)])
-
-
-def classify_step1(y, tau, x, t, R: float) -> RegionLabel:
-    """One of Interior/A/B/C for a point of the past half-space."""
-    ys, taus = _past_point(y, tau, t)
-    label = _label(step1_predicates(ys, taus, x, float(t), R))
-    sector = sector_index(ys[0], x) if label == "A" else None
-    return RegionLabel(label, delta_of(R), shift_of(R), sector=sector)
-
-
-def classify_step2(y, tau, t, R: float) -> RegionLabel:
-    """One of Interior/C/D/E/F (the spatial point is the origin here)."""
-    ys, taus = _past_point(y, tau, t)
-    return RegionLabel(_label(step2_predicates(ys, taus, float(t), R)),
-                       delta_of(R), shift_of(R))
 
 
 def step1_predicates(ys, taus, x, t, R: float):
@@ -221,11 +158,6 @@ class RatioReport:
     degenerate: bool = False
 
 
-def _log_kernel_exponent(dx2, a, p: KernelParams):
-    """log M up to the common constant: -pe log a - |dx|^2/(4a)."""
-    return -p.time_exponent * np.log(a) - dx2 / (4.0 * a)
-
-
 def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
                     seed: int = DEFAULT_SEED) -> RatioReport:
     """Shifted-kernel domination on region A.
@@ -244,7 +176,7 @@ def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
     d = delta_of(R)
     ys, taus = sample_region(rng, "A", n, x, t, R, samples)
     a = t - taus
-    num = _log_kernel_exponent(np.sum((x[None, :] - ys) ** 2, axis=1), a, p)
+    num = kernel_log_eval(x[None, :] - ys, a, p)
     shift = 1.0 / (d * d)
     terms = []
     for j in range(n):
@@ -252,7 +184,7 @@ def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
         e[j] = shift
         sgn = np.where(ys[:, j] - x[j] >= 0.0, 1.0, -1.0)
         xs = x[None, :] + sgn[:, None] * e[None, :]
-        terms.append(_log_kernel_exponent(np.sum((xs - ys) ** 2, axis=1), a, p))
+        terms.append(kernel_log_eval(xs - ys, a, p))
     terms = np.stack(terms, axis=0)
     top = np.max(terms, axis=0)
     den = top + np.log(np.sum(np.exp(terms - top), axis=0))
@@ -281,7 +213,7 @@ def verify_ratio_c2_c3(x, t, R: float, samples: int, p: KernelParams,
     for region in ("B", "C"):
         ys, taus = sample_region(rng, region, n, x, t, R, samples)
         a = t - taus
-        lr = (np.sum(ys * ys, axis=1) - np.sum((x[None, :] - ys) ** 2, axis=1)) / (4.0 * a)
+        lr = kernel_log_ratio(x[None, :] - ys, -ys, a, p)
         mx = float(np.max(np.abs(lr)))
         if region == "B":
             env = delta_of(R) * (xnorm / 2.0 + 0.75 * xnorm ** 2)
@@ -295,11 +227,7 @@ def verify_ratio_c2_c3(x, t, R: float, samples: int, p: KernelParams,
 
 
 def _step2_log_ratio(ys, taus, t_num: float, t_den: float, p: KernelParams):
-    r2 = np.sum(ys * ys, axis=1)
-    a_num = t_num - taus
-    a_den = t_den - taus
-    return (_log_kernel_exponent(r2, a_num, p)
-            - _log_kernel_exponent(r2, a_den, p))
+    return kernel_log_eval(-ys, t_num - taus, p) - kernel_log_eval(-ys, t_den - taus, p)
 
 
 def _envelope_grid_max(f, lo: float, hi: float, m: int = 4001) -> float:

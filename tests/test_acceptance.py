@@ -17,7 +17,6 @@ from masterop import (
     difference_decomposition,
     fractional_laplacian,
     from_callable,
-    gauss_hermite_nodes,
     heat_limit_check,
     kernel_constants,
     kernel_decay_check,
@@ -38,6 +37,7 @@ from masterop.handles import (
     temporal,
 )
 from masterop.kernel import decay_grid
+from masterop.quadrature import gauss_hermite_nodes
 from masterop.regions import sample_past_points, step1_predicates, step2_predicates
 
 

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -103,11 +104,12 @@ def test_defect_probe_precondition_exit_2(tmp_path, capsys):
 
 
 def test_defect_jobs_deterministic(tmp_path):
-    base = ["defect", "--r-schedule", "6,12", "--j-schedule", "4,8",
-            "--probes", "0,0;1,1"]
-    _, serial = run_cli(base + ["--jobs", "1"], tmp_path, "s.csv")
-    _, parallel = run_cli(base + ["--jobs", "3"], tmp_path, "p.csv")
-    assert serial == parallel and serial
+    for n, probes in ((1, "0,0;1,1"), (2, "0,0,0;1,0.5,1")):
+        base = ["defect", "--n", str(n), "--r-schedule", "6,12", "--j-schedule", "4,8",
+                "--probes", probes]
+        _, serial = run_cli(base + ["--jobs", "1"], tmp_path, f"s{n}.csv")
+        _, parallel = run_cli(base + ["--jobs", "3"], tmp_path, f"p{n}.csv")
+        assert serial == parallel and serial, n
 
 
 def test_verify_all_passes(tmp_path):
@@ -176,6 +178,11 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["value"] == 0.0
 
 
+def cap_address_space():
+    """Make a runaway child fail with MemoryError instead of exhausting the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
 @pytest.mark.parametrize("args, message", [
     (["eval", "1", "--config", "{dir}"], "Is a directory"),
     (["eval", "1", "--out", "{dir}"], "Is a directory"),
@@ -188,17 +195,32 @@ def test_console_entry_point():
     (["counterexample", "--which", "2", "--probes", "1,1"], "--probes does not apply"),
     (["counterexample", "--which", "1", "--times", "1"], "--times applies only"),
     (["counterexample", "--which", "3", "--times", "1"], "--times applies only"),
+    (["eval", "x1", "--horizon", "inf"], "horizon must be finite"),
+    (["eval", "x1", "--tol", "nan"], "rel_tol must be positive and finite"),
+    (["eval", "x1", "--tol", "inf"], "rel_tol must be positive and finite"),
+    (["eval", "x1", "--a-min", "nan"], "a_min must be positive and finite"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
-        "times-which-1", "times-which-3"])
+        "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli",
          *[a.format(dir=tmp_path) for a in args]],
-        capture_output=True, text=True)
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("expr", ["sqrt(x1)", "x1^0.5"])
+def test_non_finite_integrand_is_one_line_exit_3(expr):
+    proc = subprocess.run(
+        [sys.executable, "-m", "masterop.cli", "eval", expr,
+         "--horizon", "60", "--point", "1,0"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure:")
 
 
 def test_eval_csv_and_json_carry_the_same_fields(tmp_path):

@@ -10,7 +10,6 @@ from masterop import (
     phi_family,
     tail_functional,
     w_family,
-    weight_diagnostic,
     zero,
 )
 from masterop.handles import SupportBox, from_callable
@@ -149,28 +148,3 @@ def test_defect_flags_unconverged_inner_limit(p_half, q_default):
                           inner_tol=1e-6)
     assert not rep.converged
     assert math.isnan(rep.b_estimate)
-
-
-# --- weight diagnostics ----------------------------------------------------------
-
-def test_weight_zero_function(p_half, q_default):
-    slow, cone = weight_diagnostic(zero(1), [2.0, 4.0], p_half, q_default)
-    assert all(v == 0.0 for v in slow)
-    assert all(v == 0.0 for v in cone)
-
-
-def test_weight_unit_function_decreasing_increments(p_half, q_default):
-    slow, cone = weight_diagnostic(constant(1.0, 1), [4.0, 8.0, 16.0, 32.0],
-                                   p_half, q_default)
-    # increments past the first box shrink like R^{-2s}
-    assert slow[1] > slow[2] > slow[3] > 0.0
-    assert slow[3] / slow[2] == pytest.approx(0.5, abs=0.15)
-    assert cone[1] > cone[2] > cone[3] > 0.0
-
-
-def test_weight_compact_function_beyond_support(p_half, q_default):
-    u = gauss_bump()   # contained in Q_5
-    slow, cone = weight_diagnostic(u, [6.0, 12.0], p_half, q_default)
-    assert slow[0] > 0.0
-    assert slow[1] == pytest.approx(0.0, abs=1e-300)
-    assert cone[1] == pytest.approx(0.0, abs=1e-300)

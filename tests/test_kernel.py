@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from masterop import (
+from masterop import kernel_constants, kernel_decay_check, kernel_eval
+from masterop.kernel import (
+    KernelParams,
+    RAW,
+    decay_grid,
     fit_lambda,
-    kernel_constants,
-    kernel_decay_check,
-    kernel_eval,
     kernel_log_eval,
     kernel_log_ratio,
 )
-from masterop.kernel import KernelParams, RAW, decay_grid
 
 
 def raw_params(n, s):

@@ -39,3 +39,11 @@ def test_readme_and_help_name_every_dsl_function():
     for name in FUNCTIONS:
         assert re.search(rf"\b{name}\b", help_text), name
         assert re.search(rf"\b{name}\b", readme), name
+
+
+def test_readme_names_every_package_export():
+    init = ast.parse((SRC / "masterop" / "__init__.py").read_text())
+    names = [alias.asname or alias.name for node in ast.walk(init)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    readme = (ROOT / "README.md").read_text()
+    assert names and [name for name in names if f"`{name}`" not in readme] == []

@@ -8,14 +8,19 @@ from masterop import (
     QuadSpec,
     constant,
     from_callable,
-    gauss_hermite_nodes,
-    graded_time_mesh,
-    integrate_difference,
     kernel_constants,
     w_family,
 )
 from masterop.handles import GROWTH_BOUNDED, GROWTH_DECAYING, SupportBox, spatial
-from masterop.quadrature import _gh_tensor, slab_mass, split_panels, window_uM_integral
+from masterop.quadrature import (
+    _gh_tensor,
+    gauss_hermite_nodes,
+    graded_time_mesh,
+    integrate_difference,
+    slab_mass,
+    split_panels,
+    window_uM_integral,
+)
 
 
 # --- Gauss-Hermite rule -----------------------------------------------------
@@ -230,3 +235,12 @@ def test_quadspec_validation():
         QuadSpec(horizon=1e-12)
     with pytest.raises(ValueError):
         QuadSpec(gh_order=0)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(rel_tol=math.nan), dict(rel_tol=math.inf), dict(a_min=math.nan),
+    dict(a_min=math.inf), dict(horizon=math.nan), dict(horizon=math.inf),
+])
+def test_quadspec_rejects_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="finite"):
+        QuadSpec(**bad)

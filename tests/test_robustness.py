@@ -10,7 +10,6 @@ from masterop import (
     constant,
     defect_estimate,
     from_callable,
-    integrate_difference,
     kernel_constants,
     master_op,
     tail_functional,
@@ -18,6 +17,7 @@ from masterop import (
     zero,
 )
 from masterop.handles import FunctionHandle, combine, shifted
+from masterop.quadrature import integrate_difference
 
 
 def test_handle_dimension_checks():
