@@ -13,6 +13,7 @@ from .handles import (
     combine,
     constant,
     from_callable,
+    rescale,
     shifted,
     spatial,
     temporal,
@@ -42,7 +43,6 @@ from .families import (
     C1_constant,
     phi_family,
     psi_family,
-    rescale,
     standard_bump,
     w_family,
 )

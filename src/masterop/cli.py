@@ -48,6 +48,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+#: the output columns of a probe's spatial coordinates, n = 1, 2, 3
+PROBE_COLUMNS = ("px", "py", "pz")
+
 
 def _one_of(*choices):
     def choice(text):
@@ -105,6 +108,8 @@ def fmt_float(v: float) -> str:
 
 
 def _cell(c) -> str:
+    if c is None:
+        return ""
     if isinstance(c, (bool, np.bool_)):
         return "true" if c else "false"
     return fmt_float(c) if isinstance(c, float) else str(c)
@@ -250,21 +255,20 @@ def cmd_counterexample(args) -> int:
 
     cells = [(j, x, t) for j in js for x, t in points]
     vals = pool_map(lambda c: op(family(c[0]), c[1], c[2]).value, cells, cfg.jobs)
-    rows = [(j, float(x[0]), t, v, target, abs(v - target))
-            for (j, x, t), v in zip(cells, vals)]
-
-    # convergence verdict per probe at the largest index
-    j_last = js[-1]
-    verdicts = {r[1:3]: r[5] <= args.target_tol for r in rows if r[0] == j_last}
-    ok = all(verdicts.values())
-    header = ["j", "px", "pt", "value", "target", "abs_err"]
+    errs = [abs(v - target) for v in vals]
+    # a probe's verdict is its own cell at the largest index, one of the last
+    # len(points); earlier rows carry none
+    last = len(cells) - len(points)
+    rows = [(j, *map(float, x), t, v, target, e, e <= args.target_tol if k >= last else None)
+            for k, ((j, x, t), v, e) in enumerate(zip(cells, vals, errs))]
+    header = ["j", *PROBE_COLUMNS[:n], "pt", "value", "target", "abs_err", "converged"]
+    converged = all(r[-1] for r in rows[last:])
     if cfg.format == "json":
         write_json(cfg.out, {"rows": [dict(zip(header, r)) for r in rows],
-                             "tolerance": args.target_tol, "converged": ok})
+                             "tolerance": args.target_tol, "converged": converged})
     else:
-        write_csv(cfg.out, header + ["converged"],
-                  [r + (verdicts[r[1:3]] if r[0] == j_last else "",) for r in rows])
-    return EXIT_OK if ok else EXIT_NUMERIC
+        write_csv(cfg.out, header, rows)
+    return EXIT_OK if converged else EXIT_NUMERIC
 
 
 def cmd_defect(args) -> int:
@@ -300,9 +304,8 @@ def cmd_defect(args) -> int:
              if args.limit else zero(cfg.n))
     report = defect_estimate(family, limit, probes, Rs, js, p, q, jobs=cfg.jobs)
 
-    header = ["j", "R", "px", "pt", "F", "err"]
-    rows = [(j, R, key[0][0], key[1], F, err)
-            for (j, R, key, F, err) in report.samples]
+    header = ["j", "R", *PROBE_COLUMNS[:cfg.n], "pt", "F", "err"]
+    rows = [(j, R, *x, t, F, err) for (j, R, (x, t), F, err) in report.samples]
     summary = {
         "b_estimate": report.b_estimate,
         "b_spread": report.b_spread,
@@ -444,7 +447,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("defect", help="estimate the convergence defect")
     sp.add_argument("--family", default="w", help="'w', 'zero', or an expression")
-    sp.add_argument("--limit", default=None, help="limit function expression")
+    sp.add_argument("--limit", default=None,
+                    help="limit function expression; b = F(u_J) - F(limit) (default 0)")
     sp.add_argument("--gamma", type=float, default=1.0)
     sp.add_argument("--j-schedule", dest="j_schedule", default="4,8,16,32")
     sp.add_argument("--r-schedule", dest="r_schedule", default="6,12,24")

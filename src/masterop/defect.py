@@ -5,9 +5,10 @@ For a nonnegative function u the tail functional
     F(x, t, R) = int_{(R^n x (-inf, t)) \\ Q_R} u(y, tau) M(x - y, t - tau) dy dtau
 
 is nonnegative and non-increasing in R.  For a family u_j shrinking
-locally to a limit u, the defect b is the double limit of F over j (at
-fixed R) and then over R; it measures by how much the operator values of
-the family fall short of the operator value of the limit.
+locally to a limit u, the defect b is the double limit of F(u_j) - F(u)
+over j (at fixed R) and then over R; it measures by how much the
+operator values of the family fall short of the operator value of the
+limit.
 """
 from __future__ import annotations
 
@@ -24,12 +25,14 @@ from .quadrature import QuadResult, QuadSpec, window_uM_integral
 
 
 def check_scale(at, R: float) -> None:
-    """Raise unless (x, t) = ``at`` lies in Q_{R/3}: R > 3 max(sqrt|t|, |x|)."""
+    """Raise unless (x, t) = ``at`` is finite and lies in Q_{R/3} for a finite R."""
     x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
     t0 = float(at[1])
+    if not (np.all(np.isfinite(x0)) and math.isfinite(t0)):
+        raise ValueError(f"probe must be finite, got x = {x0.tolist()}, t = {t0:g}")
     bound = 3.0 * max(math.sqrt(abs(t0)), float(np.linalg.norm(x0)))
-    if R <= bound:
-        raise ValueError(f"need R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
+    if not bound < R < math.inf:
+        raise ValueError(f"need finite R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
 
 
 def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
@@ -79,7 +82,6 @@ class DefectReport:
     N_threshold: float = math.nan
     converged: bool = False
     per_probe: dict = field(default_factory=dict)  # probe -> b(probe)
-    limit_tail: dict = field(default_factory=dict)  # probe -> F(limit_u, R_max)
 
 
 def defect_estimate(family, limit_u: FunctionHandle, probes, R_schedule,
@@ -88,87 +90,56 @@ def defect_estimate(family, limit_u: FunctionHandle, probes, R_schedule,
                     jobs: int = 1) -> DefectReport:
     """Estimate the defect constant from F(probe, R) along the j schedule.
 
-    ``family`` maps an index j to a FunctionHandle.  The limit order is
-    fixed: j first at each R (last two iterates must agree within
-    ``inner_tol``), then R (the sequence must be non-increasing with a
-    final step below ``outer_tol``).  The estimator refuses to report b
-    when the inner limit has not stabilized.  The (probe, R, j) grid is
-    embarrassingly parallel (``jobs`` threads); results are merged in
-    deterministic index order regardless of completion order.
+    ``family`` maps an index j to a FunctionHandle.  At each probe and R
+    the defect is b(probe, R) = F(u_J, R) - F(limit_u, R) at the last
+    index J, the tail part of the operator difference (as in
+    ``difference_decomposition``, where E -> -F(limit_u, R)).  The limit
+    order is fixed: j first at each R (the last two F must agree within
+    ``inner_tol``), then R (F non-increasing in R, the last step of b
+    below ``outer_tol``).  The estimator refuses to report b when either
+    limit has not stabilized.  The (probe, R, j) grid, with the limit's
+    cells, is embarrassingly parallel (``jobs`` threads); results are
+    merged in deterministic index order regardless of completion order.
     """
     R_schedule = [float(R) for R in R_schedule]
     j_schedule = [int(j) for j in j_schedule]
-    if sorted(R_schedule) != R_schedule or sorted(j_schedule) != j_schedule:
-        raise ValueError("schedules must be strictly increasing")
-    if len(set(R_schedule)) != len(R_schedule) or len(set(j_schedule)) != len(j_schedule):
+    if sorted(set(R_schedule)) != R_schedule or sorted(set(j_schedule)) != j_schedule:
         raise ValueError("schedules must be strictly increasing")
     if len(j_schedule) < 2 or len(R_schedule) < 2:
         raise ValueError("need at least two entries per schedule")
     for probe in probes:
-        check_scale(probe, min(R_schedule))
-
-    handles = {j: family(j) for j in j_schedule}
-    report = DefectReport()
-    grid = [(probe, R, j) for probe in probes for R in R_schedule
-            for j in j_schedule]
-
-    def one(cell):
-        probe, R, j = cell
-        return tail_functional(handles[j], probe, R, p, q)
-
-    results = pool_map(one, grid, jobs)
-
-    table: dict[tuple, dict[float, dict[int, tuple[float, float]]]] = {}
-    for (probe, R, j), res in zip(grid, results):
-        key = _probe_key(probe)
-        table.setdefault(key, {}).setdefault(R, {})[j] = (res.value, res.err_estimate)
-        report.samples.append((j, R, key, res.value, res.err_estimate))
-
-    monotone = True
-    for key in table:
-        for j in j_schedule:
-            for Ra, Rb in zip(R_schedule[:-1], R_schedule[1:]):
-                fa, ea = table[key][Ra][j]
-                fb, eb = table[key][Rb][j]
-                if fb > fa + ea + eb + 1e-12:
-                    monotone = False
-    report.monotone_ok = monotone
-
-    per_probe = {}
-    all_inner_ok = True
-    for key in table:
-        FR = {}
         for R in R_schedule:
-            f_last, _ = table[key][R][j_schedule[-1]]
-            f_prev, _ = table[key][R][j_schedule[-2]]
-            if abs(f_last - f_prev) > inner_tol * max(1.0, abs(f_last)):
-                all_inner_ok = False
-            FR[R] = f_last
-        f_end = FR[R_schedule[-1]]
-        f_penult = FR[R_schedule[-2]]
-        if abs(f_end - f_penult) > outer_tol * max(1.0, abs(f_end)):
-            all_inner_ok = False
-        per_probe[key] = f_end
-    report.per_probe = per_probe
-    report.converged = all_inner_ok
+            check_scale(probe, R)
 
-    if all_inner_ok:
-        bs = np.array(list(per_probe.values()))
+    # the last slot of the j axis holds the limit
+    us = [family(j) for j in j_schedule] + [limit_u]
+    grid = [(probe, R, u) for probe in probes for R in R_schedule for u in us]
+    results = pool_map(lambda c: tail_functional(c[2], c[0], c[1], p, q), grid, jobs)
+    shape = (len(probes), len(R_schedule), len(us))
+    F = np.array([res.value for res in results]).reshape(shape)
+    err = np.array([res.err_estimate for res in results]).reshape(shape)
+    F, F_limit, err = F[..., :-1], F[..., -1], err[..., :-1]
+    keys = [_probe_key(probe) for probe in probes]
+    report = DefectReport(samples=[
+        (j_schedule[m], R_schedule[k], keys[i], float(F[i, k, m]), float(err[i, k, m]))
+        for i, k, m in np.ndindex(F.shape)])
+
+    report.monotone_ok = not np.any(F[:, 1:] > F[:, :-1] + err[:, :-1] + err[:, 1:] + 1e-12)
+    f_last, f_prev = F[..., -1], F[..., -2]
+    b = f_last - F_limit
+    moving = np.abs(f_last - f_prev) > inner_tol * np.maximum(1.0, np.abs(f_last))
+    drifting = np.abs(b[:, -1] - b[:, -2]) > outer_tol * np.maximum(1.0, np.abs(b[:, -1]))
+    report.per_probe = {key: float(bk) for key, bk in zip(keys, b[:, -1])}
+    report.converged = not (np.any(moving) or np.any(drifting))
+
+    if report.converged:
+        bs = b[:, -1]
         report.b_estimate = float(np.mean(bs))
         report.b_spread = float(np.max(bs) - np.min(bs))
         report.liminf_bound_M = float(max(np.max(bs), 0.0))
         # smallest R at which sup_probes F(R) sits below M + 1
-        M1 = report.liminf_bound_M + 1.0
-        report.N_threshold = math.nan
-        for R in R_schedule:
-            supF = max(table[k][R][j_schedule[-1]][0] for k in table)
-            if supF <= M1:
-                report.N_threshold = R
-                break
-
-    for probe in probes:
-        res = tail_functional(limit_u, probe, R_schedule[-1], p, q)
-        report.limit_tail[_probe_key(probe)] = res.value
+        below = np.flatnonzero(np.max(f_last, axis=0) <= report.liminf_bound_M + 1.0)
+        report.N_threshold = R_schedule[below[0]] if below.size else math.nan
     return report
 
 

@@ -9,7 +9,6 @@ that family limits are mode-consistent end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -167,35 +166,3 @@ def w_family(j: int, gamma: float, s: float, n: int = 1,
         time_kinks=(0.0,),
         radial=True,
     )
-
-
-def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
-            t_bar: float) -> FunctionHandle:
-    """v(x, t) = u(lambda x + x_bar, lambda^2 t + t_bar) / M, parabolic scaling.
-
-    The support box transforms along: spatial radius divides by lambda
-    (plus the offset reach), the time window maps affinely.  v stays radial
-    only when u is and x_bar = 0; a constant u gives the constant u / M.
-    """
-    if Mk <= 0 or lambda_k <= 0:
-        raise ValueError("need Mk > 0 and lambda_k > 0")
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    lam2 = lambda_k * lambda_k
-
-    def evaluator(pts, tt):
-        return u(lambda_k * pts + x_bar[None, :], lam2 * tt + float(t_bar)) / Mk
-
-    support = None
-    if u.support is not None:
-        sup = u.support
-        radius = sup.radius
-        if math.isfinite(radius):
-            radius = (radius + float(np.linalg.norm(x_bar))) / lambda_k
-        t_lo = (sup.t_lo - t_bar) / lam2 if sup.t_lo > -math.inf else -math.inf
-        t_hi = (sup.t_hi - t_bar) / lam2 if sup.t_hi < math.inf else math.inf
-        support = SupportBox(radius=radius, t_lo=t_lo, t_hi=t_hi)
-    kinks = tuple((k - t_bar) / lam2 for k in u.time_kinks)
-    c = u.constant_value
-    return replace(u, evaluator=evaluator, support=support, time_kinks=kinks,
-                   constant_value=None if c is None else c / Mk,
-                   radial=u.radial and not np.any(x_bar))

@@ -281,16 +281,15 @@ def to_handle(e: Expr, dim: int, s: float | None = None,
             base = replace(base, support=support or base.support,
                            growth=growth or base.growth)
         return base
-    nodes = list(_nodes(e))
-    if not any(isinstance(node, (Var, Family)) for node in nodes):
-        return constant(float(_evaluate(e, np.zeros((1, dim)), np.zeros(1), s, dim,
-                                        normalization)[0]), dim)
 
     def evaluator(pts, tt):
         # a non-finite value is reported by the quadrature, not as a warning
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             return np.asarray(_evaluate(e, pts, tt, s, dim, normalization), dtype=float)
 
+    nodes = list(_nodes(e))
+    if not any(isinstance(node, (Var, Family)) for node in nodes):
+        return constant(evaluator(np.zeros((1, dim)), np.zeros(1))[0], dim)
     c1 = any((isinstance(node, Unary) and node.op == "pos")
              or (isinstance(node, Family) and node.name == "w") for node in nodes)
     return FunctionHandle(

@@ -105,6 +105,8 @@ def from_callable(f, dim: int, **meta) -> FunctionHandle:
 
 def constant(value: float, dim: int = 1) -> FunctionHandle:
     v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"constant must be finite, got {v}")
 
     def evaluator(pts, tt):
         return np.full(pts.shape[0], v)
@@ -155,25 +157,41 @@ def combine(coeffs, handles) -> FunctionHandle:
     )
 
 
-def shifted(u: FunctionHandle, x0, t0: float) -> FunctionHandle:
-    """u(. - x0, . - t0), support box translated along; radial only if x0 = 0."""
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    t0 = float(t0)
+def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
+            t_bar: float) -> FunctionHandle:
+    """v(x, t) = u(lambda x + x_bar, lambda^2 t + t_bar) / M, parabolic scaling.
+
+    The support box transforms along: spatial radius divides by lambda
+    (plus the offset reach), the time window maps affinely.  v stays radial
+    only when u is and x_bar = 0; a constant u gives the constant u / M.
+    """
+    if Mk <= 0 or lambda_k <= 0:
+        raise ValueError("need Mk > 0 and lambda_k > 0")
+    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    lam2 = lambda_k * lambda_k
 
     def evaluator(pts, tt):
-        return u(pts - x0[None, :], tt - t0)
+        return u(lambda_k * pts + x_bar[None, :], lam2 * tt + float(t_bar)) / Mk
 
     support = None
     if u.support is not None:
-        # translated spatial ball is covered by a centered ball of radius r+|x0|
-        support = SupportBox(
-            radius=u.support.radius + float(np.linalg.norm(x0)),
-            t_lo=u.support.t_lo + t0,
-            t_hi=u.support.t_hi + t0,
-        )
-    kinks = tuple(k + t0 for k in u.time_kinks)
+        sup = u.support
+        radius = sup.radius
+        if math.isfinite(radius):
+            radius = (radius + float(np.linalg.norm(x_bar))) / lambda_k
+        t_lo = (sup.t_lo - t_bar) / lam2 if sup.t_lo > -math.inf else -math.inf
+        t_hi = (sup.t_hi - t_bar) / lam2 if sup.t_hi < math.inf else math.inf
+        support = SupportBox(radius=radius, t_lo=t_lo, t_hi=t_hi)
+    kinks = tuple((k - t_bar) / lam2 for k in u.time_kinks)
+    c = u.constant_value
     return replace(u, evaluator=evaluator, support=support, time_kinks=kinks,
-                   radial=u.radial and not np.any(x0))
+                   constant_value=None if c is None else c / Mk,
+                   radial=u.radial and not np.any(x_bar))
+
+
+def shifted(u: FunctionHandle, x0, t0: float) -> FunctionHandle:
+    """u(. - x0, . - t0), support box translated along; radial only if x0 = 0."""
+    return rescale(u, 1.0, 1.0, -np.asarray(x0, dtype=float), -float(t0))
 
 
 def spatial(f, dim: int = 1, **meta) -> FunctionHandle:

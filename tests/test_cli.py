@@ -199,9 +199,13 @@ def cap_address_space():
     (["eval", "x1", "--tol", "nan"], "rel_tol must be positive and finite"),
     (["eval", "x1", "--tol", "inf"], "rel_tol must be positive and finite"),
     (["eval", "x1", "--a-min", "nan"], "a_min must be positive and finite"),
+    (["defect", "--r-schedule", "6,inf"], "got R = inf"),
+    (["defect", "--probes", "nan,0"], "probe must be finite, got x = [nan]"),
+    (["eval", "sqrt(0-1)", "--horizon", "60"], "constant must be finite, got nan"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
-        "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan"])
+        "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan",
+        "r-schedule-inf", "probe-nan", "constant-nan"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli",
@@ -234,6 +238,38 @@ def test_eval_csv_and_json_carry_the_same_fields(tmp_path):
     assert cells["truncation_flag"] == "true" and payload["truncation_flag"] is True
     assert float(cells["value"]) == payload["value"]
     assert int(cells["nodes_used"]) == payload["nodes_used"]
+    # the row commands at n = 2: every JSON row has the CSV header's keys
+    probes = ["--n", "2", "--probes", "0,0.5,0;0,0,0"]
+    for base in (["counterexample", "--which", "3", "--j-schedule", "2,4", *probes],
+                 ["defect", "--r-schedule", "6,12", "--j-schedule", "4,8", *probes]):
+        _, csv_text = run_cli(base, tmp_path, "r.csv")
+        _, json_text = run_cli(base + ["--format", "json"], tmp_path, "r.json")
+        header = csv_text.split("\n")[0].split(",")
+        rows = json.loads(json_text)["rows"]
+        assert rows and all(sorted(row) == sorted(header) for row in rows), base[0]
+
+
+def _csv_rows(text):
+    header, *lines = text.strip().split("\n")
+    return [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+
+
+def test_counterexample_verdict_is_per_probe(tmp_path):
+    # two probes sharing x1 and t: the failing one fails the run
+    code, text = run_cli(["counterexample", "--which", "3", "--n", "2",
+                          "--j-schedule", "2,4", "--probes", "0,3,0;0,0,0"], tmp_path)
+    assert code == 3
+    rows = _csv_rows(text)
+    assert [(r["px"], r["py"], r["converged"]) for r in rows if r["j"] == "4"] == [
+        ("0", "3", "false"), ("0", "0", "true")]
+    assert all(r["converged"] == "" for r in rows if r["j"] == "2")
+
+
+def test_defect_rows_carry_every_coordinate(tmp_path):
+    _, text = run_cli(["defect", "--n", "2", "--probes", "0,0.5,0;0,0,0",
+                          "--r-schedule", "6,12", "--j-schedule", "4,8"], tmp_path)
+    assert {(r["px"], r["py"], r["pt"]) for r in _csv_rows(text)} == {
+        ("0", "0.5", "0"), ("0", "0", "0")}
 
 
 #: a non-default value per option

@@ -132,6 +132,17 @@ def test_defect_consistency_with_operator_limits(p_half, q_default):
         assert 0.0 - mj == pytest.approx(rep.b_estimate, abs=5e-2)
 
 
+def test_defect_subtracts_the_limit_tail(p_half, q_default):
+    # b = F(u_J, R) - F(limit, R): a family equal to its limit has no defect,
+    # even where its own tail F is not 0
+    u = phi_family(6, 0.5, 1.0)
+    rep = defect_estimate(lambda j: u, u, PROBES, [6.0, 12.0], [2, 4],
+                          p_half, q_default)
+    assert rep.converged
+    assert rep.b_estimate == 0.0
+    assert all(F > 0.0 for (_, _, _, F, _) in rep.samples)
+
+
 def test_defect_rejects_bad_schedules(p_half, q_default):
     with pytest.raises(ValueError, match="increasing"):
         defect_estimate(lambda j: zero(1), zero(1), PROBES[:1], [24.0, 12.0],

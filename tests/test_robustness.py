@@ -35,6 +35,13 @@ def test_support_box_validation():
         SupportBox(radius=1.0, t_lo=2.0, t_hi=1.0)
 
 
+def test_constant_rejects_non_finite():
+    # the operator of a constant is an exact 0, which would hide a nan
+    for v in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            constant(v, 1)
+
+
 def test_kernel_function_dimension_mismatch(p_half, q_default):
     u = constant(1.0, 2)
     with pytest.raises(ValueError, match="dimension"):
