@@ -159,6 +159,14 @@ def _parse_list(text: str, kind, sep: str = ","):
     return items
 
 
+def _parse_schedule(text: str, kind, flag: str):
+    """A schedule list, refused unless strictly increasing (as in ``defect_estimate``)."""
+    items = _parse_list(text, kind)
+    if sorted(set(items)) != items:
+        raise ValueError(f"{flag} must be strictly increasing, got {text!r}")
+    return items
+
+
 def _parse_probes(text: str, dim: int):
     return _parse_list(text, lambda chunk: parse_point(chunk, dim), ";")
 
@@ -227,7 +235,7 @@ def cmd_counterexample(args) -> int:
         raise ValueError(f"--times applies only to --which 2, not {args.which}")
     cfg = build_config(args)
     p, q, n, s = cfg.kernel(), cfg.quad(), cfg.n, cfg.s
-    js = _parse_list(args.j_schedule, int)
+    js = _parse_schedule(args.j_schedule, int, "--j-schedule")
     origin = np.zeros(n)
     # each family: handle per j, operator at a point (x, t), points, limit
     if args.which == 1:
@@ -336,7 +344,7 @@ def cmd_verify(args) -> int:
     n, seed, samples = cfg.n, cfg.seed, args.samples
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
-    Rs = _parse_list(args.R, float)
+    Rs = _parse_schedule(args.R, float, "--R")
     R = Rs[-1]
     e1 = np.zeros(n)
     e1[0] = 1.0

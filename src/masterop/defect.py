@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .handles import FunctionHandle
+from .handles import FunctionHandle, counted
 from .kernel import KernelParams
 from .quadrature import QuadResult, QuadSpec, window_uM_integral
 
@@ -48,18 +48,19 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
     t0 = float(at[1])
     sup = u.support
     a_split = t0 + R * R
-    v1, e1, n1 = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split, r_lo=R)
+    u, nodes = counted(u)
+    v1, e1 = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split, r_lo=R)
     a_end = math.inf
     if sup is not None and sup.t_lo > -math.inf:
         a_end = max(t0 - sup.t_lo, a_split)
-    v2, e2, n2 = window_uM_integral(u, (x0, t0), p, q, a_split, a_end)
+    v2, e2 = window_uM_integral(u, (x0, t0), p, q, a_split, a_end)
     value = v1 + v2
     err = e1 + e2
     if value < -err:
         warnings.warn("tail functional came out negative beyond its error "
                       "estimate; is u nonnegative?", stacklevel=2)
     return QuadResult(value=value, err_estimate=err, truncation_flag=False,
-                      nodes_used=n1 + n2)
+                      nodes_used=nodes())
 
 
 def pool_map(fn, items, jobs: int):

@@ -98,6 +98,17 @@ class FunctionHandle:
         return self.growth in (GROWTH_DECAYING, GROWTH_BOUNDED, GROWTH_FORWARD_POLY)
 
 
+def counted(u: FunctionHandle):
+    """(u with an evaluator that tallies its points, a function reading the tally)."""
+    total = [0]
+
+    def evaluator(pts, tt):
+        total[0] += len(pts)
+        return u.evaluator(pts, tt)
+
+    return replace(u, evaluator=evaluator), lambda: total[0]
+
+
 def from_callable(f, dim: int, **meta) -> FunctionHandle:
     """Wrap ``f(points, times)`` (vectorized) as a handle."""
     return FunctionHandle(evaluator=f, dim=dim, **meta)

@@ -27,14 +27,11 @@ from .kernel import KernelParams, NORMALIZED, kernel_constants
 from .quadrature import (
     QuadResult,
     QuadSpec,
-    adaptive_gl,
     angular_rule,
     exterior_spatial_mass,
-    graded_time_mesh,
     integrate_difference,
+    singular_integral,
     slab_mass,
-    small_a_closure,
-    split_panels,
     window_integral,
     window_uM_integral,
 )
@@ -63,6 +60,7 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
     u0 = u.at(x0, 0.0)
+    u, nodes = hd.counted(u)
     dirs, aw = angular_rule(n, 16)
     omega = float(np.sum(aw))
 
@@ -75,38 +73,22 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
         r_cut = max(1e4, math.sqrt(q.horizon)) if q.horizon is not None else 1e4
         truncated = True
 
-    r_min = math.sqrt(q.a_min)
-    panels = sorted(graded_time_mesh(r_cut, q.grading, r_min), key=lambda pr: pr[0])
-    gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
-    panel_tol = q.rel_tol * 1e-3 * max(1.0, abs(u0))
-
-    nodes = 0
-
     def dens(rr):
-        nonlocal nodes
-        nodes += 2 * len(rr) * len(aw)
         pts_p = x0[None, None, :] + rr[:, None, None] * dirs[None, :, :]
         pts_m = x0[None, None, :] - rr[:, None, None] * dirs[None, :, :]
         tt = np.zeros(pts_p.shape[:2])
         S = 2.0 * u0 * omega - u(pts_p, tt) @ aw - u(pts_m, tt) @ aw
         return rr ** (-1.0 - 2.0 * s) * S
 
-    total, err, rr_all, fs_all = adaptive_gl(dens, panels, gl_hi, gl_lo, panel_tol)
-
-    # the symmetrized second difference is O(r^2): close in a = r^2, where
-    # dr = da / (2r) turns the integrand into a^{-(1+s)} times S/2
-    m = rr_all <= panels[min(1, len(panels) - 1)][1]
-    rr0 = rr_all[m]
-    closure, closure_err = small_a_closure(u, rr0 ** 2, fs_all[m] / (2.0 * rr0),
-                                           panels[0][0] ** 2, s)
-    total += closure
-    err += closure_err
+    # the symmetrized second difference is O(r^2): close in a = r^2
+    total, err = singular_integral(dens, u, r_cut, math.sqrt(q.a_min), (), s,
+                                   u0, q, power=2)
 
     # analytic tail of the 2 u(x) term; the u(x +/- r th) tail vanishes
     # beyond the support and is dropped (flagged) otherwise
     total += 2.0 * u0 * omega * r_cut ** (-2.0 * s) / (2.0 * s)
     return QuadResult(value=0.5 * C * total, err_estimate=0.5 * C * err,
-                      truncation_flag=truncated, nodes_used=nodes)
+                      truncation_flag=truncated, nodes_used=nodes())
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +105,8 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     t0 = float(t)
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
-    x_dummy = np.zeros(u.dim)
-    u0 = u.at(x_dummy, t0)
+    u0 = u.at(np.zeros(u.dim), t0)
+    u, nodes = hd.counted(u)
 
     sup = u.support
     past_end = t0 - sup.t_lo if (sup is not None and sup.t_lo > -math.inf) else math.inf
@@ -139,27 +121,15 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     else:
         T = 1.0   # the past window machinery covers (T, inf)
 
-    panels = graded_time_mesh(T, q.grading, q.a_min)
-    panels = split_panels(panels, [t0 - k for k in u.time_kinks if q.a_min < t0 - k < T])
-    panels.sort(key=lambda pr: pr[0])
-    gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
-    panel_tol = q.rel_tol * 1e-3 * max(1.0, abs(u0))
-
-    nodes = 0
+    kinks = [t0 - k for k in u.time_kinks]
 
     def vals(aa):
-        nonlocal nodes
-        nodes += len(aa)
         return u(np.zeros((len(aa), u.dim)), t0 - aa)
 
     def dens(aa):
         return aa ** (-1.0 - s) * (u0 - vals(aa))
 
-    total, err, aa_all, fs_all = adaptive_gl(dens, panels, gl_hi, gl_lo, panel_tol)
-    m = aa_all <= panels[min(1, len(panels) - 1)][1]
-    closure, closure_err = small_a_closure(u, aa_all[m], fs_all[m], panels[0][0], s)
-    total += closure
-    err += closure_err
+    total, err = singular_integral(dens, u, T, q.a_min, kinks, s, u0, q)
 
     # u(t) mass beyond T is analytic; the past tail of u is windowed
     total += u0 * T ** (-s) / s
@@ -167,15 +137,14 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     if past_end > T:
         if math.isfinite(past_end) or u.past_integrable():
             # for the infinite past r = a^{-s} leaves u itself as r-integrand
-            tail, terr = window_integral(vals, T, past_end, 1.0 + s, q,
-                                         kinks=[t0 - k for k in u.time_kinks],
-                                         pw=s, tol=q.rel_tol * 1e-3)
+            tail, terr = window_integral(vals, T, past_end, 1.0 + s, q, kinks=kinks,
+                                         pw=s, tol=q.panel_tol(0.0))
             total -= tail
             err += terr
         else:
             truncated = True
     return QuadResult(value=C * total, err_estimate=C * err,
-                      truncation_flag=truncated, nodes_used=nodes)
+                      truncation_flag=truncated, nodes_used=nodes())
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +183,10 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     # the difference integral of v with its u(y) part cut at T: the v0
     # mass beyond T is then removed with the exterior mass below
     D = integrate_difference(v, at, p, replace(q, horizon=T))
-    massI, errM, nm = exterior_spatial_mass(at, R, p, q)
+    massI, errM = exterior_spatial_mass(at, R, p, q)
     ext_mass = massI + slab_mass(T, math.inf, p)
-    regI, errR, nr = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R)
+    v, nodes = hd.counted(v)
+    regI, errR = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R)
     I = D.value - v0 * ext_mass + regI
 
     F_u = tail_functional(u, at, R, p, q)
@@ -224,7 +194,7 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     E = v0 * ext_mass - F_u.value
     err = (D.err_estimate + errR + abs(v0) * errM + F_u.err_estimate + F_ui.err_estimate)
     return DecompositionResult(I=I, E=E, F=F_ui.value, R=R, err_estimate=err,
-                               nodes_used=D.nodes_used + nm + nr + F_u.nodes_used + F_ui.nodes_used,
+                               nodes_used=D.nodes_used + nodes() + F_u.nodes_used + F_ui.nodes_used,
                                ext_mass=ext_mass)
 
 

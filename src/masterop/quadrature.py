@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .handles import FunctionHandle, HOLDER, constant
+from .handles import FunctionHandle, HOLDER, constant, counted
 from .kernel import KernelParams
 
 MAX_GH_ORDER = 200
@@ -84,9 +84,22 @@ class QuadSpec:
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
 
+    @property
+    def gl_lo(self) -> int:
+        """Order of the rule every gl_order panel sum is checked against."""
+        return max(2, self.gl_order // 2)
+
+    def panel_tol(self, scale: float) -> float:
+        """Panel tolerance of the singular integrals of a function of size ``scale``."""
+        return self.rel_tol * 1e-3 * max(1.0, abs(scale))
+
 
 @dataclass
 class QuadResult:
+    """A value and its error bound.  ``nodes_used`` counts the points at which
+    the quadrature evaluated u, without the anchor value u(x, t); it is 1 for
+    a constant, which is not integrated."""
+
     value: float
     err_estimate: float
     truncation_flag: bool = False
@@ -178,7 +191,7 @@ def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float = math.inf,
     ``tol`` are split; the default never splits, so the mesh is exactly
     ``panels``.  Returns (total, err, xs, fs) where xs/fs hold the gl_hi
     nodes and values of every accepted panel so callers can post-process
-    (e.g. small-argument fits); callers count their own evaluations.
+    (e.g. small-argument fits).
     """
     total = 0.0
     err = 0.0
@@ -233,12 +246,11 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
     most its endpoint value times r_last and is added to the error.
     Returns (value, err).
     """
-    gl_hi, gl_lo = q.gl_order, max(2, q.gl_order // 2)
     if math.isfinite(a_hi):
         panels = split_panels(_log_mesh(a_lo, a_hi, q.panels_per_decade),
                               [k for k in kinks if a_lo < k < a_hi])
         total, err, _, _ = adaptive_gl(lambda a: a ** (-pe) * Y(a), panels,
-                                       gl_hi, gl_lo, tol)
+                                       q.gl_order, q.gl_lo, tol)
         return total, err
     r0 = a_lo ** (-pw)
     panels = split_panels(graded_time_mesh(r0, 0.5, r0 * 1e-8),
@@ -248,7 +260,7 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
         a = rr ** (-1.0 / pw)
         return a ** (pw - pe + 1.0) * Y(a)
 
-    total, err, _, _ = adaptive_gl(dens, panels, gl_hi, gl_lo, tol)
+    total, err, _, _ = adaptive_gl(dens, panels, q.gl_order, q.gl_lo, tol)
     r_last = min(lo for lo, hi in panels)
     err += abs(float(dens(np.array([r_last]))[0])) * r_last
     return total / pw, err / pw
@@ -258,33 +270,49 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
 # the singular difference integral on (0, horizon]
 # ---------------------------------------------------------------------------
 
-def _difference_panels(u: FunctionHandle, x0, t0, p: KernelParams, q: QuadSpec,
-                       horizon: float):
+def _graded_panels(T: float, lo: float, kinks, q: QuadSpec):
+    """The graded mesh from T down to lo, split at the kinks inside, ascending."""
+    panels = split_panels(graded_time_mesh(T, q.grading, lo), [k for k in kinks if lo < k < T])
+    return sorted(panels, key=lambda pair: pair[0])
+
+
+def singular_integral(dens, u: FunctionHandle, T: float, lo: float, kinks,
+                      s: float, scale: float, q: QuadSpec, power: int = 1):
+    """int_0^T dens(x) dx, singular at x = 0, for a difference of u; returns (value, err).
+
+    ``adaptive_gl`` sums the graded panels from T down to lo, split at
+    ``kinks``, at ``q.panel_tol(scale)``; ``small_a_closure`` closes (0, lo)
+    from the two innermost panels in a = x^power, dx = da / (power x^(power-1)).
+    """
+    panels = _graded_panels(T, lo, kinks, q)
+    total, err, xs, fs = adaptive_gl(dens, panels, q.gl_order, q.gl_lo,
+                                     q.panel_tol(scale))
+    m = xs <= panels[min(1, len(panels) - 1)][1]
+    xs = xs[m]
+    closure, closure_err = small_a_closure(u, xs ** power,
+                                           fs[m] / (power * xs ** (power - 1)),
+                                           panels[0][0] ** power, s)
+    return total + closure, err + closure_err
+
+
+def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
+                       q: QuadSpec, horizon: float):
     """GH-difference integral on (a_min, horizon] plus sub-a_min closure.
 
-    Returns (value, err, nodes).  The value is
+    Returns (value, err).  The value is
     const * 2^n * int a^{-(1+s)} GH[u0 - u] da extended to a = 0 by the
     fitted small-a model; the u0 mass beyond the horizon is NOT included.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
     sqpi_n = math.pi ** (n / 2.0)
-    u0 = u.at(x0, t0)
     gh_cap = max(q.gh_order, _GH_CAP[n])
 
-    panels = graded_time_mesh(horizon, q.grading, q.a_min)
-    kinks = [t0 - k for k in u.time_kinks if q.a_min < t0 - k < horizon]
-    panels = split_panels(panels, kinks)
-    panels.sort(key=lambda pair: pair[0])
-
-    gl_hi = q.gl_order
-    gl_lo = max(2, q.gl_order // 2)
-    scale = max(1.0, abs(u0))
-    panel_tol = q.rel_tol * 1e-3 * scale
+    panels = _graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q)
+    gl_hi, gl_lo = q.gl_order, q.gl_lo
 
     total = 0.0
     err = 0.0
-    nodes = 0
     inner_a: list[np.ndarray] = []
     inner_dens: list[np.ndarray] = []
 
@@ -300,14 +328,13 @@ def _difference_panels(u: FunctionHandle, x0, t0, p: KernelParams, q: QuadSpec,
             pts = x0[None, None, :] + root[:, None, None] * Z[None, :, :]
             tt = np.broadcast_to((t0 - a_all)[:, None], pts.shape[:2])
             vals = u(pts, tt)
-            nodes += pts.shape[0] * pts.shape[1]
             G = sqpi_n * u0 - vals @ W
             dens = a_all ** (-1.0 - s) * G
             cur = float(np.dot(w_h, dens[:gl_hi]))
             cur_lo = float(np.dot(w_l, dens[gl_hi:]))
             if not math.isfinite(cur):
                 raise NumericError(f"non-finite integrand in time panel ({lo:g}, {hi:g}]")
-            done = prev is not None and abs(cur - prev) <= panel_tol
+            done = prev is not None and abs(cur - prev) <= q.panel_tol(u0)
             if done or order >= gh_cap:
                 if prev is not None:
                     err += abs(cur - prev)
@@ -323,7 +350,7 @@ def _difference_panels(u: FunctionHandle, x0, t0, p: KernelParams, q: QuadSpec,
     closure, closure_err = small_a_closure(u, np.concatenate(inner_a),
                                            np.concatenate(inner_dens),
                                            panels[0][0], s)
-    return pref * (total + closure), pref * (err + closure_err), nodes
+    return pref * (total + closure), pref * (err + closure_err)
 
 
 def small_a_closure(u: FunctionHandle, aa, dens, a_last: float, s: float):
@@ -450,7 +477,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
         pts = np.zeros((len(rr), n))
         pts[:, 0] = rr
         vals = u(np.broadcast_to(pts, (len(avals),) + pts.shape), tt)
-        return (vals * kern) @ (rw * rr ** (n - 1)), vals.size
+        return (vals * kern) @ (rw * rr ** (n - 1))
     if n == 1:
         ang = 2
     else:
@@ -462,7 +489,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
     kern = np.exp(np.maximum(expo, -745.0))
     kern[expo < -745.0] = 0.0
     vals = u(np.broadcast_to(pts[None, :, :], (len(avals),) + pts.shape), tt)
-    return (vals * kern) @ ww, len(avals) * len(ww)
+    return (vals * kern) @ ww
 
 
 def _fullspace_values(u, x0, t0, avals, p: KernelParams, gh: int):
@@ -471,13 +498,13 @@ def _fullspace_values(u, x0, t0, avals, p: KernelParams, gh: int):
     A constant c gives the exact c (4 pi a)^{n/2} without evaluating u.
     """
     if u.constant_value is not None:
-        return u.constant_value * (4.0 * math.pi * avals) ** (p.n / 2.0), 0
+        return u.constant_value * (4.0 * math.pi * avals) ** (p.n / 2.0)
     Z, W = _gh_tensor(gh, p.n)
     root = 2.0 * np.sqrt(avals)
     pts = x0[None, None, :] + root[:, None, None] * Z[None, :, :]
     tt = np.broadcast_to((t0 - avals)[:, None], pts.shape[:2])
     vals = u(pts, tt)
-    return root ** p.n * (vals @ W), len(avals) * len(W)
+    return root ** p.n * (vals @ W)
 
 
 def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
@@ -489,17 +516,15 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     ``r_hi`` of None means the full space beyond r_lo.  When u declares a
     finite support radius that is the shell up to it, exactly; otherwise
     the exterior of a ball is formed as full-space minus inner ball, which
-    requires a declared growth envelope on u.  Returns (value, err, nodes).
+    requires a declared growth envelope on u.  Returns (value, err).
     """
     x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
     t0 = float(at[1])
     n, s = p.n, p.s
     if r_hi is None and u.support is not None and math.isfinite(u.support.radius):
         r_hi = u.support.radius
-    if a_hi <= a_lo:
-        return 0.0, 0.0, 0
-    if r_hi is not None and r_hi <= r_lo:
-        return 0.0, 0.0, 0
+    if a_hi <= a_lo or (r_hi is not None and r_hi <= r_lo):
+        return 0.0, 0.0
 
     full_space = r_hi is None or math.isinf(r_hi)
     if full_space and not u.past_integrable():
@@ -507,21 +532,13 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
             "unbounded function without support box or growth envelope: "
             "the exterior integral may diverge")
 
-    nodes = 0
-
     def Y(avals):
-        nonlocal nodes
         if full_space:
-            out, k = _fullspace_values(u, x0, t0, avals, p, q.gh_order)
-            nodes += k
+            out = _fullspace_values(u, x0, t0, avals, p, q.gh_order)
             if r_lo > 0.0:
-                inner, k = _shell_values(u, x0, t0, avals, 0.0, r_lo, p, q.gl_order)
-                out = out - inner
-                nodes += k
+                out = out - _shell_values(u, x0, t0, avals, 0.0, r_lo, p, q.gl_order)
             return out
-        out, k = _shell_values(u, x0, t0, avals, r_lo, r_hi, p, q.gl_order)
-        nodes += k
-        return out
+        return _shell_values(u, x0, t0, avals, r_lo, r_hi, p, q.gl_order)
 
     a_floor = a_lo
     if r_lo > 0.0:
@@ -530,7 +547,7 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
         if gap > 0.0:
             a_floor = max(a_lo, gap * gap / 2500.0)
         if a_floor >= a_hi:
-            return 0.0, 0.0, 0
+            return 0.0, 0.0
     if a_floor <= 0.0:
         raise ValueError("the window must start at a positive duration")
 
@@ -542,14 +559,14 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
                                  kinks=[t0 - k for k in u.time_kinks], pw=pw)
     if not math.isfinite(total):
         raise NumericError("non-finite exterior window integral")
-    return p.constant * total, p.constant * err, nodes
+    return p.constant * total, p.constant * err
 
 
 def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
     """int_0^{t+R^2} int_{|y|>R} M(x-y, a) dy da, for (x, t) in Q_{R/3}.
 
     The exterior window of the constant 1: exact full-space mass minus the
-    ball.  Returns (value, err, nodes).
+    ball.  Returns (value, err).
     """
     return window_uM_integral(constant(1.0, p.n), at, p, q, 0.0,
                               float(at[1]) + R * R, r_lo=R)
@@ -563,8 +580,6 @@ def _auto_handoff(u: FunctionHandle, t0: float) -> float:
     """Hand-off point between the GH difference route and direct windows."""
     T = 1.0
     sup = u.support
-    if sup is None:
-        return T
     if math.isfinite(sup.radius) and sup.radius > 0:
         T = max(T, (sup.radius / 10.0) ** 2)
     elif sup.t_lo > -math.inf:
@@ -591,8 +606,7 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
         raise ValueError("evaluation point must be finite")
     if u.constant_value is not None:
         # the difference vanishes identically
-        return QuadResult(value=0.0, err_estimate=0.0, truncation_flag=False,
-                          nodes_used=1)
+        return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
 
     sup = u.support
     if q.horizon is None and sup is None:
@@ -602,35 +616,30 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
 
     T_total = float(q.horizon) if q.horizon is not None else math.inf
 
-    if sup is None:
-        # no structure to hand off to: the GH route spans the whole horizon
-        hand = T_total
-    else:
-        hand = min(_auto_handoff(u, t0), T_total)
+    # with no support box to hand off to, the GH route spans the whole horizon
+    hand = T_total if sup is None else min(_auto_handoff(u, t0), T_total)
     hand = max(hand, 16.0 * q.a_min)
 
-    value, err, nodes = _difference_panels(u, x0, t0, p, q, hand)
+    u0 = u.at(x0, t0)
+    u, nodes = counted(u)
+    value, err = _difference_panels(u, u0, x0, t0, p, q, hand)
 
     # exact mass of the u(x,t) term over (hand, inf)
-    u0 = u.at(x0, t0)
     value += u0 * slab_mass(hand, math.inf, p)
 
     # remaining -int_{a>hand} int u M: direct over the support window
-    spatial_ok = sup is not None and math.isfinite(sup.radius)
     u_gone_past = t0 - sup.t_lo if (sup is not None and sup.t_lo > -math.inf) else math.inf
     accounted = hand
-    if spatial_ok:
-        upper = min(T_total, u_gone_past) if math.isfinite(T_total) else u_gone_past
-        upper = max(upper, hand)
+    if sup is not None and math.isfinite(sup.radius):
+        upper = max(min(T_total, u_gone_past), hand)
         if upper > hand:
-            w, we, wn = window_uM_integral(u, (x0, t0), p, q, hand, upper,
-                                           r_lo=0.0, r_hi=sup.radius)
+            w, we = window_uM_integral(u, (x0, t0), p, q, hand, upper,
+                                       r_lo=0.0, r_hi=sup.radius)
             value -= w
             err += we
-            nodes += wn
         accounted = upper
     # everything beyond max(accounted, where u vanishes) is unknowable
     truncated = accounted < u_gone_past
 
     return QuadResult(value=value, err_estimate=err,
-                      truncation_flag=truncated, nodes_used=nodes)
+                      truncation_flag=truncated, nodes_used=nodes())

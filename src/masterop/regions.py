@@ -80,12 +80,8 @@ def step2_predicates(ys, taus, t, R: float):
 def sample_past_points(rng, n: int, t: float, R: float, count: int):
     """Wide log-spread samples of the past half-space around Q_R scales."""
     r = R * 10.0 ** rng.uniform(-2.0, 1.0, count)
-    dirs = rng.normal(size=(count, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ys = r[:, None] * dirs
-    a = R * R * 10.0 ** rng.uniform(-4.0, 2.0, count)
-    taus = t - a
-    return ys, taus
+    ys = r[:, None] * _directions(rng, n, count)
+    return ys, t - R * R * 10.0 ** rng.uniform(-4.0, 2.0, count)
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +95,8 @@ def _directions(rng, n, count):
 
 def sample_region(rng, region: str, n: int, x, t: float, R: float, count: int):
     """Draw ``count`` points of a named exterior region (step-1 or step-2)."""
+    if count < 1:
+        raise ValueError(f"samples must be at least 1, got {count}")
     x = np.zeros(n) if x is None else _as_point(x, n)
     d = delta_of(R)
     t0 = shift_of(R)
@@ -155,7 +153,6 @@ class RatioReport:
     envelope_log: float
     fitted_constant: float
     passed: bool
-    degenerate: bool = False
 
 
 def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
@@ -170,8 +167,6 @@ def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
     x = _as_point(x, n)
     if np.linalg.norm(x) > R / 3.0:
         raise ValueError("need |x| <= R/3")
-    if samples < 1:
-        return RatioReport("A", 0, math.nan, math.nan, math.nan, False, degenerate=True)
     rng = np.random.default_rng(seed)
     d = delta_of(R)
     ys, taus = sample_region(rng, "A", n, x, t, R, samples)

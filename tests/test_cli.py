@@ -202,10 +202,14 @@ def cap_address_space():
     (["defect", "--r-schedule", "6,inf"], "got R = inf"),
     (["defect", "--probes", "nan,0"], "probe must be finite, got x = [nan]"),
     (["eval", "sqrt(0-1)", "--horizon", "60"], "constant must be finite, got nan"),
+    (["counterexample", "--which", "3", "--j-schedule", "16,2", "--probes", "0,0"],
+     "--j-schedule must be strictly increasing"),
+    (["verify", "--what", "c1", "--R", "10000,1000,100"], "--R must be strictly increasing"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
         "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan",
-        "r-schedule-inf", "probe-nan", "constant-nan"])
+        "r-schedule-inf", "probe-nan", "constant-nan", "j-schedule-decreasing",
+        "R-decreasing"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli",

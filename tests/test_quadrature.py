@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,11 +8,23 @@ from scipy.special import gamma
 from masterop import (
     QuadSpec,
     constant,
+    fractional_laplacian,
     from_callable,
     kernel_constants,
+    marchaud,
+    master_op,
+    phi_family,
+    psi_family,
+    tail_functional,
     w_family,
 )
-from masterop.handles import GROWTH_BOUNDED, GROWTH_DECAYING, SupportBox, spatial
+from masterop.handles import (
+    GROWTH_BOUNDED,
+    GROWTH_DECAYING,
+    SupportBox,
+    spatial,
+    temporal,
+)
 from masterop.quadrature import (
     _gh_tensor,
     gauss_hermite_nodes,
@@ -204,10 +217,10 @@ def test_slab_mass_closed_form(p_half):
 def test_window_integral_matches_mass_for_unit_function(p_half, q_default):
     # int_{a in (A,B)} int_R^n 1 * M dy da must equal the analytic slab mass
     one = constant(1.0, 1)
-    got, err, _ = window_uM_integral(one, (np.zeros(1), 0.0), p_half, q_default,
+    got, err = window_uM_integral(one, (np.zeros(1), 0.0), p_half, q_default,
                                      2.0, 32.0, r_lo=0.0, r_hi=None)
     assert got == pytest.approx(slab_mass(2.0, 32.0, p_half), rel=1e-8)
-    got_inf, err, _ = window_uM_integral(one, (np.zeros(1), 0.0), p_half,
+    got_inf, err = window_uM_integral(one, (np.zeros(1), 0.0), p_half,
                                          q_default, 2.0, math.inf,
                                          r_lo=0.0, r_hi=None)
     assert got_inf == pytest.approx(slab_mass(2.0, math.inf, p_half), rel=1e-6)
@@ -244,3 +257,41 @@ def test_quadspec_validation():
 def test_quadspec_rejects_non_finite_floats(bad):
     with pytest.raises(ValueError, match="finite"):
         QuadSpec(**bad)
+
+
+def _tallied(u):
+    """u with an evaluator that adds up the points it is called on."""
+    tally = [0]
+
+    def evaluator(pts, tt):
+        tally[0] += len(pts)
+        return u.evaluator(pts, tt)
+
+    return dataclasses.replace(u, evaluator=evaluator), tally
+
+
+def _wave(n):
+    return from_callable(lambda pts, tt: np.exp(0.5 * tt) * np.cos(pts @ np.ones(n)),
+                         n, growth=GROWTH_BOUNDED)
+
+
+AT1, AT2 = (np.full(1, 0.2), 0.1), (np.full(2, 0.2), 0.1)
+
+
+@pytest.mark.parametrize("make, run, anchor", [
+    (lambda: w_family(4, 1.0, 0.5), lambda u, p: master_op(u, AT1, p, QuadSpec()), 1),
+    (lambda: w_family(4, 1.0, 0.5, n=2), lambda u, p: master_op(u, AT2, p, QuadSpec()), 1),
+    (lambda: _wave(1), lambda u, p: master_op(u, AT1, p, QuadSpec(horizon=60.0)), 1),
+    (lambda: phi_family(4, 1.0, 1.0),
+     lambda u, p: fractional_laplacian(u, AT1[0], p, QuadSpec()), 1),
+    (lambda: psi_family(4, 0.5, 1.0), lambda u, p: marchaud(u, 0.1, p, QuadSpec()), 1),
+    (lambda: temporal(np.exp, growth=GROWTH_DECAYING),
+     lambda u, p: marchaud(u, 0.1, p, QuadSpec()), 1),
+    (lambda: w_family(4, 1.0, 0.5), lambda u, p: tail_functional(u, AT1, 6.0, p, QuadSpec()), 0),
+], ids=["master-w4-n1", "master-w4-n2", "master-wave", "flap-phi4", "marchaud-psi4",
+        "marchaud-exp", "tail-w4"])
+def test_nodes_used_is_the_evaluator_point_count(make, run, anchor):
+    # nodes_used counts every point u is evaluated at, without the anchor u(x, t)
+    u, tally = _tallied(make())
+    res = run(u, kernel_constants(u.dim, 0.5))
+    assert 0 < res.nodes_used == tally[0] - anchor

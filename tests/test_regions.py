@@ -145,8 +145,11 @@ def test_ratio_c1_boundary_sample_closed_form(p_half):
 def test_ratio_c1_precondition_and_degenerate(p_half):
     with pytest.raises(ValueError):
         verify_ratio_c1(np.array([50.0]), 0.0, 100.0, 10, p_half)
-    rep = verify_ratio_c1(np.array([1.0]), 0.0, 100.0, 0, p_half)
-    assert rep.degenerate
+    for verify in (lambda m: verify_ratio_c1(np.array([1.0]), 0.0, 100.0, m, p_half),
+                   lambda m: verify_ratio_c2_c3(np.array([1.0]), 0.0, 100.0, m, p_half),
+                   lambda m: verify_ratio_step2(1.0, 100.0, m, p_half)):
+        with pytest.raises(ValueError, match="samples"):
+            verify(0)
 
 
 def test_ratio_c2_c3_envelopes(p_half):
