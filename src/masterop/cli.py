@@ -233,6 +233,8 @@ def cmd_counterexample(args) -> int:
         raise ValueError("--probes does not apply to --which 2; use --times")
     if args.times and args.which != 2:
         raise ValueError(f"--times applies only to --which 2, not {args.which}")
+    if not 0.0 <= args.target_tol < math.inf:
+        raise ValueError(f"--target-tol must be finite and at least 0, got {args.target_tol}")
     cfg = build_config(args)
     p, q, n, s = cfg.kernel(), cfg.quad(), cfg.n, cfg.s
     js = _parse_schedule(args.j_schedule, int, "--j-schedule")

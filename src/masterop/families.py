@@ -21,7 +21,7 @@ from .handles import (
     spatial,
     temporal,
 )
-from .kernel import NORMALIZED, RAW, laplacian_constant, marchaud_constant
+from .kernel import NORMALIZED, in_mode, laplacian_constant, marchaud_constant
 
 
 def standard_bump(r):
@@ -67,14 +67,8 @@ def C0_constant(s: float, n: int = 1, normalization: str = NORMALIZED) -> float:
     This is the limiting magnitude of the fractional Laplacian over the
     critically-scaled spatial bump family.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("need 0 < s < 1")
-    val = _bump_moment(1.0 + 2.0 * s) * surface_measure(n)
-    if normalization == NORMALIZED:
-        val *= laplacian_constant(n, s)
-    elif normalization != RAW:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return val
+    C = in_mode(laplacian_constant(n, s), normalization)
+    return _bump_moment(1.0 + 2.0 * s) * surface_measure(n) * C
 
 
 @lru_cache(maxsize=128)
@@ -84,20 +78,14 @@ def C1_constant(s: float, normalization: str = NORMALIZED) -> float:
     Scaling out j gives C_s * int_2^3 bump(r) r^{-(1+s)} dr for the
     critical exponent choice; recorded numerically, no closed form claimed.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError("need 0 < s < 1")
-    val = _bump_moment(1.0 + s)
-    if normalization == NORMALIZED:
-        val *= marchaud_constant(s)
-    elif normalization != RAW:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    return val
+    return _bump_moment(1.0 + s) * in_mode(marchaud_constant(s), normalization)
 
 
 def phi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandle:
     """x -> j^alpha bump(j^{-beta} |x|), supported in 2 j^beta <= |x| <= 3 j^beta."""
-    if j < 1 or alpha <= 0 or beta <= 0:
-        raise ValueError("need j >= 1 and positive alpha, beta")
+    if j < 1 or not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError(f"need j >= 1 and finite, positive alpha, beta; "
+                         f"got alpha={alpha}, beta={beta}")
     amp = float(j) ** alpha
     scale = float(j) ** (-beta)
 
@@ -110,8 +98,9 @@ def phi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandl
 
 def psi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandle:
     """t -> j^alpha psi(j^{-beta} t), supported in -3 j^beta <= t <= -2 j^beta."""
-    if j < 1 or alpha <= 0 or beta <= 0:
-        raise ValueError("need j >= 1 and positive alpha, beta")
+    if j < 1 or not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+        raise ValueError(f"need j >= 1 and finite, positive alpha, beta; "
+                         f"got alpha={alpha}, beta={beta}")
     amp = float(j) ** alpha
     scale = float(j) ** (-beta)
 
@@ -145,8 +134,8 @@ def w_family(j: int, gamma: float, s: float, n: int = 1,
     ball of radius 3 j.  The C0 used matches ``normalization``, so the
     master-operator values converge to -1 in the same mode.
     """
-    if gamma <= s:
-        raise ValueError(f"need gamma > s, got gamma={gamma}, s={s}")
+    if not s < gamma < math.inf:
+        raise ValueError(f"need finite gamma > s, got gamma={gamma}, s={s}")
     if j < 1:
         raise ValueError("j must be a positive integer")
     C0 = C0_constant(s, n, normalization)

@@ -15,6 +15,7 @@ be literals so differentiability metadata stays decidable.
 """
 from __future__ import annotations
 
+import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -100,9 +101,12 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {tok!r}", col)
         if kind == "num":
             try:
-                tokens.append(_Token(kind, tok, col, float(tok)))
+                value = float(tok)
             except ValueError:
-                raise ParseError(f"bad number {tok!r}", col) from None
+                value = math.nan
+            if not math.isfinite(value):
+                raise ParseError(f"bad number {tok!r}", col)
+            tokens.append(_Token(kind, tok, col, value))
         elif kind != "space":
             tokens.append(_Token(tok if kind == "punct" else kind, tok, col))
     tokens.append(_Token("end", "", len(text) + 1))

@@ -14,7 +14,7 @@ constant s / Gamma(1 - s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,36 +48,44 @@ def _check_order(n: int, s: float) -> None:
         raise ValueError(f"dimension n={n} unsupported (need 1, 2 or 3)")
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional order s={s} outside (0, 1)")
+    # (4 pi)^{n/2} |Gamma(-s)|, with |Gamma(-s)| = 1/s for tiny s, must be
+    # finite, or Gamma(-s) overflows and c_{n,s}, C_{n,s} underflow to 0
+    if math.isinf((4.0 * math.pi) ** (n / 2.0) * (1.0 / s)):
+        raise ValueError(f"fractional order s={s} too small for double precision")
+
+
+def in_mode(value: float, normalization: str) -> float:
+    """An operator constant as used: ``value`` normalized, 1 raw."""
+    if normalization == NORMALIZED:
+        return value
+    if normalization == RAW:
+        return 1.0
+    raise ValueError(f"unknown normalization {normalization!r}")
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Dimension, order, normalization constants and fitted decay constant."""
+    """Dimension, order and normalization, and the constants and fitted Lambda they fix."""
 
     n: int
     s: float
     normalization: str = NORMALIZED
-    c_ns: float = 0.0
-    C_s: float = 0.0
-    C_ns_lap: float = 0.0
-    Lambda: float = 0.0
+    c_ns: float = field(init=False)
+    C_s: float = field(init=False)
+    C_ns_lap: float = field(init=False)
+    Lambda: float = field(init=False)
 
     def __post_init__(self):
-        _check_order(self.n, self.s)
-        if self.normalization not in (RAW, NORMALIZED):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
-        for name in ("c_ns", "C_s", "C_ns_lap", "Lambda"):
-            v = getattr(self, name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        if self.Lambda < self.constant:
-            # forced by the x = 0 case of the decay bound
-            raise ValueError("Lambda must be at least the kernel constant")
+        n, s = self.n, self.s
+        object.__setattr__(self, "c_ns", master_constant(n, s))
+        object.__setattr__(self, "C_s", marchaud_constant(s))
+        object.__setattr__(self, "C_ns_lap", laplacian_constant(n, s))
+        object.__setattr__(self, "Lambda", fit_lambda(n, s, self.constant))
 
     @property
     def constant(self) -> float:
         """Effective kernel prefactor: 1 raw, c_{n,s} normalized."""
-        return self.c_ns if self.normalization == NORMALIZED else 1.0
+        return in_mode(self.c_ns, self.normalization)
 
     @property
     def time_exponent(self) -> float:
@@ -85,19 +93,9 @@ class KernelParams:
         return self.n / 2.0 + 1.0 + self.s
 
 
-def kernel_constants(n: int, s: float, normalization: str = NORMALIZED,
-                     fit_grid: int = 100) -> KernelParams:
-    """Populate KernelParams; Lambda is fitted on the standard decay grid."""
-    _check_order(n, s)
-    c_ns = master_constant(n, s)
-    const = c_ns if normalization == NORMALIZED else 1.0
-    return KernelParams(
-        n=n, s=s, normalization=normalization,
-        c_ns=c_ns,
-        C_s=marchaud_constant(s),
-        C_ns_lap=laplacian_constant(n, s),
-        Lambda=fit_lambda(n, s, constant=const, grid=fit_grid),
-    )
+def kernel_constants(n: int, s: float, normalization: str = NORMALIZED) -> KernelParams:
+    """The KernelParams of (n, s) in the given normalization."""
+    return KernelParams(n, s, normalization)
 
 
 def _sqnorm(dx, n: int) -> np.ndarray:

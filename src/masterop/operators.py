@@ -23,7 +23,7 @@ import numpy as np
 from . import handles as hd
 from .defect import check_scale, tail_functional
 from .handles import FunctionHandle
-from .kernel import KernelParams, NORMALIZED, kernel_constants
+from .kernel import KernelParams, in_mode, kernel_constants
 from .quadrature import (
     QuadResult,
     QuadSpec,
@@ -55,7 +55,7 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     limits accuracy at large radii.
     """
     n, s = p.n, p.s
-    C = p.C_ns_lap if p.normalization == NORMALIZED else 1.0
+    C = in_mode(p.C_ns_lap, p.normalization)
     x0 = np.atleast_1d(np.asarray(x, dtype=float))
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
@@ -101,7 +101,7 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     C_s int_0^inf (u(t) - u(t-a)) a^{-1-s} da with graded panels.
     """
     s = p.s
-    C = p.C_s if p.normalization == NORMALIZED else 1.0
+    C = in_mode(p.C_s, p.normalization)
     t0 = float(t)
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)

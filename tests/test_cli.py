@@ -205,11 +205,21 @@ def cap_address_space():
     (["counterexample", "--which", "3", "--j-schedule", "16,2", "--probes", "0,0"],
      "--j-schedule must be strictly increasing"),
     (["verify", "--what", "c1", "--R", "10000,1000,100"], "--R must be strictly increasing"),
+    (["eval", "cos(x1)", "--s", "1e-310", "--horizon", "60"], "s=1e-310 too small for double precision"),
+    (["counterexample", "--which", "1", "--beta", "nan"], "finite, positive alpha, beta"),
+    (["counterexample", "--which", "2", "--alpha", "inf"], "finite, positive alpha, beta"),
+    (["counterexample", "--which", "3", "--gamma", "nan"], "need finite gamma > s"),
+    (["defect", "--gamma", "nan"], "need finite gamma > s"),
+    (["eval", "phi(4,1,1e400)"], "bad number '1e400'"),
+    (["eval", "1e400*x1", "--horizon", "60"], "bad number '1e400'"),
+    (["counterexample", "--which", "1", "--target-tol", "nan"], "--target-tol must be finite"),
+    (["counterexample", "--which", "1", "--target-tol", "-1"], "--target-tol must be finite"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
         "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan",
         "r-schedule-inf", "probe-nan", "constant-nan", "j-schedule-decreasing",
-        "R-decreasing"])
+        "R-decreasing", "s-tiny", "beta-nan", "alpha-inf", "gamma-nan", "defect-gamma-nan",
+        "literal-in-family", "literal-overflow", "target-tol-nan", "target-tol-negative"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli",
@@ -218,6 +228,7 @@ def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("expr", ["sqrt(x1)", "x1^0.5"])

@@ -180,6 +180,16 @@ def test_w_family_constraint():
         w_family(8, 0.4, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_family_parameters_must_be_finite(bad):
+    for make in (lambda: phi_family(2, bad, 1.0), lambda: phi_family(2, 1.0, bad),
+                 lambda: psi_family(2, bad, 1.0), lambda: psi_family(2, 1.0, bad)):
+        with pytest.raises(ValueError, match="finite, positive alpha, beta"):
+            make()
+    with pytest.raises(ValueError, match="gamma > s"):
+        w_family(8, bad, 0.5)
+
+
 def test_w_family_master_limit(p_half, q_default):
     got = master_op(w_family(16, 1.0, 0.5), (np.zeros(1), 0.0), p_half, q_default)
     assert got.value == pytest.approx(-1.0, abs=5e-2)
@@ -275,11 +285,8 @@ def test_dichotomy_subcritical(p_half, q_default):
 def test_raw_mode_consistency(q_default):
     # in raw mode the constant-1 singular integral pairs with the raw C0
     from masterop import kernel_constants
-    from masterop.kernel import KernelParams, RAW, fit_lambda
-    base = kernel_constants(1, 0.5)
-    p_raw = KernelParams(n=1, s=0.5, normalization=RAW, c_ns=base.c_ns,
-                         C_s=base.C_s, C_ns_lap=base.C_ns_lap,
-                         Lambda=fit_lambda(1, 0.5, constant=1.0))
+    from masterop.kernel import RAW
+    p_raw = kernel_constants(1, 0.5, RAW)
     got = fractional_laplacian(phi_family(16, 1.0, 1.0), np.zeros(1),
                                p_raw, q_default).value
     assert got == pytest.approx(-C0_constant(0.5, 1, "raw"), rel=1e-6)

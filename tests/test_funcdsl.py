@@ -68,6 +68,8 @@ def test_syntax_error_column():
     ("1 + @", 5, "unexpected character '@'"),
     ("sin x1", 5, "expected '('"),
     ("neg(x1)", 1, "unknown identifier 'neg'"),
+    ("1e400", 1, "bad number '1e400'"),
+    ("phi(4,1,2e999)", 9, "bad number '2e999'"),
 ])
 def test_parse_error_column_and_message(text, column, message):
     with pytest.raises(ParseError) as exc:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from masterop import kernel_constants, kernel_decay_check, kernel_eval
 from masterop.kernel import (
     KernelParams,
+    NORMALIZED,
     RAW,
     decay_grid,
     fit_lambda,
@@ -16,9 +18,7 @@ from masterop.kernel import (
 
 
 def raw_params(n, s):
-    p = kernel_constants(n, s)
-    return KernelParams(n=n, s=s, normalization=RAW, c_ns=p.c_ns, C_s=p.C_s,
-                        C_ns_lap=p.C_ns_lap, Lambda=fit_lambda(n, s, constant=1.0))
+    return kernel_constants(n, s, RAW)
 
 
 def test_kernel_eval_origin_is_one_raw():
@@ -72,16 +72,30 @@ def test_constants_closed_forms():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
 def test_constants_positive_finite(n, s):
-    p = kernel_constants(n, s)
-    for v in (p.c_ns, p.C_s, p.C_ns_lap, p.Lambda):
-        assert v > 0.0 and math.isfinite(v)
-    assert p.Lambda >= p.constant
+    for normalization in (RAW, NORMALIZED):
+        p = kernel_constants(n, s, normalization)
+        for v in (p.c_ns, p.C_s, p.C_ns_lap, p.Lambda):
+            assert v > 0.0 and math.isfinite(v)
+        assert p.Lambda >= p.constant
 
 
-@pytest.mark.parametrize("bad_s", [0.0, 1.0, -0.3, 1.7])
+@pytest.mark.parametrize("bad_s", [0.0, 1.0, -0.3, 1.7, math.nan, 1e-310])
 def test_constants_reject_bad_order(bad_s):
     with pytest.raises(ValueError):
         kernel_constants(1, bad_s)
+
+
+@pytest.mark.parametrize("n, smallest", [(1, 1.971920364530142e-308),
+                                         (2, 6.99027568758092e-308),
+                                         (3, 2.477988212268801e-307)])
+def test_smallest_order_keeps_the_constants_positive(n, smallest):
+    # below it (4 pi)^{n/2} |Gamma(-s)| overflows and c_{n,s} would be 0
+    with pytest.raises(ValueError, match="too small"):
+        kernel_constants(n, math.nextafter(smallest, 0.0))
+    for normalization in (RAW, NORMALIZED):
+        p = kernel_constants(n, smallest, normalization)
+        for v in (p.c_ns, p.C_s, p.C_ns_lap, p.Lambda):
+            assert v > 0.0 and math.isfinite(v)
 
 
 def test_constants_reject_bad_dimension():
@@ -108,11 +122,9 @@ def test_decay_bound_full_grid(p_half):
 
 def test_decay_equality_at_origin():
     p = kernel_constants(1, 0.5)
-    # with Lambda = c_ns the bound is tight at x = 0 up to the t-power split
-    tight = KernelParams(n=1, s=0.5, c_ns=p.c_ns, C_s=p.C_s,
-                         C_ns_lap=p.C_ns_lap, Lambda=p.c_ns)
-    value, majorant, ok = kernel_decay_check(np.array([0.0]), 2.0, tight)
-    assert value == pytest.approx(majorant, rel=1e-14)
+    # rescaled to Lambda = c_ns the bound is tight at x = 0 up to the t-power split
+    value, majorant, ok = kernel_decay_check(np.array([0.0]), 2.0, p)
+    assert value * p.Lambda / p.c_ns == pytest.approx(majorant, rel=1e-14)
     assert ok
 
 
@@ -123,11 +135,14 @@ def test_decay_far_field_majorant_dominates(p_half):
     assert majorant > value
 
 
-def test_lambda_at_least_constant_enforced():
-    p = kernel_constants(1, 0.5)
-    with pytest.raises(ValueError):
-        KernelParams(n=1, s=0.5, c_ns=p.c_ns, C_s=p.C_s, C_ns_lap=p.C_ns_lap,
-                     Lambda=p.c_ns / 2.0)
+def test_constants_follow_the_order():
+    assert replace(kernel_constants(1, 0.5), s=0.3) == kernel_constants(1, 0.3)
+    with pytest.raises(TypeError):
+        KernelParams(n=1, s=0.5, Lambda=0.01)
+
+
+def test_only_dimension_order_and_normalization_are_settable():
+    assert [f.name for f in fields(KernelParams) if f.init] == ["n", "s", "normalization"]
 
 
 def test_log_ratio_examples(p_half):
