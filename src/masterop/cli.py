@@ -72,13 +72,12 @@ OPTIONS = {
     "s": (0.5, float, "fractional order in (0,1)"),
     "normalization": (NORMALIZED, _one_of(RAW, NORMALIZED),
                       "kernel constants: raw or normalized"),
-    "tol": (1e-6, float, "relative tolerance"),
-    "gh_order": (20, int, "Gauss-Hermite order of the difference panels"),
-    "gl_order": (8, int, "Gauss-Legendre order of every panel"),
-    "panels_per_decade": (4, int, "log-mesh panels per decade of the window integrals"),
-    "grading": (0.5, float, "ratio of the graded time mesh, in (0,1)"),
-    "a_min": (1e-10, float, "shortest duration of the graded time mesh"),
-    "horizon": (None, float, "time horizon (omit for Auto via support boxes)"),
+    "tol": (QuadSpec.rel_tol, float, "relative tolerance"),
+    "gh_order": (QuadSpec.gh_order, int,
+                 "Gauss-Hermite order each difference time panel starts its escalation at"),
+    "grading": (QuadSpec.grading, float, "ratio of the graded time mesh, in (0,1)"),
+    "a_min": (QuadSpec.a_min, float, "shortest duration of the graded time mesh"),
+    "horizon": (QuadSpec.horizon, float, "time horizon (omit for Auto via support boxes)"),
     "seed": (DEFAULT_SEED, _seed, "sampling seed (default 0xA11CE or MASTEROP_SEED)"),
     "jobs": (1, int, "worker pool size"),
     "format": ("csv", _one_of("csv", "json"), "output format: csv or json"),
@@ -91,9 +90,7 @@ class _Run:
         return kernel_constants(self.n, self.s, self.normalization)
 
     def quad(self) -> QuadSpec:
-        return QuadSpec(gh_order=self.gh_order, gl_order=self.gl_order,
-                        panels_per_decade=self.panels_per_decade,
-                        grading=self.grading, a_min=self.a_min,
+        return QuadSpec(gh_order=self.gh_order, grading=self.grading, a_min=self.a_min,
                         horizon=self.horizon, rel_tol=self.tol)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .handles import FunctionHandle, counted
 from .kernel import KernelParams
-from .quadrature import QuadResult, QuadSpec, window_uM_integral
+from .quadrature import QuadResult, QuadSpec, checked_point, window_uM_integral
 
 
 def check_scale(at, R: float) -> None:
@@ -44,8 +44,7 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
     non-singular quadrature applies.
     """
     check_scale(at, R)
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
+    x0, t0 = checked_point(u, at, p)
     sup = u.support
     a_split = t0 + R * R
     u, nodes = counted(u)

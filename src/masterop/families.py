@@ -81,19 +81,27 @@ def C1_constant(s: float, normalization: str = NORMALIZED) -> float:
     return _bump_moment(1.0 + s) * in_mode(marchaud_constant(s), normalization)
 
 
+def _family_power(j: int, exponent: float, name: str) -> float:
+    """j^exponent for a family parameter; ValueError naming it if that overflows."""
+    try:
+        return float(j) ** exponent
+    except OverflowError:
+        raise ValueError(f"{name}={exponent:g} overflows j^{name} at j={j}") from None
+
+
 def phi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandle:
     """x -> j^alpha bump(j^{-beta} |x|), supported in 2 j^beta <= |x| <= 3 j^beta."""
     if j < 1 or not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         raise ValueError(f"need j >= 1 and finite, positive alpha, beta; "
                          f"got alpha={alpha}, beta={beta}")
-    amp = float(j) ** alpha
+    amp = _family_power(j, alpha, "alpha")
+    reach = _family_power(j, beta, "beta")
     scale = float(j) ** (-beta)
 
     def f(pts):
         return amp * standard_bump(scale * np.linalg.norm(pts, axis=-1))
 
-    return spatial(f, dim=dim,
-                   support=SupportBox(radius=3.0 * float(j) ** beta), radial=True)
+    return spatial(f, dim=dim, support=SupportBox(radius=3.0 * reach), radial=True)
 
 
 def psi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandle:
@@ -101,16 +109,16 @@ def psi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandl
     if j < 1 or not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
         raise ValueError(f"need j >= 1 and finite, positive alpha, beta; "
                          f"got alpha={alpha}, beta={beta}")
-    amp = float(j) ** alpha
+    amp = _family_power(j, alpha, "alpha")
+    reach = _family_power(j, beta, "beta")
     scale = float(j) ** (-beta)
 
     def f(tt):
         return amp * psi_profile(scale * np.asarray(tt, dtype=float))
 
     return temporal(f, dim=dim,
-                    support=SupportBox(radius=math.inf,
-                                       t_lo=-3.0 * float(j) ** beta,
-                                       t_hi=-2.0 * float(j) ** beta))
+                    support=SupportBox(radius=math.inf, t_lo=-3.0 * reach,
+                                       t_hi=-2.0 * reach))
 
 
 def eta_profile(t):

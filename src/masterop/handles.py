@@ -23,6 +23,10 @@ GROWTH_BOUNDED = "bounded"
 GROWTH_FORWARD_POLY = "forward-polynomial"   # bounded on every past cone
 
 
+class NumericError(RuntimeError):
+    """A non-finite value appeared during quadrature."""
+
+
 @dataclass(frozen=True)
 class SupportBox:
     """u vanishes for |x| > radius or t outside (t_lo, t_hi)."""
@@ -73,6 +77,8 @@ class FunctionHandle:
             raise ValueError("spatial dimension must be 1, 2 or 3")
         if self.smoothness not in (SMOOTH, C1_TIME, HOLDER):
             raise ValueError(f"unknown smoothness marker {self.smoothness!r}")
+        if self.growth not in (None, GROWTH_DECAYING, GROWTH_BOUNDED, GROWTH_FORWARD_POLY):
+            raise ValueError(f"unknown growth marker {self.growth!r}")
 
     def __call__(self, points, times) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -99,12 +105,18 @@ class FunctionHandle:
 
 
 def counted(u: FunctionHandle):
-    """(u with an evaluator that tallies its points, a function reading the tally)."""
+    """(u with an evaluator that tallies its points, a function reading the tally).
+
+    The evaluator raises NumericError when u returns a non-finite value.
+    """
     total = [0]
 
     def evaluator(pts, tt):
         total[0] += len(pts)
-        return u.evaluator(pts, tt)
+        vals = np.asarray(u.evaluator(pts, tt), dtype=float)
+        if not np.isfinite(vals).all():
+            raise NumericError("non-finite value of u")
+        return vals
 
     return replace(u, evaluator=evaluator), lambda: total[0]
 

@@ -65,7 +65,7 @@ def in_mode(value: float, normalization: str) -> float:
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Dimension, order and normalization, and the constants and fitted Lambda they fix."""
+    """Dimension, order and normalization, and the constants and Lambda they fix."""
 
     n: int
     s: float
@@ -151,25 +151,23 @@ def kernel_decay_check(dx, dt, p: KernelParams):
 
 
 def decay_grid(lo: float = 1e-3, hi: float = 1e3, grid: int = 100):
-    """The standard log-spaced (|dx|, dt) grid used to fit and test Lambda."""
+    """The standard log-spaced (|dx|, dt) grid on which Lambda is tested."""
     rho = np.logspace(math.log10(lo), math.log10(hi), grid)
     dt = np.logspace(math.log10(lo), math.log10(hi), grid)
     return np.meshgrid(rho, dt, indexing="ij")
 
 
-def fit_lambda(n: int, s: float, constant: float | None = None,
-               grid: int = 100, headroom: float = 0.01) -> float:
-    """Fit the decay constant as the grid supremum of M * (|x|^{n+2+2s} + t^{n/2+1+s}).
+def fit_lambda(n: int, s: float, constant: float, headroom: float = 0.01) -> float:
+    """The decay constant: the supremum of M * (|x|^{n+2+2s} + t^{n/2+1+s}), with headroom.
 
-    The product depends only on |x|^2 / t, so a log-spaced grid covers the
-    supremum densely; 1% headroom makes the fitted bound strict.
+    With z = |x|^2 / t and pe = n/2 + 1 + s the product is
+    constant * e^{-z/4} (1 + z^pe), largest at the root of z = 4 pe - z^{1-pe};
+    that map is a contraction from z = 4 pe.  The maximum is taken in logs,
+    so a tiny constant is not clamped; 1% headroom makes the bound strict.
     """
     _check_order(n, s)
-    if constant is None:
-        constant = master_constant(n, s)
-    rho, dt = decay_grid(grid=grid)
     pe = n / 2.0 + 1.0 + s
-    logm = math.log(constant) - pe * np.log(dt) - rho ** 2 / (4.0 * dt)
-    vals = np.exp(np.maximum(logm, _LOG_TINY)) * (rho ** (n + 2.0 + 2.0 * s) + dt ** pe)
-    sup = float(np.max(vals))
-    return max(sup, constant) * (1.0 + headroom)
+    z = 4.0 * pe
+    for _ in range(30):
+        z = 4.0 * pe - z ** (1.0 - pe)
+    return math.exp(math.log(constant) - z / 4.0 + math.log1p(z ** pe)) * (1.0 + headroom)

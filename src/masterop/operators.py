@@ -28,6 +28,7 @@ from .quadrature import (
     QuadResult,
     QuadSpec,
     angular_rule,
+    checked_point,
     exterior_spatial_mass,
     integrate_difference,
     singular_integral,
@@ -56,7 +57,7 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     """
     n, s = p.n, p.s
     C = in_mode(p.C_ns_lap, p.normalization)
-    x0 = np.atleast_1d(np.asarray(x, dtype=float))
+    x0, _ = checked_point(u, (x, 0.0), p)
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
     u0 = u.at(x0, 0.0)
@@ -102,10 +103,10 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     """
     s = p.s
     C = in_mode(p.C_s, p.normalization)
-    t0 = float(t)
+    x0, t0 = checked_point(u, (np.zeros(u.dim), t), p)
     if u.constant_value is not None:
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)
-    u0 = u.at(np.zeros(u.dim), t0)
+    u0 = u.at(x0, t0)
     u, nodes = hd.counted(u)
 
     sup = u.support
@@ -173,9 +174,7 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     reproduce the full difference integral up to the error estimates.
     """
     check_scale(at, R)
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
-    at = (x0, t0)
+    at = x0, t0 = checked_point(u, at, p)
     v = hd.combine([1.0, -1.0], [u, ui])
     v0 = v.at(x0, t0)
     T = t0 + R * R

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .handles import FunctionHandle, HOLDER, constant, counted
+from .handles import FunctionHandle, HOLDER, NumericError, constant, counted
 from .kernel import KernelParams
 
 MAX_GH_ORDER = 200
@@ -41,29 +41,32 @@ MAX_GH_ORDER = 200
 #: escalation caps keep tensor rules at sane sizes per dimension
 _GH_CAP = {1: MAX_GH_ORDER, 2: 80, 3: 32}
 
-
-class NumericError(RuntimeError):
-    """A non-finite intermediate appeared during quadrature."""
+#: every Gauss-Legendre panel sum uses _GL_HI nodes, checked against _GL_LO
+_GL_HI, _GL_LO = 8, 4
+#: adaptive_gl bisects a panel at most this many times
+_BISECT_DEPTH = 14
+#: log-mesh panels per decade of the non-singular window integrals
+_PANELS_PER_DECADE = 4
+#: fixed Gauss-Hermite order of the full-space window values
+_FULLSPACE_GH = 20
 
 
 @dataclass(frozen=True)
 class QuadSpec:
     """Knobs of the singular quadrature engine.
 
-    ``grading`` controls the geometric time mesh of the singular
-    difference integral; ``panels_per_decade`` the log-spaced meshes of
-    the non-singular window and shell integrals.  ``horizon`` of None
-    means Auto: the engine derives the hand-off point from the support
-    box and computes the remainder exactly (functions without a support
-    box then require an explicit horizon).
+    ``gh_order`` is the Gauss-Hermite order each time panel of the
+    difference integral starts its escalation at; ``grading`` controls
+    the geometric time mesh of that integral.  ``horizon`` of None means
+    Auto: the engine derives the hand-off point from the support box and
+    computes the remainder exactly (functions without a support box then
+    require an explicit horizon).
     """
 
     gh_order: int = 20
-    panels_per_decade: int = 4
     grading: float = 0.5
     a_min: float = 1e-10
     horizon: float | None = None
-    gl_order: int = 8
     rel_tol: float = 1e-6
 
     def __post_init__(self):
@@ -77,17 +80,8 @@ class QuadSpec:
             raise ValueError("a_min must be positive and finite")
         if self.horizon is not None and not self.a_min < self.horizon < math.inf:
             raise ValueError("horizon must be finite and exceed a_min")
-        if self.gl_order < 2:
-            raise ValueError("gl_order must be at least 2")
-        if self.panels_per_decade < 1:
-            raise ValueError("panels_per_decade must be positive")
         if not 0.0 < self.rel_tol < math.inf:
             raise ValueError("rel_tol must be positive and finite")
-
-    @property
-    def gl_lo(self) -> int:
-        """Order of the rule every gl_order panel sum is checked against."""
-        return max(2, self.gl_order // 2)
 
     def panel_tol(self, scale: float) -> float:
         """Panel tolerance of the singular integrals of a function of size ``scale``."""
@@ -109,6 +103,22 @@ class QuadResult:
         if not math.isfinite(self.value):
             raise NumericError("non-finite quadrature value")
         self.err_estimate = abs(self.err_estimate)
+
+
+def checked_point(u: FunctionHandle, at, p: KernelParams):
+    """The evaluation point ``at = (x, t)`` as (x0 array, t0 float).
+
+    Raises ValueError unless u, x and the kernel share one dimension and
+    x and t are finite.
+    """
+    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
+    t0 = float(at[1])
+    if u.dim != p.n or x0.shape != (p.n,):
+        raise ValueError(f"function dimension {u.dim}, point dimension {x0.size} "
+                         f"and kernel dimension {p.n} differ")
+    if not (np.all(np.isfinite(x0)) and math.isfinite(t0)):
+        raise ValueError("evaluation point must be finite")
+    return x0, t0
 
 
 @lru_cache(maxsize=64)
@@ -181,15 +191,14 @@ def split_panels(panels, cuts):
     return out
 
 
-def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float = math.inf,
-                depth_max: int = 14):
+def adaptive_gl(f, panels, tol: float = math.inf):
     """Integrate a vectorized integrand over panels with local bisection.
 
     This is the one hi/lo panel sum of the package: each panel is measured
-    by a gl_hi rule against a gl_lo rule in one call of ``f``, and the
+    by a _GL_HI rule against a _GL_LO rule in one call of ``f``, and the
     panel error is their difference.  Panels disagreeing by more than
     ``tol`` are split; the default never splits, so the mesh is exactly
-    ``panels``.  Returns (total, err, xs, fs) where xs/fs hold the gl_hi
+    ``panels``.  Returns (total, err, xs, fs) where xs/fs hold the _GL_HI
     nodes and values of every accepted panel so callers can post-process
     (e.g. small-argument fits).
     """
@@ -200,14 +209,14 @@ def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float = math.inf,
     stack = [(lo, hi, 0) for lo, hi in reversed(list(panels))]
     while stack:
         lo, hi, depth = stack.pop()
-        x_h, w_h = gl_panel(lo, hi, gl_hi)
-        x_l, w_l = gl_panel(lo, hi, gl_lo)
+        x_h, w_h = gl_panel(lo, hi, _GL_HI)
+        x_l, w_l = gl_panel(lo, hi, _GL_LO)
         fs = np.asarray(f(np.concatenate([x_h, x_l])), dtype=float)
-        cur = float(np.dot(w_h, fs[:gl_hi]))
-        cur_lo = float(np.dot(w_l, fs[gl_hi:]))
+        cur = float(np.dot(w_h, fs[:_GL_HI]))
+        cur_lo = float(np.dot(w_l, fs[_GL_HI:]))
         if not math.isfinite(cur):
             raise NumericError(f"non-finite integrand in panel ({lo:g}, {hi:g}]")
-        if abs(cur - cur_lo) > tol and depth < depth_max:
+        if abs(cur - cur_lo) > tol and depth < _BISECT_DEPTH:
             mid = 0.5 * (lo + hi)
             stack.append((mid, hi, depth + 1))
             stack.append((lo, mid, depth + 1))
@@ -215,7 +224,7 @@ def adaptive_gl(f, panels, gl_hi: int, gl_lo: int, tol: float = math.inf,
         total += cur
         err += abs(cur - cur_lo)
         xs_all.append(x_h)
-        fs_all.append(fs[:gl_hi])
+        fs_all.append(fs[:_GL_HI])
     return total, err, np.concatenate(xs_all), np.concatenate(fs_all)
 
 
@@ -247,10 +256,9 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
     Returns (value, err).
     """
     if math.isfinite(a_hi):
-        panels = split_panels(_log_mesh(a_lo, a_hi, q.panels_per_decade),
+        panels = split_panels(_log_mesh(a_lo, a_hi, _PANELS_PER_DECADE),
                               [k for k in kinks if a_lo < k < a_hi])
-        total, err, _, _ = adaptive_gl(lambda a: a ** (-pe) * Y(a), panels,
-                                       q.gl_order, q.gl_lo, tol)
+        total, err, _, _ = adaptive_gl(lambda a: a ** (-pe) * Y(a), panels, tol)
         return total, err
     r0 = a_lo ** (-pw)
     panels = split_panels(graded_time_mesh(r0, 0.5, r0 * 1e-8),
@@ -260,7 +268,7 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
         a = rr ** (-1.0 / pw)
         return a ** (pw - pe + 1.0) * Y(a)
 
-    total, err, _, _ = adaptive_gl(dens, panels, q.gl_order, q.gl_lo, tol)
+    total, err, _, _ = adaptive_gl(dens, panels, tol)
     r_last = min(lo for lo, hi in panels)
     err += abs(float(dens(np.array([r_last]))[0])) * r_last
     return total / pw, err / pw
@@ -285,8 +293,7 @@ def singular_integral(dens, u: FunctionHandle, T: float, lo: float, kinks,
     from the two innermost panels in a = x^power, dx = da / (power x^(power-1)).
     """
     panels = _graded_panels(T, lo, kinks, q)
-    total, err, xs, fs = adaptive_gl(dens, panels, q.gl_order, q.gl_lo,
-                                     q.panel_tol(scale))
+    total, err, xs, fs = adaptive_gl(dens, panels, q.panel_tol(scale))
     m = xs <= panels[min(1, len(panels) - 1)][1]
     xs = xs[m]
     closure, closure_err = small_a_closure(u, xs ** power,
@@ -309,7 +316,6 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     gh_cap = max(q.gh_order, _GH_CAP[n])
 
     panels = _graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q)
-    gl_hi, gl_lo = q.gl_order, q.gl_lo
 
     total = 0.0
     err = 0.0
@@ -317,8 +323,8 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     inner_dens: list[np.ndarray] = []
 
     for idx, (lo, hi) in enumerate(panels):
-        a_h, w_h = gl_panel(lo, hi, gl_hi)
-        a_l, w_l = gl_panel(lo, hi, gl_lo)
+        a_h, w_h = gl_panel(lo, hi, _GL_HI)
+        a_l, w_l = gl_panel(lo, hi, _GL_LO)
         a_all = np.concatenate([a_h, a_l])
         order = q.gh_order
         prev = None
@@ -330,8 +336,8 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
             vals = u(pts, tt)
             G = sqpi_n * u0 - vals @ W
             dens = a_all ** (-1.0 - s) * G
-            cur = float(np.dot(w_h, dens[:gl_hi]))
-            cur_lo = float(np.dot(w_l, dens[gl_hi:]))
+            cur = float(np.dot(w_h, dens[:_GL_HI]))
+            cur_lo = float(np.dot(w_l, dens[_GL_HI:]))
             if not math.isfinite(cur):
                 raise NumericError(f"non-finite integrand in time panel ({lo:g}, {hi:g}]")
             done = prev is not None and abs(cur - prev) <= q.panel_tol(u0)
@@ -345,7 +351,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
         err += abs(cur - cur_lo)
         if idx < 2:
             inner_a.append(a_h)
-            inner_dens.append(dens[:gl_hi])
+            inner_dens.append(dens[:_GL_HI])
 
     closure, closure_err = small_a_closure(u, np.concatenate(inner_a),
                                            np.concatenate(inner_dens),
@@ -456,7 +462,7 @@ def sphere_average(n: int, k):
     return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
 
 
-def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
+def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
 
     A radial u is integrated on the radial rule alone: with k = |x0| r/(2a)
@@ -470,7 +476,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
     h_target = max(min(math.sqrt(a_ref), width / 24.0), width / 96.0)
     tt = t0 - avals[:, None]
     if u.radial:
-        rr, rw = radial_nodes(r_lo, r_hi, h_target, gl)
+        rr, rw = radial_nodes(r_lo, r_hi, h_target, _GL_HI)
         rho = float(np.linalg.norm(x0))
         a4 = 4.0 * avals[:, None]
         kern = np.exp(-(rho - rr) ** 2 / a4) * sphere_average(n, 2.0 * rho * rr / a4)
@@ -483,7 +489,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
     else:
         ang = int(np.clip(8 + 2.0 * r_hi * (np.linalg.norm(x0) + 1.0) / max(a_ref, 1e-12) ** 0.5,
                           12, 64))
-    pts, ww = shell_rule(n, r_lo, r_hi, h_target, gl, ang)
+    pts, ww = shell_rule(n, r_lo, r_hi, h_target, _GL_HI, ang)
     d2 = np.sum((pts[None, :, :] - x0[None, None, :]) ** 2, axis=-1)
     expo = -d2 / (4.0 * avals[:, None])
     kern = np.exp(np.maximum(expo, -745.0))
@@ -492,14 +498,14 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams, gl: int):
     return (vals * kern) @ ww
 
 
-def _fullspace_values(u, x0, t0, avals, p: KernelParams, gh: int):
+def _fullspace_values(u, x0, t0, avals, p: KernelParams):
     """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite.
 
     A constant c gives the exact c (4 pi a)^{n/2} without evaluating u.
     """
     if u.constant_value is not None:
         return u.constant_value * (4.0 * math.pi * avals) ** (p.n / 2.0)
-    Z, W = _gh_tensor(gh, p.n)
+    Z, W = _gh_tensor(_FULLSPACE_GH, p.n)
     root = 2.0 * np.sqrt(avals)
     pts = x0[None, None, :] + root[:, None, None] * Z[None, :, :]
     tt = np.broadcast_to((t0 - avals)[:, None], pts.shape[:2])
@@ -518,8 +524,7 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     the exterior of a ball is formed as full-space minus inner ball, which
     requires a declared growth envelope on u.  Returns (value, err).
     """
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
+    x0, t0 = checked_point(u, at, p)
     n, s = p.n, p.s
     if r_hi is None and u.support is not None and math.isfinite(u.support.radius):
         r_hi = u.support.radius
@@ -534,11 +539,11 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
 
     def Y(avals):
         if full_space:
-            out = _fullspace_values(u, x0, t0, avals, p, q.gh_order)
+            out = _fullspace_values(u, x0, t0, avals, p)
             if r_lo > 0.0:
-                out = out - _shell_values(u, x0, t0, avals, 0.0, r_lo, p, q.gl_order)
+                out = out - _shell_values(u, x0, t0, avals, 0.0, r_lo, p)
             return out
-        return _shell_values(u, x0, t0, avals, r_lo, r_hi, p, q.gl_order)
+        return _shell_values(u, x0, t0, avals, r_lo, r_hi, p)
 
     a_floor = a_lo
     if r_lo > 0.0:
@@ -598,12 +603,7 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
     horizon the remainder beyond it is dropped and ``truncation_flag``
     signals that.
     """
-    if u.dim != p.n:
-        raise ValueError(f"function dimension {u.dim} != kernel dimension {p.n}")
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
-    if not (np.all(np.isfinite(x0)) and math.isfinite(t0)):
-        raise ValueError("evaluation point must be finite")
+    x0, t0 = checked_point(u, at, p)
     if u.constant_value is not None:
         # the difference vanishes identically
         return QuadResult(value=0.0, err_estimate=0.0, nodes_used=1)

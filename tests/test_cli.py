@@ -2,9 +2,11 @@ import json
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
+from masterop import QuadSpec
 from masterop.cli import OPTIONS, build_config, fmt_float, main, make_parser, parse_point
 
 
@@ -214,13 +216,26 @@ def cap_address_space():
     (["eval", "1e400*x1", "--horizon", "60"], "bad number '1e400'"),
     (["counterexample", "--which", "1", "--target-tol", "nan"], "--target-tol must be finite"),
     (["counterexample", "--which", "1", "--target-tol", "-1"], "--target-tol must be finite"),
+    (["eval", "cos(x1)", "--op", "flap", "--point", "nan,0"], "evaluation point must be finite"),
+    (["eval", "exp(t)", "--op", "marchaud", "--point", "0,inf", "--horizon", "60"],
+     "evaluation point must be finite"),
+    (["counterexample", "--which", "2", "--times", "nan"], "evaluation point must be finite"),
+    (["eval", "1", "--config", "{dir}/gl.cfg"], "unknown config key 'gl_order'"),
+    (["counterexample", "--which", "1", "--beta", "1e300"], "alpha=1e+300 overflows"),
+    (["counterexample", "--which", "2", "--beta", "1e300"], "alpha=5e+299 overflows"),
+    (["eval", "phi(4,1e300,1)"], "alpha=1e+300 overflows"),
+    (["eval", "psi(4,1,1e300)"], "beta=1e+300 overflows"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
         "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan",
         "r-schedule-inf", "probe-nan", "constant-nan", "j-schedule-decreasing",
         "R-decreasing", "s-tiny", "beta-nan", "alpha-inf", "gamma-nan", "defect-gamma-nan",
-        "literal-in-family", "literal-overflow", "target-tol-nan", "target-tol-negative"])
+        "literal-in-family", "literal-overflow", "target-tol-nan", "target-tol-negative",
+        "flap-point-nan", "marchaud-point-inf", "times-nan", "config-gl-order",
+        "beta-overflow-which-1", "beta-overflow-which-2", "phi-alpha-overflow",
+        "psi-beta-overflow"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
+    (tmp_path / "gl.cfg").write_text("gl_order = 6\n")
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli",
          *[a.format(dir=tmp_path) for a in args]],
@@ -231,7 +246,7 @@ def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("expr", ["sqrt(x1)", "x1^0.5"])
+@pytest.mark.parametrize("expr", ["sqrt(x1)", "x1^0.5", "1e300*1e300*x1"])
 def test_non_finite_integrand_is_one_line_exit_3(expr):
     proc = subprocess.run(
         [sys.executable, "-m", "masterop.cli", "eval", expr,
@@ -290,8 +305,7 @@ def test_defect_rows_carry_every_coordinate(tmp_path):
 #: a non-default value per option
 _SAMPLE_VALUES = {
     "n": "2", "s": "0.25", "normalization": "raw", "tol": "1e-5",
-    "gh_order": "16", "gl_order": "6", "panels_per_decade": "5",
-    "grading": "0.4", "a_min": "1e-9", "horizon": "60", "seed": "0x7b",
+    "gh_order": "16", "grading": "0.4", "a_min": "1e-9", "horizon": "60", "seed": "0x7b",
     "jobs": "2", "format": "json", "out": "run.json",
 }
 
@@ -315,5 +329,19 @@ def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch):
     flags = [a for name, text in _SAMPLE_VALUES.items()
              for a in ("--" + name.replace("_", "-"), text)]
     q = build_config(ap.parse_args(["eval", "1", *flags])).quad()
-    assert (q.gh_order, q.gl_order, q.panels_per_decade, q.grading, q.a_min,
-            q.horizon, q.rel_tol) == (16, 6, 5, 0.4, 1e-9, 60.0, 1e-5)
+    assert (q.gh_order, q.grading, q.a_min, q.horizon, q.rel_tol) == (
+        16, 0.4, 1e-9, 60.0, 1e-5)
+
+
+def test_quadrature_options_are_the_quadspec_fields_with_their_defaults():
+    assert [f.name for f in fields(QuadSpec)] == [
+        "gh_order", "grading", "a_min", "horizon", "rel_tol"]
+    assert len(OPTIONS) == 12
+    q = build_config(make_parser().parse_args(["eval", "1"])).quad()
+    assert q == QuadSpec()
+    for f in fields(QuadSpec):
+        option = "tol" if f.name == "rel_tol" else f.name
+        assert OPTIONS[option][0] == f.default, option
+    # the Gauss-Legendre order and the window mesh density are fixed
+    assert main(["eval", "1", "--gl-order", "6"]) == 2
+    assert main(["eval", "1", "--panels-per-decade", "5"]) == 2

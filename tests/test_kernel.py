@@ -198,7 +198,20 @@ def test_spatial_integral_identity(n, dt):
 
 
 def test_fitted_lambda_has_headroom():
-    lam = fit_lambda(1, 0.5)
-    lam_tight = fit_lambda(1, 0.5, headroom=0.0)
+    p = kernel_constants(1, 0.5)
+    lam = fit_lambda(1, 0.5, p.c_ns)
+    lam_tight = fit_lambda(1, 0.5, p.c_ns, headroom=0.0)
     assert lam == pytest.approx(lam_tight * 1.01, rel=1e-12)
-    assert lam_tight >= kernel_constants(1, 0.5).c_ns
+    # an independent dense maximum of M(x, 1) (|x|^{n+2+2s} + 1) over x >= 0
+    x = np.linspace(0.0, 10.0, 200001)
+    dense = float(np.max(kernel_eval(x[:, None], 1.0, p) * (x ** 4 + 1.0)))
+    assert lam_tight == pytest.approx(dense, rel=1e-8)
+    assert lam_tight >= dense * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lambda_at_tiny_s_is_not_clamped(n):
+    # Lambda / c_ns depends on s only through n/2 + 1 + s, so it barely
+    # moves between s = 1e-5 and s = 1e-300
+    tiny, small = kernel_constants(n, 1e-300), kernel_constants(n, 1e-5)
+    assert tiny.Lambda / tiny.c_ns == pytest.approx(small.Lambda / small.c_ns, rel=1e-4)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from masterop.cli import OPTIONS, main
 from masterop.funcdsl import FUNCTIONS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +40,17 @@ def test_readme_and_help_name_every_dsl_function():
     for name in FUNCTIONS:
         assert re.search(rf"\b{name}\b", help_text), name
         assert re.search(rf"\b{name}\b", readme), name
+
+
+def test_readme_and_help_name_every_option_flag(capsys):
+    readme = (ROOT / "README.md").read_text()
+    for command in ("eval", "counterexample", "defect", "verify"):
+        assert main([command, "--help"]) == 0
+        help_text = capsys.readouterr().out
+        for name in OPTIONS:
+            flag = re.escape("--" + name.replace("_", "-"))
+            assert re.search(rf"(?<![\w-]){flag}\b", help_text), (command, flag)
+            assert re.search(rf"(?<![\w-]){flag}\b", readme), flag
 
 
 def test_readme_names_every_package_export():

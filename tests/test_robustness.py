@@ -9,10 +9,15 @@ from masterop import (
     SupportBox,
     constant,
     defect_estimate,
+    fractional_laplacian,
     from_callable,
     kernel_constants,
+    marchaud,
     master_op,
+    phi_family,
+    psi_family,
     tail_functional,
+    temporal,
     w_family,
     zero,
 )
@@ -52,6 +57,27 @@ def test_nonfinite_point_rejected(p_half, q_default):
     u = w_family(4, 1.0, 0.5)
     with pytest.raises(ValueError, match="finite"):
         master_op(u, (np.array([math.inf]), 0.0), p_half, q_default)
+
+
+def test_growth_marker_is_validated():
+    with pytest.raises(ValueError, match="unknown growth marker 'decayin'"):
+        temporal(np.exp, growth="decayin")
+
+
+def test_fractional_laplacian_dimension_mismatch(p_half, q_default):
+    # a 2-D profile under an n = 1 kernel
+    with pytest.raises(ValueError, match="dimension"):
+        fractional_laplacian(phi_family(4, 1.0, 1.0, dim=2), np.zeros(2), p_half, q_default)
+
+
+def test_tail_functional_point_dimension_mismatch(p_half, q_default):
+    with pytest.raises(ValueError, match="dimension"):
+        tail_functional(w_family(4, 1.0, 0.5), (np.zeros(2), 0.0), 6.0, p_half, q_default)
+
+
+def test_marchaud_rejects_nan_time(p_half, q_default):
+    with pytest.raises(ValueError, match="finite"):
+        marchaud(psi_family(4, 0.5, 1.0), math.nan, p_half, q_default)
 
 
 def test_combine_validation():
