@@ -6,8 +6,10 @@ row, '.' decimal, 17 significant digits, booleans as true/false) or JSON
 mirroring the same fields.  Exit codes: 0 success, 2 usage/parse/input
 error, 3 numeric failure.  Every run option in ``OPTIONS`` is both a flag
 (``--gh-order``) and a key of a line-oriented key=value config file
-(``gh_order``).  Flags beat the file, the file beats the MASTEROP_SEED
-environment variable, and that beats the defaults (seed 0xA11CE).
+(``gh_order``), on each command that reads it; any other command refuses
+it.  Flags beat the file, the file beats the MASTEROP_SEED environment
+variable (read by verify, the one command that reads a seed), and that
+beats the defaults (seed 0xA11CE).
 """
 from __future__ import annotations
 
@@ -184,17 +186,24 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args) -> RunConfig:
+    """The run options of ``args.command``: flags, then config file, then
+    MASTEROP_SEED, then defaults; an option the command does not read is refused."""
     values = {}
     env_seed = os.environ.get("MASTEROP_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "seed" in args.reads:
         values["seed"] = _seed(env_seed)
     if args.config:
         for key, raw in load_config_file(args.config).items():
             if key not in OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
+            if key not in args.reads:
+                raise ValueError(f"config key {key!r} does not apply to {args.command}")
             values[key] = OPTIONS[key][1](raw)
+    for key in OPTIONS:
+        if key not in args.reads and getattr(args, key) is not None:
+            raise ValueError(f"--{key.replace('_', '-')} does not apply to {args.command}")
     # explicit flags override file and environment
-    values.update((k, v) for k in OPTIONS if (v := getattr(args, k)) is not None)
+    values.update((k, v) for k in args.reads if (v := getattr(args, k)) is not None)
     return RunConfig(**values)
 
 
@@ -326,8 +335,8 @@ def cmd_defect(args) -> int:
                              "rows": [dict(zip(header, r)) for r in rows]})
     else:
         write_csv(cfg.out, header, rows)
-        if cfg.out:
-            sys.stdout.write(json.dumps(summary, sort_keys=True) + "\n")
+        # the summary goes to whichever stream the rows leave free
+        (sys.stdout if cfg.out else sys.stderr).write(json.dumps(summary, sort_keys=True) + "\n")
     return EXIT_OK if report.converged else EXIT_NUMERIC
 
 
@@ -415,11 +424,16 @@ def _check_reductions(n: int, p: KernelParams, q: QuadSpec) -> dict:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
+def _add_options(sp, reads: str):
+    """The run options the command reads, by name; the others parse, unlisted
+    in --help, only so that build_config can refuse them in one line."""
+    reads = reads.split()
     for name, (_, kind, text) in OPTIONS.items():
-        sp.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
-                        default=None, help=text)
+        sp.add_argument("--" + name.replace("_", "-"), dest=name, default=None,
+                        type=kind if name in reads else str,
+                        help=text if name in reads else argparse.SUPPRESS)
     sp.add_argument("--config", default=None, help="key=value config file")
+    sp.set_defaults(reads=reads)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -437,7 +451,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("expr", help="expression for u(x, t)")
     sp.add_argument("--op", choices=["master", "flap", "marchaud"], default="master")
     sp.add_argument("--point", default="0,0", help="comma-separated x..., t")
-    _add_common(sp)
+    _add_options(sp, "n s normalization tol gh_order grading a_min horizon format out")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("counterexample", help="run a counterexample family")
@@ -449,7 +463,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probes", default=None, help="semicolon-separated points (which=1, 3)")
     sp.add_argument("--times", default=None, help="comma-separated times (which=2)")
     sp.add_argument("--target-tol", dest="target_tol", type=float, default=5e-2)
-    _add_common(sp)
+    _add_options(sp, "n s normalization tol gh_order grading a_min horizon jobs format out")
     sp.set_defaults(func=cmd_counterexample)
 
     sp = sub.add_parser("defect", help="estimate the convergence defect")
@@ -460,7 +474,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j-schedule", dest="j_schedule", default="4,8,16,32")
     sp.add_argument("--r-schedule", dest="r_schedule", default="6,12,24")
     sp.add_argument("--probes", default=None, help="semicolon-separated points")
-    _add_common(sp)
+    _add_options(sp, "n s normalization jobs format out")
     sp.set_defaults(func=cmd_defect)
 
     sp = sub.add_parser("verify", help="verify partitions, envelopes, decay")
@@ -468,7 +482,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="comma list: partition1,partition2,c1,c2c3,step2,decay,reductions")
     sp.add_argument("--R", default="100,1000,10000")
     sp.add_argument("--samples", type=int, default=1000)
-    _add_common(sp)
+    _add_options(sp, "n s normalization tol gh_order grading a_min seed out")
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -22,17 +22,7 @@ import numpy as np
 from .handles import FunctionHandle, counted
 from .kernel import KernelParams
 from .quadrature import QuadResult, QuadSpec, checked_point, window_uM_integral
-
-
-def check_scale(at, R: float) -> None:
-    """Raise unless (x, t) = ``at`` is finite and lies in Q_{R/3} for a finite R."""
-    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
-    t0 = float(at[1])
-    if not (np.all(np.isfinite(x0)) and math.isfinite(t0)):
-        raise ValueError(f"probe must be finite, got x = {x0.tolist()}, t = {t0:g}")
-    bound = 3.0 * max(math.sqrt(abs(t0)), float(np.linalg.norm(x0)))
-    if not bound < R < math.inf:
-        raise ValueError(f"need finite R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
+from .regions import check_scale
 
 
 def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,

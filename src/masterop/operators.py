@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import handles as hd
-from .defect import check_scale, tail_functional
+from .defect import tail_functional
 from .handles import FunctionHandle
 from .kernel import KernelParams, in_mode, kernel_constants
 from .quadrature import (
@@ -36,6 +36,7 @@ from .quadrature import (
     window_integral,
     window_uM_integral,
 )
+from .regions import check_scale
 
 
 def master_op(u: FunctionHandle, at, p: KernelParams, q: QuadSpec) -> QuadResult:

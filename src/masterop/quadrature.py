@@ -138,15 +138,8 @@ def gauss_hermite_nodes(order: int):
 def _gh_tensor(order: int, n: int):
     """Tensor-product Gauss-Hermite rule on R^n: points (order^n, n), weights."""
     z, w = gauss_hermite_nodes(order)
-    if n == 1:
-        return z[:, None].copy(), w.copy()
-    grids = np.meshgrid(*([z] * n), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    ww = np.ones(pts.shape[0])
-    for axis in range(n):
-        grid_w = np.meshgrid(*([w] * n), indexing="ij")[axis].ravel()
-        ww *= grid_w
-    return pts, ww
+    pts = np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")], axis=1)
+    return pts, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
 
 
 @lru_cache(maxsize=32)

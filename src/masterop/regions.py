@@ -1,11 +1,16 @@
-"""Exterior-region geometry and sampled verification of kernel-ratio bounds.
+"""The parabolic geometry: Q_{R/3}, the exterior partitions, their samplers,
+and sampled verification of the kernel-ratio bounds.
 
-Two partitions of the exterior (R^n x (-inf, t)) \\ Q_R are implemented.
-The first (labels A, B, C alongside Interior) splits by the slope
-delta = R^{-1/3} comparing |y - x| against delta (t - tau); it controls
-the dependence of the tail functional on the spatial point.  The second
-(labels C, D, E, F) splits by the parabola (t - tau)^2 = R |y|^2 and the
-time shift t0 = R^{3/2}; it controls the dependence on the time point.
+``check_scale`` is the one test that a point (x, t) lies in Q_{R/3}: the
+tail functional, the defect estimator, ``difference_decomposition`` and
+the ratio verifiers all call it.  Two partitions of the exterior
+(R^n x (-inf, t)) \\ Q_R are implemented; they share the ball |y| <= R,
+split into Interior and C at tau = -R^2.  Beyond the ball, the first
+(labels A, B) splits by the slope delta = R^{-1/3} comparing |y - x|
+against delta (t - tau); it controls the dependence of the tail
+functional on the spatial point.  The second (labels D, E, F) splits by
+the parabola (t - tau)^2 = R |y|^2 and the time shift t0 = R^{3/2}; it
+controls the dependence on the time point.
 
 Boundary ties are measure-zero and broken deterministically: the A side
 of |y - x| = delta (t - tau), the |y| <= R side of the sphere, the D side
@@ -43,38 +48,44 @@ def _as_point(y, n):
     return y
 
 
-def step1_predicates(ys, taus, x, t, R: float):
-    """Tie-broken defining predicates of the Step-1 labels, vectorized."""
+def check_scale(at, R: float) -> None:
+    """Raise unless (x, t) = ``at`` is finite and lies in Q_{R/3} for a finite R."""
+    x0 = np.atleast_1d(np.asarray(at[0], dtype=float))
+    t0 = float(at[1])
+    if not (np.all(np.isfinite(x0)) and math.isfinite(t0)):
+        raise ValueError(f"probe must be finite, got x = {x0.tolist()}, t = {t0:g}")
+    bound = 3.0 * max(math.sqrt(abs(t0)), float(np.linalg.norm(x0)))
+    if not bound < R < math.inf:
+        raise ValueError(f"need finite R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
+
+
+def _ball_split(ys, taus, R: float):
+    """ys, taus and |y| as arrays, the mask |y| > R, and the Interior and C labels."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     taus = np.asarray(taus, dtype=float)
-    x = _as_point(x, ys.shape[1])
-    d = delta_of(R)
     r = np.linalg.norm(ys, axis=1)
-    sep = np.linalg.norm(ys - x[None, :], axis=1)
     inside_ball = r <= R
-    return {
-        "Interior": inside_ball & (taus >= -R * R),
-        "C": inside_ball & (taus < -R * R),
-        "A": ~inside_ball & (sep >= d * (t - taus)),
-        "B": ~inside_ball & (sep < d * (t - taus)),
-    }
+    labels = {"Interior": inside_ball & (taus >= -R * R), "C": inside_ball & (taus < -R * R)}
+    return ys, taus, r, ~inside_ball, labels
+
+
+def step1_predicates(ys, taus, x, t, R: float):
+    """Tie-broken defining predicates of the Step-1 labels, vectorized."""
+    ys, taus, _, outside, labels = _ball_split(ys, taus, R)
+    sep = np.linalg.norm(ys - _as_point(x, ys.shape[1])[None, :], axis=1)
+    reach = delta_of(R) * (t - taus)
+    labels.update(A=outside & (sep >= reach), B=outside & (sep < reach))
+    return labels
 
 
 def step2_predicates(ys, taus, t, R: float):
     """Tie-broken defining predicates of the Step-2 labels, vectorized."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    taus = np.asarray(taus, dtype=float)
+    ys, taus, r, outside, labels = _ball_split(ys, taus, R)
     t0 = shift_of(R)
-    r = np.linalg.norm(ys, axis=1)
-    inside_ball = r <= R
     parab = (t - taus) ** 2 >= R * r * r
-    return {
-        "Interior": inside_ball & (taus >= -R * R),
-        "C": inside_ball & (taus < -R * R),
-        "D": ~inside_ball & parab,
-        "E": ~inside_ball & ~parab & (taus <= -t0),
-        "F": ~inside_ball & ~parab & (taus > -t0),
-    }
+    labels.update(D=outside & parab, E=outside & ~parab & (taus <= -t0),
+                  F=outside & ~parab & (taus > -t0))
+    return labels
 
 
 def sample_past_points(rng, n: int, t: float, R: float, count: int):
@@ -97,48 +108,31 @@ def sample_region(rng, region: str, n: int, x, t: float, R: float, count: int):
     """Draw ``count`` points of a named exterior region (step-1 or step-2)."""
     if count < 1:
         raise ValueError(f"samples must be at least 1, got {count}")
+    if region not in ("A", "B", "C", "D", "E", "F"):
+        raise ValueError(f"unknown region {region!r}")
     x = np.zeros(n) if x is None else _as_point(x, n)
-    d = delta_of(R)
-    t0 = shift_of(R)
     u1 = rng.uniform(0.0, 1.0, count)
-    if region == "A":
-        r = R * (1.0 + 3.0 * rng.uniform(0.0, 1.0, count))
-        ys = r[:, None] * _directions(rng, n, count)
-        sep = np.linalg.norm(ys - x[None, :], axis=1)
-        a = (sep / d) * 10.0 ** (-3.0 * u1)        # t - tau <= |y-x|/delta
-        return ys, t - a
-    if region == "B":
-        r = R * (1.0 + 3.0 * rng.uniform(0.0, 1.0, count))
-        ys = r[:, None] * _directions(rng, n, count)
-        sep = np.linalg.norm(ys - x[None, :], axis=1)
-        a = (sep / d) * 10.0 ** (2.0 * u1)         # t - tau >= |y-x|/delta
-        return ys, t - a
+    u_r = rng.uniform(0.0, 1.0, count)
+    # C fills the ball; the others take radii r0 (1 + 3U) outside it, E from an
+    # r0 with sqrt(R) r0 > t + R^{3/2}, so that its window of t - tau is not empty
+    r0 = R + 2.0 * max(t, 0.0) / math.sqrt(R) + 1e-9 if region == "E" else R
+    r = R * u_r ** (1.0 / n) if region == "C" else r0 * (1.0 + 3.0 * u_r)
+    ys = r[:, None] * _directions(rng, n, count)
     if region == "C":
-        r = R * rng.uniform(0.0, 1.0, count) ** (1.0 / n)
-        ys = r[:, None] * _directions(rng, n, count)
-        taus = -R * R * 10.0 ** (2.0 * u1)
-        taus = np.minimum(taus, np.nextafter(t, -np.inf))
-        return ys, taus
-    if region == "D":
-        r = R * (1.0 + 3.0 * rng.uniform(0.0, 1.0, count))
-        ys = r[:, None] * _directions(rng, n, count)
+        return ys, np.minimum(-R * R * 10.0 ** (2.0 * u1), np.nextafter(t, -np.inf))
+    t0 = shift_of(R)
+    if region in ("A", "B"):
+        sep = np.linalg.norm(ys - x[None, :], axis=1)
+        # t - tau below |y-x|/delta on A, above it on B
+        a = (sep / delta_of(R)) * 10.0 ** (-3.0 * u1 if region == "A" else 2.0 * u1)
+    elif region == "D":
         a = np.maximum(math.sqrt(R) * r, 1.05 * max(t, 0.0)) * 10.0 ** (2.0 * u1)
-        return ys, t - a
-    if region == "E":
-        lo = R + 2.0 * max(t, 0.0) / math.sqrt(R)
-        r = (lo + 1e-9) * (1.0 + 3.0 * rng.uniform(0.0, 1.0, count))
-        ys = r[:, None] * _directions(rng, n, count)
+    elif region == "E":
         a_min = max(t + t0, 0.0) + 1e-9
-        a_max = math.sqrt(R) * r
-        a = a_min * (a_max / a_min) ** u1
-        return ys, t - a
-    if region == "F":
-        r = R * (1.0 + 3.0 * rng.uniform(0.0, 1.0, count))
-        ys = r[:, None] * _directions(rng, n, count)
-        upper = (t + t0) * (1.0 - 1e-12)   # keep tau strictly above -R^{3/2}
-        a = upper * 10.0 ** (-6.0 * u1)
-        return ys, t - a
-    raise ValueError(f"unknown region {region!r}")
+        a = a_min * (math.sqrt(R) * r / a_min) ** u1
+    else:   # F, with tau kept strictly above -R^{3/2}
+        a = (t + t0) * (1.0 - 1e-12) * 10.0 ** (-6.0 * u1)
+    return ys, t - a
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +159,7 @@ def verify_ratio_c1(x, t, R: float, samples: int, p: KernelParams,
     """
     n = p.n
     x = _as_point(x, n)
-    if np.linalg.norm(x) > R / 3.0:
-        raise ValueError("need |x| <= R/3")
+    check_scale((x, t), R)
     rng = np.random.default_rng(seed)
     d = delta_of(R)
     ys, taus = sample_region(rng, "A", n, x, t, R, samples)
@@ -200,8 +193,7 @@ def verify_ratio_c2_c3(x, t, R: float, samples: int, p: KernelParams,
     """
     n = p.n
     x = _as_point(x, n)
-    if np.linalg.norm(x) > R / 3.0:
-        raise ValueError("need |x| <= R/3")
+    check_scale((x, t), R)
     rng = np.random.default_rng(seed)
     xnorm = float(np.linalg.norm(x))
     out = []
@@ -216,18 +208,12 @@ def verify_ratio_c2_c3(x, t, R: float, samples: int, p: KernelParams,
         else:
             env = (2.0 * R * xnorm + xnorm ** 2) / (4.0 * (R * R + t))
             c_fit = env * R / max(xnorm, 1e-300)
-        out.append(RatioReport(region, samples, mx, env, c_fit,
-                               bool(mx <= env + 1e-12)))
+        out.append(RatioReport(region, samples, mx, env, c_fit, bool(mx <= env + 1e-12)))
     return out
 
 
 def _step2_log_ratio(ys, taus, t_num: float, t_den: float, p: KernelParams):
     return kernel_log_eval(-ys, t_num - taus, p) - kernel_log_eval(-ys, t_den - taus, p)
-
-
-def _envelope_grid_max(f, lo: float, hi: float, m: int = 4001) -> float:
-    A = np.geomspace(lo, hi, m)
-    return float(np.max(f(A)))
 
 
 def verify_ratio_step2(t, R: float, samples: int, p: KernelParams,
@@ -242,52 +228,36 @@ def verify_ratio_step2(t, R: float, samples: int, p: KernelParams,
     fitted constants).
     """
     t = float(t)
-    if abs(t) > R * R / 9.0:
-        raise ValueError("need |t| <= R^2/9")
+    check_scale((0.0, t), R)
     if abs(t) > R ** 1.5 / 2.0:
         # the printed chains assume the shift is small against R^{3/2}
         raise ValueError("need |t| <= R^{3/2}/2 for the sampled verification")
     rng = np.random.default_rng(seed)
-    n = p.n
     pe = p.time_exponent
     t0 = shift_of(R)
     reports = []
 
-    ys, taus = sample_region(rng, "C", n, None, t, R, samples)
-    lr = _step2_log_ratio(ys, taus, 0.0, t, p)
-    env = abs(t) * (pe + 0.25) / (R * R - abs(t))
-    reports.append(RatioReport("C", samples, float(np.max(np.abs(lr))), env,
-                               env * R * R, bool(np.max(np.abs(lr)) <= env + 1e-12)))
-
-    ys, taus = sample_region(rng, "D", n, None, t, R, samples)
-    lr = _step2_log_ratio(ys, taus, 0.0, t, p)
+    # C and D: |log| of the shift to time 0, against the c/R^2 and c/R shapes
     base = R ** 1.5 - abs(t)
-    env = pe * abs(t) / base + abs(t) / (4.0 * R) * (1.0 + abs(t) / base)
-    reports.append(RatioReport("D", samples, float(np.max(np.abs(lr))), env,
-                               env * R, bool(np.max(np.abs(lr)) <= env + 1e-12)))
+    env_c = abs(t) * (pe + 0.25) / (R * R - abs(t))
+    env_d = pe * abs(t) / base + abs(t) / (4.0 * R) * (1.0 + abs(t) / base)
+    for region, env, c_fit in (("C", env_c, env_c * R * R), ("D", env_d, env_d * R)):
+        ys, taus = sample_region(rng, region, p.n, None, t, R, samples)
+        mx = float(np.max(np.abs(_step2_log_ratio(ys, taus, 0.0, t, p))))
+        reports.append(RatioReport(region, samples, mx, env, c_fit, bool(mx <= env + 1e-12)))
 
-    # E and F: straight ratios (not absolute); envelopes maximize the chain
-    def chain(Amin_sq_factor):
-        def f(A):
-            y2 = np.maximum(R * R, Amin_sq_factor * A * A)
-            return (pe * np.log1p(t0 / A) - y2 * t0 / (4.0 * A * (A + t0)))
-        return f
-
-    ys, taus = sample_region(rng, "E", n, None, t, R, samples)
-    lr = _step2_log_ratio(ys, taus, t, t + t0, p)
-    a_lo = max(t + t0, t0 * 1e-3) + 1e-9
-    f = chain(1.0 / R)
-    env = max(_envelope_grid_max(f, a_lo, t0 * 1e6), float(np.max(f(t - taus)))) + 1e-9
-    mx = float(np.max(lr))
-    reports.append(RatioReport("E", samples, mx, env,
-                               -env / math.sqrt(R), bool(mx <= env)))
-
-    ys, taus = sample_region(rng, "F", n, None, t, R, samples)
-    lr = _step2_log_ratio(ys, taus, t, t + t0, p)
-    f = chain(0.0)
-    env = max(_envelope_grid_max(f, (t + t0) * 1e-7, t + t0),
-              float(np.max(f(t - taus)))) + 1e-9
-    mx = float(np.max(lr))
-    reports.append(RatioReport("F", samples, mx, env,
-                               math.exp(env) * math.sqrt(R), bool(mx <= env)))
+    # E and F: straight ratios (not absolute), against the chain bound at
+    # |y|^2 >= max(R^2, y2_factor (t - tau)^2), maximized over a grid of
+    # t - tau and over the samples themselves
+    for region, y2_factor, a_lo, a_hi in (
+            ("E", 1.0 / R, max(t + t0, t0 * 1e-3) + 1e-9, t0 * 1e6),
+            ("F", 0.0, (t + t0) * 1e-7, t + t0)):
+        ys, taus = sample_region(rng, region, p.n, None, t, R, samples)
+        mx = float(np.max(_step2_log_ratio(ys, taus, t, t + t0, p)))
+        chain = [pe * np.log1p(t0 / A)
+                 - np.maximum(R * R, y2_factor * A * A) * t0 / (4.0 * A * (A + t0))
+                 for A in (np.geomspace(a_lo, a_hi, 4001), t - taus)]
+        env = max(float(np.max(c)) for c in chain) + 1e-9
+        c_fit = -env / math.sqrt(R) if region == "E" else math.exp(env) * math.sqrt(R)
+        reports.append(RatioReport(region, samples, mx, env, c_fit, bool(mx <= env)))
     return reports

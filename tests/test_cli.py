@@ -131,8 +131,7 @@ def test_verify_n2_battery(tmp_path):
 
 
 def test_csv_determinism(tmp_path):
-    args = ["counterexample", "--which", "1", "--j-schedule", "2,4",
-            "--seed", "7"]
+    args = ["counterexample", "--which", "1", "--j-schedule", "2,4"]
     _, text1 = run_cli(args, tmp_path, "a.csv")
     _, text2 = run_cli(args, tmp_path, "b.csv")
     assert text1 == text2 and text1
@@ -310,23 +309,47 @@ _SAMPLE_VALUES = {
 }
 
 
+#: each command with the arguments it needs, and the run options it reads
+_COMMANDS = {"eval": ["eval", "1"], "counterexample": ["counterexample", "--which", "1"],
+             "defect": ["defect"], "verify": ["verify"]}
+_READS = {
+    "eval": "n s normalization tol gh_order grading a_min horizon format out",
+    "counterexample": "n s normalization tol gh_order grading a_min horizon jobs format out",
+    "defect": "n s normalization jobs format out",
+    "verify": "n s normalization tol gh_order grading a_min seed out",
+}
+_REFUSED = [(command, name) for command, reads in _READS.items()
+            for name in OPTIONS if name not in reads.split()]
+
+
 def test_every_option_is_a_flag_and_a_config_key(tmp_path, monkeypatch):
     monkeypatch.delenv("MASTEROP_SEED", raising=False)
     assert set(_SAMPLE_VALUES) == set(OPTIONS)
     ap = make_parser()
+    reads = {command: ap.parse_args(base).reads for command, base in _COMMANDS.items()}
+    assert reads == {command: names.split() for command, names in _READS.items()}
+    assert sum(map(len, reads.values())) == 36 and len(_REFUSED) == 12
     for name, text in _SAMPLE_VALUES.items():
         default, kind, _ = OPTIONS[name]
         want = kind(text)
         assert want != default
-        flag = "--" + name.replace("_", "-")
-        cfg = build_config(ap.parse_args(["eval", "1", flag, text]))
-        assert getattr(cfg, name) == want, flag
-        path = tmp_path / f"{name}.cfg"
-        path.write_text(f"{name} = {text}\n")
-        cfg = build_config(ap.parse_args(["eval", "1", "--config", str(path)]))
-        assert getattr(cfg, name) == want, name
+        # try each option on every command that reads it
+        for command in (c for c in _COMMANDS if name in reads[c]):
+            flag = "--" + name.replace("_", "-")
+            cfg = build_config(ap.parse_args([*_COMMANDS[command], flag, text]))
+            assert getattr(cfg, name) == want, (command, flag)
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(f"{name} = {text}\n")
+            cfg = build_config(ap.parse_args([*_COMMANDS[command], "--config", str(path)]))
+            assert getattr(cfg, name) == want, (command, name)
+    # only verify reads the seed from the environment
+    monkeypatch.setenv("MASTEROP_SEED", "not-a-seed")
+    for command in ("eval", "counterexample", "defect"):
+        assert build_config(ap.parse_args(_COMMANDS[command])).seed == OPTIONS["seed"][0]
+    with pytest.raises(ValueError):
+        build_config(ap.parse_args(["verify"]))
     # every value reaches the quadrature spec
-    flags = [a for name, text in _SAMPLE_VALUES.items()
+    flags = [a for name, text in _SAMPLE_VALUES.items() if name in reads["eval"]
              for a in ("--" + name.replace("_", "-"), text)]
     q = build_config(ap.parse_args(["eval", "1", *flags])).quad()
     assert (q.gh_order, q.grading, q.a_min, q.horizon, q.rel_tol) == (
@@ -345,3 +368,28 @@ def test_quadrature_options_are_the_quadspec_fields_with_their_defaults():
     # the Gauss-Legendre order and the window mesh density are fixed
     assert main(["eval", "1", "--gl-order", "6"]) == 2
     assert main(["eval", "1", "--panels-per-decade", "5"]) == 2
+
+
+@pytest.mark.parametrize("command, name", _REFUSED, ids=[f"{c}-{n}" for c, n in _REFUSED])
+def test_option_the_command_does_not_read_is_refused(command, name, tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{name} = {_SAMPLE_VALUES[name]}\n")
+    flag = "--" + name.replace("_", "-")
+    for extra in ([flag, _SAMPLE_VALUES[name]], ["--config", str(path)]):
+        assert main([*_COMMANDS[command], *extra]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"does not apply to {command}" in lines[0]
+
+
+def test_defect_csv_on_stdout_puts_the_summary_on_stderr(tmp_path, capsys):
+    args = ["defect", "--r-schedule", "6,12", "--j-schedule", "4,8", "--probes", "0,0"]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("j,R,px,pt,F,err\n") and len(out.splitlines()) == 5
+    summary = err.splitlines()
+    assert len(summary) == 1 and json.loads(summary[0])["converged"] is False
+    # with --out the rows go to the file and the summary stays on stdout
+    assert main(args + ["--out", str(tmp_path / "d.csv")]) == 3
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines() == summary

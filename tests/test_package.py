@@ -42,15 +42,22 @@ def test_readme_and_help_name_every_dsl_function():
         assert re.search(rf"\b{name}\b", readme), name
 
 
+def _flags_named(text):
+    return {name for name in OPTIONS
+            if re.search(rf"(?<![\w-]){re.escape('--' + name.replace('_', '-'))}\b", text)}
+
+
 def test_readme_and_help_name_every_option_flag(capsys):
     readme = (ROOT / "README.md").read_text()
+    named = set()
     for command in ("eval", "counterexample", "defect", "verify"):
         assert main([command, "--help"]) == 0
-        help_text = capsys.readouterr().out
-        for name in OPTIONS:
-            flag = re.escape("--" + name.replace("_", "-"))
-            assert re.search(rf"(?<![\w-]){flag}\b", help_text), (command, flag)
-            assert re.search(rf"(?<![\w-]){flag}\b", readme), flag
+        help_flags = _flags_named(capsys.readouterr().out)
+        # README lists each command's run options on a line of its own
+        line = re.search(rf"^- `{command}`: (.*)$", readme, re.M)
+        assert line and _flags_named(line.group(1)) == help_flags, command
+        named |= help_flags
+    assert named == set(OPTIONS)
 
 
 def test_readme_names_every_package_export():
@@ -59,3 +66,19 @@ def test_readme_names_every_package_export():
              if isinstance(node, ast.ImportFrom) for alias in node.names]
     readme = (ROOT / "README.md").read_text()
     assert names and [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_parabolic_geometry_is_defined_in_regions_only():
+    definers, imports = [], set()
+    for path in sorted((SRC / "masterop").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        definers += [path.name for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "check_scale"]
+        if path.name == "regions.py":
+            imports = {node.module for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       and (node.level > 0 or node.module.startswith("masterop"))}
+            imports |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names if alias.name.startswith("masterop")}
+    assert definers == ["regions.py"]
+    assert imports == {"kernel"}

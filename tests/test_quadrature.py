@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -78,6 +79,15 @@ def test_gh_tensor_weight_product():
     Z, W = _gh_tensor(6, 3)
     assert Z.shape == (216, 3)
     assert np.sum(W) == pytest.approx(math.pi ** 1.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (1, 7), (2, 5), (3, 4)])
+def test_gh_tensor_matches_the_product_loop(n, order):
+    z, w = gauss_hermite_nodes(order)
+    Z, W = _gh_tensor(order, n)
+    idx = list(itertools.product(range(order), repeat=n))
+    assert np.array_equal(Z, np.array([[z[i] for i in k] for k in idx]))
+    assert np.array_equal(W, np.array([math.prod(w[i] for i in k) for k in idx]))
 
 
 # --- graded time mesh -------------------------------------------------------

@@ -192,6 +192,17 @@ def test_ratio_step2_precondition(p_half):
         verify_ratio_step2(1e8, 1e4, 10, p_half)
 
 
+@pytest.mark.parametrize("t, message", [(1e4, "R > 3"), (math.nan, "must be finite")],
+                         ids=["t-is-R-squared", "t-is-nan"])
+def test_ratio_verifiers_refuse_points_outside_q_r3(t, message, p_half):
+    R = 100.0
+    for verify in (lambda: verify_ratio_c1(np.array([1.0]), t, R, 10, p_half),
+                   lambda: verify_ratio_c2_c3(np.array([1.0]), t, R, 10, p_half),
+                   lambda: verify_ratio_step2(t, R, 10, p_half)):
+        with pytest.raises(ValueError, match=message):
+            verify()
+
+
 def test_ratio_step2_decay_improves_with_R(p_half):
     e_vals = []
     for R in (1e3, 1e4):
