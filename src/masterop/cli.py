@@ -39,6 +39,7 @@ from .quadrature import NumericError, QuadSpec
 from .regions import (
     DEFAULT_SEED,
     sample_past_points,
+    scale_probes,
     step1_predicates,
     step2_predicates,
     verify_ratio_c1,
@@ -75,8 +76,9 @@ OPTIONS = {
     "normalization": (NORMALIZED, _one_of(RAW, NORMALIZED),
                       "kernel constants: raw or normalized"),
     "tol": (QuadSpec.rel_tol, float, "relative tolerance"),
-    "gh_order": (QuadSpec.gh_order, int,
-                 "Gauss-Hermite order each difference time panel starts its escalation at"),
+    "gh_order": (QuadSpec.gh_order, int, f"Gauss-Hermite order each difference time panel "
+                 f"starts at (default {QuadSpec.gh_order}); it doubles up to the cap "
+                 "200, 80 or 32 at n = 1, 2, 3"),
     "grading": (QuadSpec.grading, float, "ratio of the graded time mesh, in (0,1)"),
     "a_min": (QuadSpec.a_min, float, "shortest duration of the graded time mesh"),
     "horizon": (QuadSpec.horizon, float, "time horizon (omit for Auto via support boxes)"),
@@ -120,12 +122,8 @@ def write_csv(path, header, rows):
 
 
 def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -289,18 +287,14 @@ def cmd_counterexample(args) -> int:
 
 def cmd_defect(args) -> int:
     cfg = build_config(args)
-    p = cfg.kernel()
-    q = cfg.quad()
+    p, q = cfg.kernel(), cfg.quad()
     js = _parse_list(args.j_schedule, int)
     Rs = _parse_list(args.r_schedule, float)
     if args.probes:
         probes = _parse_probes(args.probes, cfg.n)
     else:
         # spread over the parabolic box the strictest (smallest) R allows
-        R3 = min(Rs) / 3.0
-        base = [(0.0, 0.0), (0.9, 0.9), (-0.9, 0.4), (0.4, -0.9), (-0.5, -0.5)]
-        probes = [(np.full(cfg.n, cx * R3 / math.sqrt(cfg.n)), ct * R3 * R3)
-                  for cx, ct in base]
+        probes = scale_probes(cfg.n, min(Rs))
 
     if args.family == "w":
         def family(j):
@@ -330,6 +324,8 @@ def cmd_defect(args) -> int:
         "liminf_bound_M": report.liminf_bound_M,
         "N_threshold": report.N_threshold,
     }
+    # strict JSON has no NaN: the numbers of an estimate that did not converge are null
+    summary = {k: v if math.isfinite(v) else None for k, v in summary.items()}
     if cfg.format == "json":
         write_json(cfg.out, {"summary": summary,
                              "rows": [dict(zip(header, r)) for r in rows]})

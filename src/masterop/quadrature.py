@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -55,15 +55,16 @@ _FULLSPACE_GH = 20
 class QuadSpec:
     """Knobs of the singular quadrature engine.
 
-    ``gh_order`` is the Gauss-Hermite order each time panel of the
-    difference integral starts its escalation at; ``grading`` controls
-    the geometric time mesh of that integral.  ``horizon`` of None means
+    ``gh_order`` (default 4) is the Gauss-Hermite order each time panel of
+    the difference integral starts at; it doubles up to the per-n cap
+    _GH_CAP until two successive orders agree.  ``grading`` controls the
+    geometric time mesh of that integral.  ``horizon`` of None means
     Auto: the engine derives the hand-off point from the support box and
     computes the remainder exactly (functions without a support box then
     require an explicit horizon).
     """
 
-    gh_order: int = 20
+    gh_order: int = 4
     grading: float = 0.5
     a_min: float = 1e-10
     horizon: float | None = None
@@ -144,8 +145,7 @@ def _gh_tensor(order: int, n: int):
 
 @lru_cache(maxsize=32)
 def _leg_base(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gl_panel(lo: float, hi: float, order: int):
@@ -188,37 +188,40 @@ def adaptive_gl(f, panels, tol: float = math.inf):
     """Integrate a vectorized integrand over panels with local bisection.
 
     This is the one hi/lo panel sum of the package: each panel is measured
-    by a _GL_HI rule against a _GL_LO rule in one call of ``f``, and the
-    panel error is their difference.  Panels disagreeing by more than
-    ``tol`` are split; the default never splits, so the mesh is exactly
-    ``panels``.  Returns (total, err, xs, fs) where xs/fs hold the _GL_HI
-    nodes and values of every accepted panel so callers can post-process
-    (e.g. small-argument fits).
+    by a _GL_HI rule against a _GL_LO rule, and the panel error is their
+    difference.  Panels disagreeing by more than ``tol`` are halved, at
+    most _BISECT_DEPTH times; the default never splits, so the mesh is
+    exactly ``panels``.  ``f`` is called once per bisection level, on the
+    _GL_HI + _GL_LO nodes of each panel of the level, panel after panel.
+    Returns (total, err, xs, fs) where xs/fs hold the _GL_HI nodes and
+    values of the accepted panels in the order of ``panels``, halves left
+    to right, so callers can post-process (e.g. small-argument fits).
     """
-    total = 0.0
-    err = 0.0
-    xs_all = []
-    fs_all = []
-    stack = [(lo, hi, 0) for lo, hi in reversed(list(panels))]
-    while stack:
-        lo, hi, depth = stack.pop()
-        x_h, w_h = gl_panel(lo, hi, _GL_HI)
-        x_l, w_l = gl_panel(lo, hi, _GL_LO)
-        fs = np.asarray(f(np.concatenate([x_h, x_l])), dtype=float)
-        cur = float(np.dot(w_h, fs[:_GL_HI]))
-        cur_lo = float(np.dot(w_l, fs[_GL_HI:]))
-        if not math.isfinite(cur):
-            raise NumericError(f"non-finite integrand in panel ({lo:g}, {hi:g}]")
-        if abs(cur - cur_lo) > tol and depth < _BISECT_DEPTH:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-            continue
-        total += cur
-        err += abs(cur - cur_lo)
-        xs_all.append(x_h)
-        fs_all.append(fs[:_GL_HI])
-    return total, err, np.concatenate(xs_all), np.concatenate(fs_all)
+    (x_h, w_h), (x_l, w_l) = _leg_base(_GL_HI), _leg_base(_GL_LO)
+    edges = np.array(panels, dtype=float).reshape(-1, 2)
+    owner = np.arange(len(edges))
+    done = []   # per level: owner, lo, panel value, panel error, nodes, values
+    for depth in range(_BISECT_DEPTH + 1):
+        lo, hi = edges[:, :1], edges[:, 1:]
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        xs = mid + half * np.concatenate([x_h, x_l])
+        fs = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+        cur = np.sum(half * w_h * fs[:, :_GL_HI], axis=1)
+        diff = np.abs(cur - np.sum(half * w_l * fs[:, _GL_HI:], axis=1))
+        if not np.all(np.isfinite(cur)):
+            a, b = edges[np.argmin(np.isfinite(cur))]
+            raise NumericError(f"non-finite integrand in panel ({a:g}, {b:g}]")
+        split = (diff > tol) & (depth < _BISECT_DEPTH)
+        done.append((owner[~split], edges[~split, 0], cur[~split], diff[~split],
+                     xs[~split, :_GL_HI], fs[~split, :_GL_HI]))
+        if not split.any():
+            break
+        edges = np.vstack([np.hstack([lo, mid])[split], np.hstack([mid, hi])[split]])
+        owner = np.tile(owner[split], 2)
+    owner, lo, cur, diff, xs, fs = (np.concatenate(parts) for parts in zip(*done))
+    order = np.lexsort((lo, owner))
+    return (float(np.sum(cur[order])), float(np.sum(diff[order])),
+            xs[order].ravel(), fs[order].ravel())
 
 
 def slab_mass(a_lo: float, a_hi: float, p: KernelParams) -> float:
@@ -455,6 +458,14 @@ def sphere_average(n: int, k):
     return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
 
 
+def _panelwise(values):
+    """``values`` on one adaptive_gl panel's durations at a time: its own rule and memory."""
+    step = _GL_HI + _GL_LO
+    return wraps(values)(lambda u, x0, t0, avals, *rest: np.concatenate(
+        [values(u, x0, t0, avals[i:i + step], *rest) for i in range(0, len(avals), step)]))
+
+
+@_panelwise
 def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
 
@@ -491,6 +502,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     return (vals * kern) @ ww
 
 
+@_panelwise
 def _fullspace_values(u, x0, t0, avals, p: KernelParams):
     """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite.
 

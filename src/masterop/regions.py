@@ -59,6 +59,13 @@ def check_scale(at, R: float) -> None:
         raise ValueError(f"need finite R > 3*max(sqrt|t|, |x|) = {bound:g}, got R = {R:g}")
 
 
+def scale_probes(n: int, R: float):
+    """Five points (x, t) spread over Q_{R/3}, up to 0.9 of its reach in |x| and |t|."""
+    h = R / 3.0
+    return [(np.full(n, cx * h / math.sqrt(n)), ct * h * h)
+            for cx, ct in [(0.0, 0.0), (0.9, 0.9), (-0.9, 0.4), (0.4, -0.9), (-0.5, -0.5)]]
+
+
 def _ball_split(ys, taus, R: float):
     """ys, taus and |y| as arrays, the mask |y| > R, and the Interior and C labels."""
     ys = np.atleast_2d(np.asarray(ys, dtype=float))

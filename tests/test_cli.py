@@ -6,8 +6,9 @@ from dataclasses import fields
 
 import pytest
 
-from masterop import QuadSpec
+from masterop import QuadSpec, cli, regions
 from masterop.cli import OPTIONS, build_config, fmt_float, main, make_parser, parse_point
+from masterop.defect import DefectReport
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -393,3 +394,34 @@ def test_defect_csv_on_stdout_puts_the_summary_on_stderr(tmp_path, capsys):
     assert main(args + ["--out", str(tmp_path / "d.csv")]) == 3
     out, err = capsys.readouterr()
     assert err == "" and out.splitlines() == summary
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_defect_summary_is_strict_json_when_not_converged(tmp_path, capsys):
+    args = ["defect", "--r-schedule", "6,12", "--j-schedule", "4,8", "--probes", "0,0"]
+    code, text = run_cli(args + ["--format", "json"], tmp_path)
+    summary = json.loads(text, parse_constant=_refuse_constant)["summary"]
+    assert code == 3 and summary["converged"] is False
+    for key in ("b_estimate", "b_spread", "liminf_bound_M", "N_threshold"):
+        assert summary[key] is None, key
+    # the CSV path writes the same summary on stderr
+    assert main(args) == 3
+    assert json.loads(capsys.readouterr().err, parse_constant=_refuse_constant) == summary
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_defect_probes_lie_in_the_smallest_scale(n, monkeypatch):
+    seen = []
+
+    def fake_estimate(family, limit, probes, Rs, js, p, q, jobs=1):
+        seen.extend(probes)
+        return DefectReport()
+
+    monkeypatch.setattr(cli, "defect_estimate", fake_estimate)
+    assert main(["defect", "--n", str(n), "--r-schedule", "9,18", "--format", "json"]) == 3
+    assert len(seen) == 5
+    for at in seen:
+        regions.check_scale(at, 9.0)

@@ -27,8 +27,14 @@ from masterop.handles import (
     temporal,
 )
 from masterop.quadrature import (
+    _BISECT_DEPTH,
+    _GL_HI,
+    _GL_LO,
     _gh_tensor,
+    _shell_values,
+    adaptive_gl,
     gauss_hermite_nodes,
+    gl_panel,
     graded_time_mesh,
     integrate_difference,
     slab_mass,
@@ -305,3 +311,128 @@ def test_nodes_used_is_the_evaluator_point_count(make, run, anchor):
     u, tally = _tallied(make())
     res = run(u, kernel_constants(u.dim, 0.5))
     assert 0 < res.nodes_used == tally[0] - anchor
+
+
+# --- adaptive_gl: one integrand call per bisection level ---------------------
+
+def _per_panel_gl(f, panels, tol):
+    """The per-panel loop: panels depth first, one call of f each.
+
+    Returns (total, err, xs, fs, levels), levels being the deepest bisection
+    reached plus one."""
+    total = err = 0.0
+    xs, fs_all, levels = [], [], 0
+    stack = [(lo, hi, 0) for lo, hi in reversed(panels)]
+    while stack:
+        lo, hi, depth = stack.pop()
+        levels = max(levels, depth + 1)
+        x_h, w_h = gl_panel(lo, hi, _GL_HI)
+        x_l, w_l = gl_panel(lo, hi, _GL_LO)
+        fs = f(np.concatenate([x_h, x_l]))
+        cur, cur_lo = float(np.dot(w_h, fs[:_GL_HI])), float(np.dot(w_l, fs[_GL_HI:]))
+        if abs(cur - cur_lo) > tol and depth < _BISECT_DEPTH:
+            mid = 0.5 * (lo + hi)
+            stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
+            continue
+        total += cur
+        err += abs(cur - cur_lo)
+        xs.append(x_h)
+        fs_all.append(fs[:_GL_HI])
+    return total, err, np.concatenate(xs), np.concatenate(fs_all), levels
+
+
+@pytest.mark.parametrize("f, panels, tol", [
+    (lambda x: np.cos(40.0 * x) * np.exp(-x), [(0.0, 1.0), (1.0, 2.5), (2.5, 3.0)], 1e-10),
+    (lambda x: np.cos(40.0 * x) * np.exp(-x), [(2.5, 3.0), (1.0, 2.5), (0.0, 1.0)], 1e-10),
+    (np.sqrt, [(0.0, 0.5), (0.5, 1.0)], 1e-15),
+    (lambda x: np.cos(40.0 * x) * np.exp(-x), [(0.0, 1.0), (1.0, 2.5), (2.5, 3.0)], math.inf),
+], ids=["oscillatory", "oscillatory-descending", "sqrt-depth-cap", "tol-inf"])
+def test_adaptive_gl_matches_the_per_panel_loop(f, panels, tol):
+    calls = []
+
+    def counted(x):
+        calls.append(len(x))
+        return f(x)
+
+    total, err, xs, fs = adaptive_gl(counted, panels, tol)
+    ref_total, ref_err, ref_xs, ref_fs, levels = _per_panel_gl(f, panels, tol)
+    assert len(calls) == levels and (levels == 1) == math.isinf(tol)
+    assert total == pytest.approx(ref_total, rel=1e-13)
+    assert err == pytest.approx(ref_err, rel=1e-13)
+    assert np.array_equal(xs, ref_xs) and np.array_equal(fs, ref_fs)
+
+
+def test_adaptive_gl_stops_at_the_depth_cap():
+    calls = []
+    adaptive_gl(lambda x: calls.append(len(x)) or np.sqrt(x), [(0.0, 0.5), (0.5, 1.0)], 1e-15)
+    assert len(calls) == _BISECT_DEPTH + 1
+
+
+# --- _shell_values: one rule per adaptive_gl panel ---------------------------
+
+def _gauss_bump(n):
+    return from_callable(lambda pts, tt: np.exp(-np.sum((pts - 0.2) ** 2, axis=-1) - 0.1 * tt),
+                         n, growth=GROWTH_DECAYING)
+
+
+@pytest.mark.parametrize("n, make", [
+    (1, _gauss_bump), (2, _gauss_bump),
+    (2, lambda n: w_family(1, 1.0, 0.5, n=n)), (3, lambda n: w_family(1, 1.0, 0.5, n=n)),
+], ids=["bump-n1", "bump-n2", "w1-n2-radial", "w1-n3-radial"])
+def test_shell_values_keep_one_rule_per_panel(n, make):
+    p = kernel_constants(n, 0.5)
+    panels = [(1e-3, 1e-2), (1e-2, 0.1), (0.1, 4.0)]
+    avals = np.concatenate([np.concatenate([gl_panel(lo, hi, _GL_HI)[0],
+                                            gl_panel(lo, hi, _GL_LO)[0]])
+                            for lo, hi in panels])
+    sizes = []
+    base = make(n)
+
+    def evaluator(pts, tt):
+        sizes.append(pts.shape[0] * pts.shape[1])
+        return base.evaluator(pts, tt)
+
+    u = dataclasses.replace(base, evaluator=evaluator)
+    x0 = np.full(n, 0.3)
+    batched = _shell_values(u, x0, 0.1, avals, 0.5, 3.0, p)
+    batched_peak = max(sizes)
+    sizes.clear()
+    step = _GL_HI + _GL_LO
+    single = np.concatenate([_shell_values(u, x0, 0.1, avals[i:i + step], 0.5, 3.0, p)
+                             for i in range(0, len(avals), step)])
+    assert np.array_equal(batched, single)
+    # no evaluator call sees more points than the largest single-panel call
+    assert batched_peak == max(sizes)
+    # one rule sized by the shortest duration of all panels gives other values
+    assert not np.array_equal(_shell_values.__wrapped__(u, x0, 0.1, avals, 0.5, 3.0, p),
+                              batched)
+
+
+# --- Gauss-Hermite start order ------------------------------------------------
+
+def test_gh_start_order_default_is_4():
+    assert QuadSpec().gh_order == 4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_start_order_4_agrees_with_20(n, s):
+    # e^{lambda t} cos(xi.x) with |xi| = 1.2, lambda = 0.6: away from the order cap
+    xi = 1.2 * np.ones(n) / math.sqrt(n)
+    u = from_callable(lambda pts, tt: np.exp(0.6 * tt) * np.cos(pts @ xi), n,
+                      growth=GROWTH_BOUNDED)
+    p = kernel_constants(n, s)
+    at = (np.linspace(-0.3, 0.4, n), 0.2)
+    r4 = master_op(u, at, p, QuadSpec(horizon=20.0))
+    r20 = master_op(u, at, p, QuadSpec(horizon=20.0, gh_order=20))
+    assert abs(r4.value - r20.value) <= r4.err_estimate + r20.err_estimate
+
+
+def test_start_order_4_cuts_the_n3_node_count():
+    p = kernel_constants(3, 0.5)
+    at = (np.array([0.4, 0.0, 0.0]), 0.1)
+    u = w_family(16, 1.0, 0.5, n=3)
+    r4 = master_op(u, at, p, QuadSpec())
+    r20 = master_op(u, at, p, QuadSpec(gh_order=20))
+    assert 3 * r4.nodes_used <= r20.nodes_used
+    assert abs(r4.value - r20.value) <= r4.err_estimate + r20.err_estimate
