@@ -77,8 +77,8 @@ OPTIONS = {
                       "kernel constants: raw or normalized"),
     "tol": (QuadSpec.rel_tol, float, "relative tolerance"),
     "gh_order": (QuadSpec.gh_order, int, f"Gauss-Hermite order each difference time panel "
-                 f"starts at (default {QuadSpec.gh_order}); it doubles up to the cap "
-                 "200, 80 or 32 at n = 1, 2, 3"),
+                 f"starts at (default {QuadSpec.gh_order}); each round doubles it for the "
+                 "panels not yet settled, up to the cap 200, 80 or 32 at n = 1, 2, 3"),
     "grading": (QuadSpec.grading, float, "ratio of the graded time mesh, in (0,1)"),
     "a_min": (QuadSpec.a_min, float, "shortest duration of the graded time mesh"),
     "horizon": (QuadSpec.horizon, float, "time horizon (omit for Auto via support boxes)"),

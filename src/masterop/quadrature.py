@@ -10,9 +10,9 @@ difference structure:
 
 Three refinements make this robust at desk scale:
 
-* per-panel escalation of the Gauss-Hermite order: the rule resolves an
-  oscillation exp(i w z) only while w <= sqrt(2 * order), so panels at
-  large a double the order until the panel value stabilizes;
+* escalation of the Gauss-Hermite order in rounds: the rule resolves an
+  oscillation exp(i w z) only while w <= sqrt(2 * order), so each round
+  doubles the order of every panel whose value has not yet stabilized;
 * the contribution of the u(x,t) term beyond any horizon is the exact
   kernel mass const * (4 pi)^{n/2} * T^{-s} / s and is always added
   analytically;
@@ -49,6 +49,9 @@ _BISECT_DEPTH = 14
 _PANELS_PER_DECADE = 4
 #: fixed Gauss-Hermite order of the full-space window values
 _FULLSPACE_GH = 20
+#: points of u one evaluator call is handed at most by ``_blocks``, unless
+#: one row alone needs more: one n=3 duration at the order cap 32
+_POINT_BUDGET = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,9 @@ class QuadSpec:
     """Knobs of the singular quadrature engine.
 
     ``gh_order`` (default 4) is the Gauss-Hermite order each time panel of
-    the difference integral starts at; it doubles up to the per-n cap
-    _GH_CAP until two successive orders agree.  ``grading`` controls the
+    the difference integral starts at; in each escalation round the order
+    of every open panel doubles, up to the per-n cap _GH_CAP, and a panel
+    closes once two successive orders agree.  ``grading`` controls the
     geometric time mesh of that integral.  ``horizon`` of None means
     Auto: the engine derives the hand-off point from the support box and
     computes the remainder exactly (functions without a support box then
@@ -143,13 +147,36 @@ def _gh_tensor(order: int, n: int):
     return pts, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
 
 
+def _blocks(f, rows, size: int):
+    """``f`` on consecutive blocks of ``rows``, the results concatenated.
+
+    A block holds at most max(1, _POINT_BUDGET // size) rows, so an ``f``
+    that evaluates u at ``size`` points per row hands the evaluator at most
+    max(_POINT_BUDGET, size) points; the arrays ``f`` builds are freed when
+    it returns, before the next block is built.
+    """
+    step = max(1, _POINT_BUDGET // size)
+    return np.concatenate([f(rows[i:i + step]) for i in range(0, len(rows), step)])
+
+
+def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
+    """sum_k W_k u(x0 + 2 sqrt(a) Z_k, t0 - a) per duration a, on the order^n rule."""
+    Z, W = _gh_tensor(order, len(x0))
+
+    def block(a):
+        pts = x0[None, None, :] + 2.0 * np.sqrt(a)[:, None, None] * Z[None, :, :]
+        return u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])) @ W
+
+    return _blocks(block, avals, len(W))
+
+
 @lru_cache(maxsize=32)
 def _leg_base(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
 def gl_panel(lo: float, hi: float, order: int):
-    """Gauss-Legendre nodes/weights mapped to (lo, hi)."""
+    """Gauss-Legendre nodes/weights mapped to (lo, hi); column arrays map one panel per row."""
     x, w = _leg_base(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
@@ -305,53 +332,47 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     Returns (value, err).  The value is
     const * 2^n * int a^{-(1+s)} GH[u0 - u] da extended to a = 0 by the
     fitted small-a model; the u0 mass beyond the horizon is NOT included.
+
+    Every time panel starts at order ``q.gh_order``.  Each escalation round
+    evaluates the durations of all open panels, which share one order,
+    through ``_blocks``; a panel closes when its value agrees with the
+    previous round's or its order reached the cap, and the others double.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
     sqpi_n = math.pi ** (n / 2.0)
     gh_cap = max(q.gh_order, _GH_CAP[n])
 
-    panels = _graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q)
+    edges = np.array(_graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q))
+    a_h, w_h = gl_panel(edges[:, :1], edges[:, 1:], _GL_HI)
+    a_l, w_l = gl_panel(edges[:, :1], edges[:, 1:], _GL_LO)
+    a_all = np.hstack([a_h, a_l])
+    dens_h = np.empty_like(a_h)
+    prev = np.full(len(edges), np.nan)
+    total = err = 0.0
+    live = np.arange(len(edges))
+    order = q.gh_order
+    while live.size:
+        aa = a_all[live]
+        dens = aa ** (-1.0 - s) * (sqpi_n * u0 - _gh_sums(u, x0, t0, aa.ravel(), order)
+                                   .reshape(aa.shape))
+        val = np.sum(w_h[live] * dens[:, :_GL_HI], axis=1)
+        if not np.all(np.isfinite(val)):
+            lo, hi = edges[live[np.argmin(np.isfinite(val))]]
+            raise NumericError(f"non-finite integrand in time panel ({lo:g}, {hi:g}]")
+        step = np.abs(val - prev[live])     # nan in a panel's first round
+        shut = (step <= q.panel_tol(u0)) | (order >= gh_cap)
+        done = live[shut]
+        val_lo = np.sum(w_l[done] * dens[shut, _GL_HI:], axis=1)
+        total += float(np.sum(val[shut]))
+        err += float(np.nansum(step[shut]) + np.sum(np.abs(val[shut] - val_lo)))
+        dens_h[done] = dens[shut, :_GL_HI]
+        prev[live] = val
+        live = live[~shut]
+        order = min(2 * order, gh_cap)
 
-    total = 0.0
-    err = 0.0
-    inner_a: list[np.ndarray] = []
-    inner_dens: list[np.ndarray] = []
-
-    for idx, (lo, hi) in enumerate(panels):
-        a_h, w_h = gl_panel(lo, hi, _GL_HI)
-        a_l, w_l = gl_panel(lo, hi, _GL_LO)
-        a_all = np.concatenate([a_h, a_l])
-        order = q.gh_order
-        prev = None
-        while True:
-            Z, W = _gh_tensor(order, n)
-            root = 2.0 * np.sqrt(a_all)
-            pts = x0[None, None, :] + root[:, None, None] * Z[None, :, :]
-            tt = np.broadcast_to((t0 - a_all)[:, None], pts.shape[:2])
-            vals = u(pts, tt)
-            G = sqpi_n * u0 - vals @ W
-            dens = a_all ** (-1.0 - s) * G
-            cur = float(np.dot(w_h, dens[:_GL_HI]))
-            cur_lo = float(np.dot(w_l, dens[_GL_HI:]))
-            if not math.isfinite(cur):
-                raise NumericError(f"non-finite integrand in time panel ({lo:g}, {hi:g}]")
-            done = prev is not None and abs(cur - prev) <= q.panel_tol(u0)
-            if done or order >= gh_cap:
-                if prev is not None:
-                    err += abs(cur - prev)
-                break
-            prev = cur
-            order = min(2 * order, gh_cap)
-        total += cur
-        err += abs(cur - cur_lo)
-        if idx < 2:
-            inner_a.append(a_h)
-            inner_dens.append(dens[:_GL_HI])
-
-    closure, closure_err = small_a_closure(u, np.concatenate(inner_a),
-                                           np.concatenate(inner_dens),
-                                           panels[0][0], s)
+    closure, closure_err = small_a_closure(u, a_h[:2].ravel(), dens_h[:2].ravel(),
+                                           edges[0, 0], s)
     return pref * (total + closure), pref * (err + closure_err)
 
 
@@ -409,14 +430,23 @@ def radial_nodes(r_lo: float, r_hi: float, h_target: float, gl: int):
     """Gauss-Legendre nodes/weights on (r_lo, r_hi] in equal panels of width <~ h_target.
 
     The panel count is clipped to 1..96; nodes of all panels are built at
-    once, with the same arithmetic as ``gl_panel`` on each panel.
+    once, with the same arithmetic as ``gl_panel`` on each panel.  The
+    arrays are cached per (r_lo, r_hi, panel count, gl) and read-only.
     """
     npan = int(np.clip(math.ceil((r_hi - r_lo) / max(h_target, 1e-300)), 1, 96))
+    return _radial_rule(float(r_lo), float(r_hi), npan, gl)
+
+
+@lru_cache(maxsize=32)
+def _radial_rule(r_lo: float, r_hi: float, npan: int, gl: int):
     edges = np.linspace(r_lo, r_hi, npan + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     x, w = _leg_base(gl)
-    return (mid + half * x).ravel(), (half * w).ravel()
+    rr, rw = (mid + half * x).ravel(), (half * w).ravel()
+    rr.setflags(write=False)
+    rw.setflags(write=False)
+    return rr, rw
 
 
 def shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
@@ -459,7 +489,7 @@ def sphere_average(n: int, k):
 
 
 def _panelwise(values):
-    """``values`` on one adaptive_gl panel's durations at a time: its own rule and memory."""
+    """``values`` on one adaptive_gl panel's durations at a time, each with its own rule."""
     step = _GL_HI + _GL_LO
     return wraps(values)(lambda u, x0, t0, avals, *rest: np.concatenate(
         [values(u, x0, t0, avals[i:i + step], *rest) for i in range(0, len(avals), step)]))
@@ -471,38 +501,40 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
 
     A radial u is integrated on the radial rule alone: with k = |x0| r/(2a)
     the angular integral of the Gaussian is exp(-(|x0|-r)^2/(4a)) times
-    ``sphere_average(n, k)``, and u is evaluated at r * e_1.
+    ``sphere_average(n, k)``, and u is evaluated at r * e_1.  Otherwise
+    the durations go through ``_blocks`` on the tensor shell rule.
     """
     n = p.n
     a_ref = float(np.min(avals))
+    rho = float(np.linalg.norm(x0))
     # spacing must resolve both the kernel (scale sqrt(a)) and u itself
     width = r_hi - r_lo
     h_target = max(min(math.sqrt(a_ref), width / 24.0), width / 96.0)
-    tt = t0 - avals[:, None]
     if u.radial:
         rr, rw = radial_nodes(r_lo, r_hi, h_target, _GL_HI)
-        rho = float(np.linalg.norm(x0))
         a4 = 4.0 * avals[:, None]
         kern = np.exp(-(rho - rr) ** 2 / a4) * sphere_average(n, 2.0 * rho * rr / a4)
         pts = np.zeros((len(rr), n))
         pts[:, 0] = rr
-        vals = u(np.broadcast_to(pts, (len(avals),) + pts.shape), tt)
+        vals = u(np.broadcast_to(pts, (len(avals),) + pts.shape), t0 - avals[:, None])
         return (vals * kern) @ (rw * rr ** (n - 1))
     if n == 1:
         ang = 2
     else:
-        ang = int(np.clip(8 + 2.0 * r_hi * (np.linalg.norm(x0) + 1.0) / max(a_ref, 1e-12) ** 0.5,
-                          12, 64))
+        ang = int(np.clip(8 + 2.0 * r_hi * (rho + 1.0) / max(a_ref, 1e-12) ** 0.5, 12, 64))
     pts, ww = shell_rule(n, r_lo, r_hi, h_target, _GL_HI, ang)
-    d2 = np.sum((pts[None, :, :] - x0[None, None, :]) ** 2, axis=-1)
-    expo = -d2 / (4.0 * avals[:, None])
-    kern = np.exp(np.maximum(expo, -745.0))
-    kern[expo < -745.0] = 0.0
-    vals = u(np.broadcast_to(pts[None, :, :], (len(avals),) + pts.shape), tt)
-    return (vals * kern) @ ww
+    d2 = np.sum((pts - x0) ** 2, axis=-1)
+
+    def block(a):
+        expo = -d2 / (4.0 * a[:, None])
+        kern = np.exp(np.maximum(expo, -745.0))
+        kern[expo < -745.0] = 0.0
+        vals = u(np.broadcast_to(pts, (len(a),) + pts.shape), t0 - a[:, None])
+        return (vals * kern) @ ww
+
+    return _blocks(block, avals, len(pts))
 
 
-@_panelwise
 def _fullspace_values(u, x0, t0, avals, p: KernelParams):
     """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite.
 
@@ -510,12 +542,7 @@ def _fullspace_values(u, x0, t0, avals, p: KernelParams):
     """
     if u.constant_value is not None:
         return u.constant_value * (4.0 * math.pi * avals) ** (p.n / 2.0)
-    Z, W = _gh_tensor(_FULLSPACE_GH, p.n)
-    root = 2.0 * np.sqrt(avals)
-    pts = x0[None, None, :] + root[:, None, None] * Z[None, :, :]
-    tt = np.broadcast_to((t0 - avals)[:, None], pts.shape[:2])
-    vals = u(pts, tt)
-    return root ** p.n * (vals @ W)
+    return (2.0 * np.sqrt(avals)) ** p.n * _gh_sums(u, x0, t0, avals, _FULLSPACE_GH)
 
 
 def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,14 +24,20 @@ from masterop.handles import (
     GROWTH_BOUNDED,
     GROWTH_DECAYING,
     SupportBox,
+    counted,
     spatial,
     temporal,
 )
 from masterop.quadrature import (
     _BISECT_DEPTH,
+    _GH_CAP,
     _GL_HI,
     _GL_LO,
+    _POINT_BUDGET,
+    _auto_handoff,
+    _difference_panels,
     _gh_tensor,
+    _graded_panels,
     _shell_values,
     adaptive_gl,
     gauss_hermite_nodes,
@@ -38,6 +45,7 @@ from masterop.quadrature import (
     graded_time_mesh,
     integrate_difference,
     slab_mass,
+    small_a_closure,
     split_panels,
     window_uM_integral,
 )
@@ -436,3 +444,154 @@ def test_start_order_4_cuts_the_n3_node_count():
     r20 = master_op(u, at, p, QuadSpec(gh_order=20))
     assert 3 * r4.nodes_used <= r20.nodes_used
     assert abs(r4.value - r20.value) <= r4.err_estimate + r20.err_estimate
+
+
+# --- _difference_panels: escalation rounds under one point budget -------------
+
+def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
+    """The per-panel loop the escalation rounds replaced: each time panel
+    doubles its own Gauss-Hermite order until two successive orders agree
+    or it reaches the cap, with one evaluator call per panel and order."""
+    n, s = p.n, p.s
+    sqpi_n = math.pi ** (n / 2.0)
+    gh_cap = max(q.gh_order, _GH_CAP[n])
+    panels = _graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q)
+    total = err = 0.0
+    inner_a, inner_dens = [], []
+    for idx, (lo, hi) in enumerate(panels):
+        a_h, w_h = gl_panel(lo, hi, _GL_HI)
+        a_l, w_l = gl_panel(lo, hi, _GL_LO)
+        a_all = np.concatenate([a_h, a_l])
+        order, prev = q.gh_order, None
+        while True:
+            Z, W = _gh_tensor(order, n)
+            pts = x0 + 2.0 * np.sqrt(a_all)[:, None, None] * Z
+            vals = u(pts, np.broadcast_to((t0 - a_all)[:, None], pts.shape[:2]))
+            dens = a_all ** (-1.0 - s) * (sqpi_n * u0 - vals @ W)
+            cur = float(np.dot(w_h, dens[:_GL_HI]))
+            if (prev is not None and abs(cur - prev) <= q.panel_tol(u0)) or order >= gh_cap:
+                err += 0.0 if prev is None else abs(cur - prev)
+                break
+            prev, order = cur, min(2 * order, gh_cap)
+        total += cur
+        err += abs(cur - float(np.dot(w_l, dens[_GL_HI:])))
+        if idx < 2:
+            inner_a.append(a_h)
+            inner_dens.append(dens[:_GL_HI])
+    closure, closure_err = small_a_closure(u, np.concatenate(inner_a),
+                                           np.concatenate(inner_dens), panels[0][0], s)
+    pref = p.constant * 2.0 ** n
+    return pref * (total + closure), pref * (err + closure_err)
+
+
+def _order_log(u):
+    """u with an evaluator that records, per time t0 - a, the most points a
+    call evaluated there: order^n of that duration's last Gauss-Hermite rule."""
+    seen = {}
+
+    def evaluator(pts, tt):
+        for t, c in zip(*np.unique(tt, return_counts=True)):
+            seen[float(t)] = max(seen.get(float(t), 0), int(c))
+        return u.evaluator(pts, tt)
+
+    return dataclasses.replace(u, evaluator=evaluator), seen
+
+
+def _cap_wave(n):
+    """e^{0.005 t} cos(3 x1): the Gauss-Hermite order reaches its cap at every n."""
+    return from_callable(lambda pts, tt: np.exp(0.005 * tt) * np.cos(3.0 * pts[:, 0]), n,
+                         growth=GROWTH_BOUNDED)
+
+
+# These cases stop every panel at the same order under both loops.  The
+# rounds hand the evaluator other blocks of durations than the per-panel
+# loop, so the sum of W u can round differently, and at small a the
+# difference pi^{n/2} u0 - sum W u cancels: a value can move by rounding
+# (5e-9 relative was seen).  On some inputs that flips one panel's stop
+# decision, inside its err_estimate; on others (n = 3, s = 0.7) the
+# innermost panels reach the cap on rounding noise and err_estimate moves
+# by 1e-3 relative.  Neither kind of input is used here.
+@pytest.mark.parametrize("make, n, s, at, horizon, feature", [
+    (lambda: _wave(1), 1, 0.5, ([0.2], 0.1), 60.0, None),
+    (lambda: _wave(2), 2, 0.3, ([0.2, -0.1], 0.4), 60.0, None),
+    (lambda: _wave(3), 3, 0.5, ([0.2, 0.0, 0.3], -0.2), 60.0, None),
+    (lambda: w_family(16, 1.0, 0.5), 1, 0.5, ([0.4], 0.1), None, "kink"),
+    (lambda: w_family(16, 1.0, 0.5, n=3), 3, 0.5, ([0.4, 0.0, 0.0], 0.1), None, "kink"),
+    (lambda: _cap_wave(1), 1, 0.25, ([0.1], 0.3), 60.0, "cap"),
+    (lambda: _cap_wave(2), 2, 0.25, ([0.1, 0.2], 0.3), 60.0, "cap"),
+], ids=["wave-n1", "wave-n2", "wave-n3", "w16-n1", "w16-n3", "gh-cap-n1", "gh-cap-n2"])
+def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, feature):
+    p, q = kernel_constants(n, s), QuadSpec()
+    x0, t0 = np.array(at[0], dtype=float), at[1]
+    base = make()
+    if horizon is None:
+        horizon = _auto_handoff(base, t0)
+    u0 = base.at(x0, t0)
+    runs = []
+    for engine in (_difference_panels, _per_panel_difference):
+        logged, seen = _order_log(base)
+        u, nodes = counted(logged)
+        runs.append((engine(u, u0, x0, t0, p, q, horizon), nodes(), seen))
+    ((value, err), nodes, seen), ((ref_value, ref_err), ref_nodes, ref_seen) = runs
+    # every duration ends at the same order, so every panel does
+    assert seen == ref_seen and nodes == ref_nodes
+    if feature == "cap":
+        assert max(seen.values()) == _GH_CAP[n] ** n
+    if feature == "kink":
+        # the kink at duration t0 splits a panel of the plain mesh
+        assert any(lo < t0 < hi for lo, hi in _graded_panels(horizon, q.a_min, [], q))
+    assert value == pytest.approx(ref_value, rel=1e-8)
+    assert err == pytest.approx(ref_err, rel=1e-8)
+
+
+def _call_sizes(u):
+    """u with an evaluator that records the number of points of each call."""
+    sizes = []
+
+    def evaluator(pts, tt):
+        sizes.append(len(pts))
+        return u.evaluator(pts, tt)
+
+    return dataclasses.replace(u, evaluator=evaluator), sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("make, q", [
+    (_wave, QuadSpec(horizon=60.0)),
+    (_cap_wave, QuadSpec(horizon=60.0)),
+    (lambda n: w_family(16, 1.0, 0.5, n=n), QuadSpec()),
+], ids=["wave", "gh-cap", "w16"])
+def test_no_evaluator_call_exceeds_the_point_budget(n, make, q):
+    u, sizes = _call_sizes(make(n))
+    master_op(u, (np.full(n, 0.2), 0.1), kernel_constants(n, 0.5), q)
+    assert 0 < max(sizes) <= max(_POINT_BUDGET, _GH_CAP[n] ** n)
+
+
+def _traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_n3_master_op_memory_is_bounded():
+    # 22.4 MB when one evaluator call took all 12 durations of a panel
+    u, p, q = _wave(3), kernel_constants(3, 0.5), QuadSpec(horizon=60.0)
+    master_op(u, (np.full(3, 0.2), 0.1), p, q)   # fills the rule caches
+    _, peak = _traced_peak_mb(lambda: master_op(u, (np.full(3, 0.2), 0.1), p, q))
+    assert peak < 8.0
+
+
+def test_tensor_shell_memory_is_bounded():
+    # the full space minus the ball of radius 2: at a near 1e-3 the shell
+    # rule has 0.97M points, and it took 663 MB when all 12 durations of a
+    # panel were evaluated at once; the value is the one computed then
+    u = from_callable(lambda pts, tt: np.exp(0.1 * tt) * np.cos(pts[:, 0]), 3,
+                      growth=GROWTH_BOUNDED)
+    (value, err), peak = _traced_peak_mb(lambda: window_uM_integral(
+        u, (np.zeros(3), 0.1), kernel_constants(3, 0.5), QuadSpec(), 1e-3, 100.0, r_lo=2.0))
+    assert peak < 150.0
+    assert value == pytest.approx(0.03378420141695653, rel=1e-10)
+    assert 0.0 < err < 1e-6
