@@ -49,8 +49,9 @@ _BISECT_DEPTH = 14
 _PANELS_PER_DECADE = 4
 #: fixed Gauss-Hermite order of the full-space window values
 _FULLSPACE_GH = 20
-#: points of u one evaluator call is handed at most by ``_blocks``, unless
-#: one row alone needs more: one n=3 duration at the order cap 32
+#: points of u one evaluator call is handed at most, unless one duration
+#: alone needs more: ``_blocks`` then takes max(1, _POINT_BUDGET // size)
+#: durations of ``size`` points at a time; one n=3 duration at the order cap 32
 _POINT_BUDGET = 2 ** 15
 
 
@@ -147,15 +148,12 @@ def _gh_tensor(order: int, n: int):
     return pts, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
 
 
-def _blocks(f, rows, size: int):
-    """``f`` on consecutive blocks of ``rows``, the results concatenated.
+def _blocks(f, rows, step: int):
+    """``f`` on consecutive blocks of at most ``step`` rows, the results concatenated.
 
-    A block holds at most max(1, _POINT_BUDGET // size) rows, so an ``f``
-    that evaluates u at ``size`` points per row hands the evaluator at most
-    max(_POINT_BUDGET, size) points; the arrays ``f`` builds are freed when
-    it returns, before the next block is built.
+    The arrays ``f`` builds for one block are freed when it returns, before
+    the next block is built.
     """
-    step = max(1, _POINT_BUDGET // size)
     return np.concatenate([f(rows[i:i + step]) for i in range(0, len(rows), step)])
 
 
@@ -167,7 +165,7 @@ def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         pts = x0[None, None, :] + 2.0 * np.sqrt(a)[:, None, None] * Z[None, :, :]
         return u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])) @ W
 
-    return _blocks(block, avals, len(W))
+    return _blocks(block, avals, max(1, _POINT_BUDGET // len(W)))
 
 
 @lru_cache(maxsize=32)
@@ -430,23 +428,14 @@ def radial_nodes(r_lo: float, r_hi: float, h_target: float, gl: int):
     """Gauss-Legendre nodes/weights on (r_lo, r_hi] in equal panels of width <~ h_target.
 
     The panel count is clipped to 1..96; nodes of all panels are built at
-    once, with the same arithmetic as ``gl_panel`` on each panel.  The
-    arrays are cached per (r_lo, r_hi, panel count, gl) and read-only.
+    once, with the same arithmetic as ``gl_panel`` on each panel.
     """
     npan = int(np.clip(math.ceil((r_hi - r_lo) / max(h_target, 1e-300)), 1, 96))
-    return _radial_rule(float(r_lo), float(r_hi), npan, gl)
-
-
-@lru_cache(maxsize=32)
-def _radial_rule(r_lo: float, r_hi: float, npan: int, gl: int):
     edges = np.linspace(r_lo, r_hi, npan + 1)
     lo, hi = edges[:-1, None], edges[1:, None]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     x, w = _leg_base(gl)
-    rr, rw = (mid + half * x).ravel(), (half * w).ravel()
-    rr.setflags(write=False)
-    rw.setflags(write=False)
-    return rr, rw
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
@@ -490,9 +479,8 @@ def sphere_average(n: int, k):
 
 def _panelwise(values):
     """``values`` on one adaptive_gl panel's durations at a time, each with its own rule."""
-    step = _GL_HI + _GL_LO
-    return wraps(values)(lambda u, x0, t0, avals, *rest: np.concatenate(
-        [values(u, x0, t0, avals[i:i + step], *rest) for i in range(0, len(avals), step)]))
+    return wraps(values)(lambda u, x0, t0, avals, *rest: _blocks(
+        lambda a: values(u, x0, t0, a, *rest), avals, _GL_HI + _GL_LO))
 
 
 @_panelwise
@@ -532,7 +520,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
         vals = u(np.broadcast_to(pts, (len(a),) + pts.shape), t0 - a[:, None])
         return (vals * kern) @ ww
 
-    return _blocks(block, avals, len(pts))
+    return _blocks(block, avals, max(1, _POINT_BUDGET // len(pts)))
 
 
 def _fullspace_values(u, x0, t0, avals, p: KernelParams):

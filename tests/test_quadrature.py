@@ -283,15 +283,15 @@ def test_quadspec_rejects_non_finite_floats(bad):
         QuadSpec(**bad)
 
 
-def _tallied(u):
-    """u with an evaluator that adds up the points it is called on."""
-    tally = [0]
+def _call_sizes(u):
+    """u with an evaluator that records the number of points of each call."""
+    sizes = []
 
     def evaluator(pts, tt):
-        tally[0] += len(pts)
+        sizes.append(len(pts))
         return u.evaluator(pts, tt)
 
-    return dataclasses.replace(u, evaluator=evaluator), tally
+    return dataclasses.replace(u, evaluator=evaluator), sizes
 
 
 def _wave(n):
@@ -316,9 +316,9 @@ AT1, AT2 = (np.full(1, 0.2), 0.1), (np.full(2, 0.2), 0.1)
         "marchaud-exp", "tail-w4"])
 def test_nodes_used_is_the_evaluator_point_count(make, run, anchor):
     # nodes_used counts every point u is evaluated at, without the anchor u(x, t)
-    u, tally = _tallied(make())
+    u, sizes = _call_sizes(make())
     res = run(u, kernel_constants(u.dim, 0.5))
-    assert 0 < res.nodes_used == tally[0] - anchor
+    assert 0 < res.nodes_used == sum(sizes) - anchor
 
 
 # --- adaptive_gl: one integrand call per bisection level ---------------------
@@ -542,17 +542,6 @@ def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, fea
         assert any(lo < t0 < hi for lo, hi in _graded_panels(horizon, q.a_min, [], q))
     assert value == pytest.approx(ref_value, rel=1e-8)
     assert err == pytest.approx(ref_err, rel=1e-8)
-
-
-def _call_sizes(u):
-    """u with an evaluator that records the number of points of each call."""
-    sizes = []
-
-    def evaluator(pts, tt):
-        sizes.append(len(pts))
-        return u.evaluator(pts, tt)
-
-    return dataclasses.replace(u, evaluator=evaluator), sizes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -84,15 +84,6 @@ def test_radial_nodes_match_the_per_panel_loop(r_lo, r_hi, h, gl):
     assert np.sum(ww) == pytest.approx(math.pi * (r_hi ** 2 - r_lo ** 2), rel=1e-12)
 
 
-def test_radial_nodes_are_cached_read_only():
-    rr, rw = radial_nodes(0.5, 3.0, 0.1, 8)
-    # another h_target with the same panel count gives the same cached rule
-    again = radial_nodes(0.5, 3.0, 0.1 + 1e-9, 8)
-    assert again[0] is rr and again[1] is rw
-    assert not rr.flags.writeable and not rw.flags.writeable
-    assert radial_nodes(0.5, 3.0, 0.05, 8)[0].size == 2 * rr.size
-
-
 def test_i0e_against_scipy_on_both_branches():
     k = np.concatenate([np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1e4, 4000),
                         _I0E_SWITCH * (1.0 + np.linspace(-1e-3, 1e-3, 21))])
