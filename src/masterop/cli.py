@@ -78,7 +78,9 @@ OPTIONS = {
     "tol": (QuadSpec.rel_tol, float, "relative tolerance"),
     "gh_order": (QuadSpec.gh_order, int, f"Gauss-Hermite order each difference time panel "
                  f"starts at (default {QuadSpec.gh_order}); each round doubles it for the "
-                 "panels not yet settled, up to the cap 200, 80 or 32 at n = 1, 2, 3"),
+                 "panels not yet settled, until two successive orders agree to within the "
+                 "larger of the tolerance and the rounding floor, up to the cap 200, 80 or 32 "
+                 "at n = 1, 2, 3"),
     "grading": (QuadSpec.grading, float, "ratio of the graded time mesh, in (0,1)"),
     "a_min": (QuadSpec.a_min, float, "shortest duration of the graded time mesh"),
     "horizon": (QuadSpec.horizon, float, "time horizon (omit for Auto via support boxes)"),
@@ -202,7 +204,10 @@ def build_config(args) -> RunConfig:
             raise ValueError(f"--{key.replace('_', '-')} does not apply to {args.command}")
     # explicit flags override file and environment
     values.update((k, v) for k in args.reads if (v := getattr(args, k)) is not None)
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    if cfg.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {cfg.jobs}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

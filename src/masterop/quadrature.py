@@ -12,7 +12,9 @@ Three refinements make this robust at desk scale:
 
 * escalation of the Gauss-Hermite order in rounds: the rule resolves an
   oscillation exp(i w z) only while w <= sqrt(2 * order), so each round
-  doubles the order of every panel whose value has not yet stabilized;
+  doubles the order of every panel whose value has not yet stabilized,
+  that is, until two successive orders agree to within the larger of the
+  tolerance and the rounding floor of the cancelling difference;
 * the contribution of the u(x,t) term beyond any horizon is the exact
   kernel mass const * (4 pi)^{n/2} * T^{-s} / s and is always added
   analytically;
@@ -43,6 +45,10 @@ _GH_CAP = {1: MAX_GH_ORDER, 2: 80, 3: 32}
 
 #: every Gauss-Legendre panel sum uses _GL_HI nodes, checked against _GL_LO
 _GL_HI, _GL_LO = 8, 4
+#: a difference panel's rounding floor, in units of eps pi^{n/2} max(1, |u0|)
+#: int a^{-(1+s)} da over the panel; on panels of pure cancellation (a <= 1e-7)
+#: successive orders of random plane waves stepped by at most 6.6 such units
+_ROUNDING_FLOOR = 16
 #: adaptive_gl bisects a panel at most this many times
 _BISECT_DEPTH = 14
 #: log-mesh panels per decade of the non-singular window integrals
@@ -62,7 +68,8 @@ class QuadSpec:
     ``gh_order`` (default 4) is the Gauss-Hermite order each time panel of
     the difference integral starts at; in each escalation round the order
     of every open panel doubles, up to the per-n cap _GH_CAP, and a panel
-    closes once two successive orders agree.  ``grading`` controls the
+    closes once two successive orders agree to within the larger of the
+    tolerance and the rounding floor.  ``grading`` controls the
     geometric time mesh of that integral.  ``horizon`` of None means
     Auto: the engine derives the hand-off point from the support box and
     computes the remainder exactly (functions without a support box then
@@ -323,6 +330,18 @@ def singular_integral(dens, u: FunctionHandle, T: float, lo: float, kinks,
     return total + closure, err + closure_err
 
 
+def _rounding_floor(lo, hi, u0: float, p: KernelParams):
+    """The rounding floor of the difference panels (lo, hi], elementwise.
+
+    It is _ROUNDING_FLOOR eps pi^{n/2} max(1, |u0|) int_lo^hi a^{-(1+s)} da:
+    where the panel value a^{-(1+s)} (pi^{n/2} u0 - sum W u) is pure
+    cancellation, two Gauss-Hermite orders differ by its rounding, which
+    stays below this floor.
+    """
+    return (_ROUNDING_FLOOR * np.finfo(float).eps * math.pi ** (p.n / 2.0)
+            * max(1.0, abs(u0)) * (lo ** -p.s - hi ** -p.s) / p.s)
+
+
 def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
                        q: QuadSpec, horizon: float):
     """GH-difference integral on (a_min, horizon] plus sub-a_min closure.
@@ -333,8 +352,9 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
 
     Every time panel starts at order ``q.gh_order``.  Each escalation round
     evaluates the durations of all open panels, which share one order,
-    through ``_blocks``; a panel closes when its value agrees with the
-    previous round's or its order reached the cap, and the others double.
+    through ``_blocks``; a panel closes when two successive orders agree
+    to within the larger of the tolerance and the rounding floor, or its
+    order reached the cap, and the others double.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
@@ -345,6 +365,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     a_h, w_h = gl_panel(edges[:, :1], edges[:, 1:], _GL_HI)
     a_l, w_l = gl_panel(edges[:, :1], edges[:, 1:], _GL_LO)
     a_all = np.hstack([a_h, a_l])
+    tol = np.maximum(q.panel_tol(u0), _rounding_floor(edges[:, 0], edges[:, 1], u0, p))
     dens_h = np.empty_like(a_h)
     prev = np.full(len(edges), np.nan)
     total = err = 0.0
@@ -359,7 +380,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
             lo, hi = edges[live[np.argmin(np.isfinite(val))]]
             raise NumericError(f"non-finite integrand in time panel ({lo:g}, {hi:g}]")
         step = np.abs(val - prev[live])     # nan in a panel's first round
-        shut = (step <= q.panel_tol(u0)) | (order >= gh_cap)
+        shut = (step <= tol[live]) | (order >= gh_cap)
         done = live[shut]
         val_lo = np.sum(w_l[done] * dens[shut, _GL_HI:], axis=1)
         total += float(np.sum(val[shut]))

@@ -194,6 +194,8 @@ def cap_address_space():
     (["verify", "--samples", "0"], "--samples must be at least 1"),
     (["verify", "--samples", "-5", "--what", "c1"], "--samples must be at least 1"),
     (["verify", "--samples", "0", "--what", "partition1"], "--samples must be at least 1"),
+    (["counterexample", "--which", "1", "--jobs", "-2"], "--jobs must be at least 1"),
+    (["defect", "--jobs", "0"], "--jobs must be at least 1"),
     (["counterexample", "--which", "2", "--probes", "1,1"], "--probes does not apply"),
     (["counterexample", "--which", "1", "--times", "1"], "--times applies only"),
     (["counterexample", "--which", "3", "--times", "1"], "--times applies only"),
@@ -226,7 +228,8 @@ def cap_address_space():
     (["eval", "phi(4,1e300,1)"], "alpha=1e+300 overflows"),
     (["eval", "psi(4,1,1e300)"], "beta=1e+300 overflows"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
-        "samples-0", "samples-negative-c1", "samples-0-partition1", "probes-which-2",
+        "samples-0", "samples-negative-c1", "samples-0-partition1", "jobs-negative",
+        "jobs-0-defect", "probes-which-2",
         "times-which-1", "times-which-3", "horizon-inf", "tol-nan", "tol-inf", "a-min-nan",
         "r-schedule-inf", "probe-nan", "constant-nan", "j-schedule-decreasing",
         "R-decreasing", "s-tiny", "beta-nan", "alpha-inf", "gamma-nan", "defect-gamma-nan",

@@ -36,8 +36,10 @@ from masterop.quadrature import (
     _POINT_BUDGET,
     _auto_handoff,
     _difference_panels,
+    _gh_sums,
     _gh_tensor,
     _graded_panels,
+    _rounding_floor,
     _shell_values,
     adaptive_gl,
     gauss_hermite_nodes,
@@ -451,6 +453,7 @@ def test_start_order_4_cuts_the_n3_node_count():
 def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
     """The per-panel loop the escalation rounds replaced: each time panel
     doubles its own Gauss-Hermite order until two successive orders agree
+    to within the larger of the tolerance and the panel's rounding floor,
     or it reaches the cap, with one evaluator call per panel and order."""
     n, s = p.n, p.s
     sqpi_n = math.pi ** (n / 2.0)
@@ -459,6 +462,7 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
     total = err = 0.0
     inner_a, inner_dens = [], []
     for idx, (lo, hi) in enumerate(panels):
+        floor = _rounding_floor(lo, hi, u0, p)
         a_h, w_h = gl_panel(lo, hi, _GL_HI)
         a_l, w_l = gl_panel(lo, hi, _GL_LO)
         a_all = np.concatenate([a_h, a_l])
@@ -469,7 +473,8 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
             vals = u(pts, np.broadcast_to((t0 - a_all)[:, None], pts.shape[:2]))
             dens = a_all ** (-1.0 - s) * (sqpi_n * u0 - vals @ W)
             cur = float(np.dot(w_h, dens[:_GL_HI]))
-            if (prev is not None and abs(cur - prev) <= q.panel_tol(u0)) or order >= gh_cap:
+            if ((prev is not None and abs(cur - prev) <= max(q.panel_tol(u0), floor))
+                    or order >= gh_cap):
                 err += 0.0 if prev is None else abs(cur - prev)
                 break
             prev, order = cur, min(2 * order, gh_cap)
@@ -507,19 +512,23 @@ def _cap_wave(n):
 # rounds hand the evaluator other blocks of durations than the per-panel
 # loop, so the sum of W u can round differently, and at small a the
 # difference pi^{n/2} u0 - sum W u cancels: a value can move by rounding
-# (5e-9 relative was seen).  On some inputs that flips one panel's stop
-# decision, inside its err_estimate; on others (n = 3, s = 0.7) the
-# innermost panels reach the cap on rounding noise and err_estimate moves
-# by 1e-3 relative.  Neither kind of input is used here.
+# (5e-9 relative was seen).  The rounding floor closes the innermost
+# panels at large s (wave-n3-s07, wave-n2-s08) before rounding steers
+# their orders; without it they ran to the cap on rounding noise and
+# err_estimate moved by 1e-3 relative.  A step that straddles a panel's
+# tolerance within rounding could still flip one stop decision, inside
+# its err_estimate; no input here does.
 @pytest.mark.parametrize("make, n, s, at, horizon, feature", [
     (lambda: _wave(1), 1, 0.5, ([0.2], 0.1), 60.0, None),
     (lambda: _wave(2), 2, 0.3, ([0.2, -0.1], 0.4), 60.0, None),
     (lambda: _wave(3), 3, 0.5, ([0.2, 0.0, 0.3], -0.2), 60.0, None),
+    (lambda: _wave(3), 3, 0.7, ([0.2, 0.0, 0.3], -0.2), 60.0, None),
+    (lambda: _wave(2), 2, 0.8, ([0.2, -0.1], 0.4), 60.0, None),
     (lambda: w_family(16, 1.0, 0.5), 1, 0.5, ([0.4], 0.1), None, "kink"),
     (lambda: w_family(16, 1.0, 0.5, n=3), 3, 0.5, ([0.4, 0.0, 0.0], 0.1), None, "kink"),
     (lambda: _cap_wave(1), 1, 0.25, ([0.1], 0.3), 60.0, "cap"),
     (lambda: _cap_wave(2), 2, 0.25, ([0.1, 0.2], 0.3), 60.0, "cap"),
-], ids=["wave-n1", "wave-n2", "wave-n3", "w16-n1", "w16-n3", "gh-cap-n1", "gh-cap-n2"])
+], ids=["wave-n1", "wave-n2", "wave-n3", "wave-n3-s07", "wave-n2-s08", "w16-n1", "w16-n3", "gh-cap-n1", "gh-cap-n2"])
 def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, feature):
     p, q = kernel_constants(n, s), QuadSpec()
     x0, t0 = np.array(at[0], dtype=float), at[1]
@@ -542,6 +551,63 @@ def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, fea
         assert any(lo < t0 < hi for lo, hi in _graded_panels(horizon, q.a_min, [], q))
     assert value == pytest.approx(ref_value, rel=1e-8)
     assert err == pytest.approx(ref_err, rel=1e-8)
+
+
+# --- _difference_panels: the rounding floor -----------------------------------
+
+def test_rounding_floor_keeps_large_s_at_the_s_half_node_count():
+    # without the floor, the panels below a = 1e-8 ran to the order cap on
+    # rounding noise: 5.5M points at s = 0.7 and 6.9M at s = 0.8, against 3.2M
+    xi = np.ones(3) / math.sqrt(3.0)
+    u = from_callable(lambda pts, tt: np.exp(0.5 * tt) * np.cos(pts @ xi), 3,
+                      growth=GROWTH_BOUNDED)
+    x, t = np.array([0.2, 0.0, 0.3]), -0.2
+    runs = {s: master_op(u, (x, t), kernel_constants(3, s), QuadSpec(horizon=60.0))
+            for s in (0.5, 0.7, 0.8)}
+    for s, r in runs.items():
+        # the symbol (lambda + |xi|^2)^s u; the horizon tail e^{-90} is neglected
+        symbol = 1.5 ** s * math.exp(0.5 * t) * math.cos(x @ xi)
+        assert abs(r.value - symbol) <= r.err_estimate
+    assert max(runs[0.7].nodes_used, runs[0.8].nodes_used) <= runs[0.5].nodes_used
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rounding_floor_covers_the_rounding_of_small_a_panels(n):
+    # on panels with hi <= 1e-7 every order from 8 on resolves the wave, so
+    # successive orders differ by the rounding of pi^{n/2} u0 - sum W u only
+    rng = np.random.default_rng(n)
+    orders = [8]
+    while orders[-1] < _GH_CAP[n]:
+        orders.append(min(2 * orders[-1], _GH_CAP[n]))
+    for _ in range(3):
+        lam, s, t0 = rng.uniform(0.1, 2.0), rng.uniform(0.1, 0.95), rng.uniform(-1.0, 1.0)
+        xi = rng.normal(size=n)
+        xi *= rng.uniform(0.3, 3.0) / np.linalg.norm(xi)
+        x0 = rng.uniform(-1.0, 1.0, n)
+        u = from_callable(lambda pts, tt: np.exp(lam * tt) * np.cos(pts @ xi), n,
+                          growth=GROWTH_BOUNDED)
+        p, u0 = kernel_constants(n, s), u.at(x0, t0)
+        for lo, hi in _graded_panels(60.0, 1e-10, [], QuadSpec()):
+            if hi > 1e-7:
+                continue
+            a, w = gl_panel(lo, hi, _GL_HI)
+            vals = [w @ (a ** (-1.0 - s) * (math.pi ** (n / 2.0) * u0
+                                             - _gh_sums(u, x0, t0, a, order)))
+                    for order in orders]
+            assert np.max(np.abs(np.diff(vals))) <= _rounding_floor(lo, hi, u0, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rounding_floor_stays_below_the_default_tolerance_from_1e_4(n):
+    # so the floor never closes a panel whose orders still resolve u there;
+    # the panel (1e-4, inf) has the largest floor of all with lo >= 1e-4
+    q = QuadSpec()
+    panels = [(lo, hi) for lo, hi in _graded_panels(1e4, 1e-4, [], q) if lo >= 1e-4]
+    lo, hi = np.array(panels + [(1e-4, math.inf)]).T
+    for s in (0.01, 0.25, 0.5, 0.75, 0.9, 0.99):
+        for u0 in (0.0, 0.5, -3.0, 1e6):
+            floor = _rounding_floor(lo, hi, u0, kernel_constants(n, s))
+            assert np.all(floor < q.panel_tol(u0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
