@@ -80,7 +80,8 @@ OPTIONS = {
                  f"starts at (default {QuadSpec.gh_order}); each round doubles it for the "
                  "panels not yet settled, until two successive orders agree to within the "
                  "larger of the tolerance and the rounding floor, up to the cap 200, 80 or 32 "
-                 "at n = 1, 2, 3"),
+                 "at n = 1, 2, 3, or 200 for a radial input, whose order at n = 3 is that of a "
+                 "1-D rule and at n = 2 means order // 2 Gauss-Legendre panels of 8 nodes in r"),
     "grading": (QuadSpec.grading, float, "ratio of the graded time mesh, in (0,1)"),
     "a_min": (QuadSpec.a_min, float, "shortest duration of the graded time mesh"),
     "horizon": (QuadSpec.horizon, float, "time horizon (omit for Auto via support boxes)"),
@@ -238,9 +239,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.probes and args.which == 2:
+    # an empty --probes= or --times= is given, and refused as an empty list below
+    if args.probes is not None and args.which == 2:
         raise ValueError("--probes does not apply to --which 2; use --times")
-    if args.times and args.which != 2:
+    if args.times is not None and args.which != 2:
         raise ValueError(f"--times applies only to --which 2, not {args.which}")
     if not 0.0 <= args.target_tol < math.inf:
         raise ValueError(f"--target-tol must be finite and at least 0, got {args.target_tol}")
@@ -261,7 +263,7 @@ def cmd_counterexample(args) -> int:
         target = -families.C1_constant(s, cfg.normalization)
         family = lambda j: families.psi_family(j, alpha, args.beta, dim=n)
         op = lambda u, x, t: marchaud(u, t, p, q)
-        times = _parse_list(args.times, float) if args.times else [0.0]
+        times = _parse_list(args.times, float) if args.times is not None else [0.0]
         points = [(origin, t) for t in times]
     else:
         target = -1.0
@@ -269,7 +271,7 @@ def cmd_counterexample(args) -> int:
             j, args.gamma, s, n=n, normalization=cfg.normalization)
         op = lambda u, x, t: master_op(u, (x, t), p, q)
         points = [(origin, 0.0), (np.ones(n), 1.0), (-np.ones(n), 0.5)]
-    if args.probes:
+    if args.probes is not None:
         points = _parse_probes(args.probes, n)
 
     cells = [(j, x, t) for j in js for x, t in points]
@@ -295,7 +297,7 @@ def cmd_defect(args) -> int:
     p, q = cfg.kernel(), cfg.quad()
     js = _parse_list(args.j_schedule, int)
     Rs = _parse_list(args.r_schedule, float)
-    if args.probes:
+    if args.probes is not None:
         probes = _parse_probes(args.probes, cfg.n)
     else:
         # spread over the parabolic box the strictest (smallest) R allows
@@ -354,6 +356,9 @@ def cmd_verify(args) -> int:
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
     Rs = _parse_schedule(args.R, float, "--R")
+    # before any sampling: the partition checks sample with R unchecked
+    if not all(0.0 < Rk < math.inf for Rk in Rs):
+        raise ValueError(f"--R entries must be finite and positive, got {args.R!r}")
     R = Rs[-1]
     e1 = np.zeros(n)
     e1[0] = 1.0

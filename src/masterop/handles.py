@@ -56,8 +56,10 @@ class FunctionHandle:
     time_kinks: times where u is only C^1 in t (panel split points).
     radial: u(x, t) depends on x only through |x|.  Like ``support``, this
         is a declared property, not a tuning option: the shell integrals
-        then use the closed-form angular average (Funk-Hecke) and evaluate
-        u only at points r * e_1, so a wrong declaration gives wrong values.
+        then use the closed-form angular average (Funk-Hecke), the
+        difference integral's Gaussian averages at n = 2, 3 a 1-D rule in
+        r, and both evaluate u only at points r * e_1, so a wrong
+        declaration gives wrong values in either.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -8,6 +8,11 @@ difference structure:
 
     int_0^inf  const * 2^n * a^{-(1+s)} * GH_z[ u(x,t) - u(x + 2 sqrt(a) z, t - a) ] da.
 
+The Gauss-Hermite sums come from ``spatial_average``: the order^n tensor
+rule, or for a radial u at n = 2, 3 a 1-D rule in r = |y| (the odd
+extension of r u(r) at n = 3, Gauss-Legendre panels against the
+Funk-Hecke kernel at n = 2), normalised so that a constant is exact.
+
 Three refinements make this robust at desk scale:
 
 * escalation of the Gauss-Hermite order in rounds: the rule resolves an
@@ -42,6 +47,9 @@ MAX_GH_ORDER = 200
 
 #: escalation caps keep tensor rules at sane sizes per dimension
 _GH_CAP = {1: MAX_GH_ORDER, 2: 80, 3: 32}
+#: the n = 2 radial average spans rho +- _RADIAL_REACH * 2 sqrt(a) in r,
+#: where the Gaussian has fallen to e^{-81}
+_RADIAL_REACH = 9.0
 
 #: every Gauss-Legendre panel sum uses _GL_HI nodes, checked against _GL_LO
 _GL_HI, _GL_LO = 8, 4
@@ -67,7 +75,7 @@ class QuadSpec:
 
     ``gh_order`` (default 4) is the Gauss-Hermite order each time panel of
     the difference integral starts at; in each escalation round the order
-    of every open panel doubles, up to the per-n cap _GH_CAP, and a panel
+    of every open panel doubles, up to the cap ``_gh_cap(u)``, and a panel
     closes once two successive orders agree to within the larger of the
     tolerance and the rounding floor.  ``grading`` controls the
     geometric time mesh of that integral.  ``horizon`` of None means
@@ -167,12 +175,88 @@ def _blocks(f, rows, step: int):
 def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     """sum_k W_k u(x0 + 2 sqrt(a) Z_k, t0 - a) per duration a, on the order^n rule."""
     Z, W = _gh_tensor(order, len(x0))
+    # flat products, not a broadcast over the short last axis of length n > 1
+    # (at n = 1 x0 broadcasts as a scalar); the sum in place, so a block
+    # allocates one array of points
+    flat = Z.ravel()
+    x0s = np.tile(x0, len(W)) if len(x0) > 1 else x0
 
     def block(a):
-        pts = x0[None, None, :] + 2.0 * np.sqrt(a)[:, None, None] * Z[None, :, :]
+        pts = 2.0 * np.sqrt(a)[:, None] * flat
+        pts += x0s
+        pts = pts.reshape((len(a),) + Z.shape)
         return u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])) @ W
 
     return _blocks(block, avals, max(1, _POINT_BUDGET // len(W)))
+
+
+def _sinhc(x):
+    """sinh(x) / x, 1 at x = 0."""
+    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
+
+
+def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
+    """The radial body of ``spatial_average`` at n = 2, 3: a 1-D rule in r = |y|.
+
+    Each duration a, with c = 2 sqrt(a), rho = |x0| and beta = rho / c, gets
+    radii r and weights v, and returns pi^{n/2} sum v u(r e_1) / sum v, so
+    that a constant is exact at every order.  At n = 3 the odd extension of
+    r u(r) turns the average into a 1-D Gauss-Hermite sum on
+    ``gauss_hermite_nodes(order)`` (at least 2 nodes): shifted, r = rho + c z
+    and v = w r, when beta > 1; centred, r = c z and
+    v = w z^2 sinh(2 beta z) / (2 beta z), when beta <= 1.  At n = 2, r runs
+    over max(1, order // 2) equal Gauss-Legendre panels of _GL_HI nodes on
+    (max(0, rho - 9c), rho + 9c) and v is the radial weight r dr times the
+    angular integral of the Gaussian, ``_angular_gaussian``.
+    """
+    n = len(x0)
+    rho = float(np.linalg.norm(x0))
+    if n == 3:
+        z, w = gauss_hermite_nodes(max(order, 2))
+    else:
+        # the panels' nodes z and weights w on (0, 1)
+        x, wx = _leg_base(_GL_HI)
+        panels = max(1, order // 2)
+        z = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
+        w = np.tile(0.5 * wx / panels, panels)
+
+    def block(a):
+        c = 2.0 * np.sqrt(a)[:, None]
+        if n == 3:
+            beta = rho / c
+            shifted = beta > 1.0
+            rr = np.where(shifted, rho + c * z, c * z)
+            v = w * np.where(shifted, rr, z * z * _sinhc(2.0 * np.minimum(beta, 1.0) * z))
+        else:
+            lo = np.maximum(rho - _RADIAL_REACH * c, 0.0)
+            width = rho + _RADIAL_REACH * c - lo
+            rr = lo + width * z
+            v = width * w * rr * _angular_gaussian(n, rho, rr, c * c)
+        pts = np.zeros(rr.shape + (n,))
+        pts[..., 0] = np.abs(rr)
+        vals = u(pts, np.broadcast_to((t0 - a)[:, None], rr.shape))
+        return math.pi ** (n / 2.0) * np.sum(v * vals, axis=1) / np.sum(v, axis=1)
+
+    return _blocks(block, avals, max(1, _POINT_BUDGET // len(z)))
+
+
+def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
+    """sum_k W_k u(x0 + 2 sqrt(a) Z_k, t0 - a) per duration a: the Gauss-Hermite
+    average of u(., t0 - a) against exp(-|z|^2) around x0, pi^{n/2} for u = 1.
+
+    A radial u at n = 2, 3 takes the 1-D rule of ``_radial_sums``; any
+    other u the order^n tensor rule of ``_gh_sums``.  Both are evaluated
+    through ``_blocks`` under _POINT_BUDGET.
+    """
+    if u.radial and len(x0) > 1:
+        return _radial_sums(u, x0, t0, avals, order)
+    return _gh_sums(u, x0, t0, avals, order)
+
+
+def _gh_cap(u: FunctionHandle) -> int:
+    """The order cap of u's difference panels: _GH_CAP of its dimension, or
+    MAX_GH_ORDER for a radial u, whose rule in ``spatial_average`` is 1-D."""
+    return MAX_GH_ORDER if u.radial else _GH_CAP[u.dim]
 
 
 @lru_cache(maxsize=32)
@@ -352,14 +436,14 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
 
     Every time panel starts at order ``q.gh_order``.  Each escalation round
     evaluates the durations of all open panels, which share one order,
-    through ``_blocks``; a panel closes when two successive orders agree
+    through ``spatial_average``; a panel closes when two successive orders agree
     to within the larger of the tolerance and the rounding floor, or its
     order reached the cap, and the others double.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
     sqpi_n = math.pi ** (n / 2.0)
-    gh_cap = max(q.gh_order, _GH_CAP[n])
+    gh_cap = max(q.gh_order, _gh_cap(u))
 
     edges = np.array(_graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q))
     a_h, w_h = gl_panel(edges[:, :1], edges[:, 1:], _GL_HI)
@@ -373,7 +457,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     order = q.gh_order
     while live.size:
         aa = a_all[live]
-        dens = aa ** (-1.0 - s) * (sqpi_n * u0 - _gh_sums(u, x0, t0, aa.ravel(), order)
+        dens = aa ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, aa.ravel(), order)
                                    .reshape(aa.shape))
         val = np.sum(w_h[live] * dens[:, :_GL_HI], axis=1)
         if not np.all(np.isfinite(val)):
@@ -498,6 +582,12 @@ def sphere_average(n: int, k):
     return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
 
 
+def _angular_gaussian(n: int, rho, rr, a4):
+    """int_{S^{n-1}} exp(-|x0 - r theta|^2 / a4) dtheta at |x0| = rho (Funk-Hecke):
+    exp(-(rho - r)^2 / a4) times ``sphere_average(n, 2 rho r / a4)``."""
+    return np.exp(-(rho - rr) ** 2 / a4) * sphere_average(n, 2.0 * rho * rr / a4)
+
+
 def _panelwise(values):
     """``values`` on one adaptive_gl panel's durations at a time, each with its own rule."""
     return wraps(values)(lambda u, x0, t0, avals, *rest: _blocks(
@@ -521,8 +611,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     h_target = max(min(math.sqrt(a_ref), width / 24.0), width / 96.0)
     if u.radial:
         rr, rw = radial_nodes(r_lo, r_hi, h_target, _GL_HI)
-        a4 = 4.0 * avals[:, None]
-        kern = np.exp(-(rho - rr) ** 2 / a4) * sphere_average(n, 2.0 * rho * rr / a4)
+        kern = _angular_gaussian(n, rho, rr, 4.0 * avals[:, None])
         pts = np.zeros((len(rr), n))
         pts[:, 0] = rr
         vals = u(np.broadcast_to(pts, (len(avals),) + pts.shape), t0 - avals[:, None])

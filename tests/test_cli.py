@@ -227,6 +227,13 @@ def cap_address_space():
     (["counterexample", "--which", "2", "--beta", "1e300"], "alpha=5e+299 overflows"),
     (["eval", "phi(4,1e300,1)"], "alpha=1e+300 overflows"),
     (["eval", "psi(4,1,1e300)"], "beta=1e+300 overflows"),
+    (["verify", "--R=inf"], "--R entries must be finite and positive, got 'inf'"),
+    (["verify", "--R=-1,100", "--what", "partition1"], "--R entries must be finite and positive"),
+    (["counterexample", "--which", "1", "--probes="], "empty list ''"),
+    (["counterexample", "--which", "2", "--times="], "empty list ''"),
+    (["counterexample", "--which", "2", "--probes="], "--probes does not apply"),
+    (["counterexample", "--which", "3", "--times="], "--times applies only"),
+    (["defect", "--probes="], "empty list ''"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "jobs-negative",
         "jobs-0-defect", "probes-which-2",
@@ -236,7 +243,8 @@ def cap_address_space():
         "literal-in-family", "literal-overflow", "target-tol-nan", "target-tol-negative",
         "flap-point-nan", "marchaud-point-inf", "times-nan", "config-gl-order",
         "beta-overflow-which-1", "beta-overflow-which-2", "phi-alpha-overflow",
-        "psi-beta-overflow"])
+        "psi-beta-overflow", "R-inf", "R-negative-partition1", "empty-probes",
+        "empty-times", "empty-probes-which-2", "empty-times-which-3", "defect-empty-probes"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     (tmp_path / "gl.cfg").write_text("gl_order = 6\n")
     proc = subprocess.run(

@@ -36,6 +36,7 @@ from masterop.quadrature import (
     _POINT_BUDGET,
     _auto_handoff,
     _difference_panels,
+    _gh_cap,
     _gh_sums,
     _gh_tensor,
     _graded_panels,
@@ -48,6 +49,7 @@ from masterop.quadrature import (
     integrate_difference,
     slab_mass,
     small_a_closure,
+    spatial_average,
     split_panels,
     window_uM_integral,
 )
@@ -439,13 +441,33 @@ def test_start_order_4_agrees_with_20(n, s):
 
 
 def test_start_order_4_cuts_the_n3_node_count():
+    # a non-radial input, so the difference panels take the order^3 tensor rule
     p = kernel_constants(3, 0.5)
     at = (np.array([0.4, 0.0, 0.0]), 0.1)
-    u = w_family(16, 1.0, 0.5, n=3)
-    r4 = master_op(u, at, p, QuadSpec())
-    r20 = master_op(u, at, p, QuadSpec(gh_order=20))
+    u = _wave(3)
+    r4 = master_op(u, at, p, QuadSpec(horizon=60.0))
+    r20 = master_op(u, at, p, QuadSpec(horizon=60.0, gh_order=20))
     assert 3 * r4.nodes_used <= r20.nodes_used
     assert abs(r4.value - r20.value) <= r4.err_estimate + r20.err_estimate
+
+
+@pytest.mark.parametrize("n, most", [(2, 120_576), (3, 77_434)])
+def test_radial_body_cuts_the_w16_node_count(n, most):
+    # the order^n tensor rule took 241,152 points at n = 2 and 774,336 at n = 3
+    at = (np.array([0.4, 0.0, 0.0][:n]), 0.1)
+    r = master_op(w_family(16, 1.0, 0.5, n=n), at, kernel_constants(n, 0.5), QuadSpec())
+    assert r.nodes_used <= most
+    assert abs(r.value + 1.0) < 0.01
+
+
+def test_tensor_body_matches_the_broadcast_points():
+    # the flat point layout of _gh_sums evaluates u at the same points, bit for bit
+    u, x0, t0 = _wave(3), np.array([0.2, -0.1, 0.3]), 0.1
+    avals = np.geomspace(1e-6, 10.0, 40)
+    Z, W = _gh_tensor(8, 3)
+    pts = x0[None, None, :] + 2.0 * np.sqrt(avals)[:, None, None] * Z[None, :, :]
+    ref = u(pts, np.broadcast_to((t0 - avals)[:, None], pts.shape[:2])) @ W
+    assert np.array_equal(_gh_sums(u, x0, t0, avals, 8), ref)
 
 
 # --- _difference_panels: escalation rounds under one point budget -------------
@@ -454,10 +476,11 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
     """The per-panel loop the escalation rounds replaced: each time panel
     doubles its own Gauss-Hermite order until two successive orders agree
     to within the larger of the tolerance and the panel's rounding floor,
-    or it reaches the cap, with one evaluator call per panel and order."""
+    or it reaches the cap, with one ``spatial_average`` call per panel and
+    order."""
     n, s = p.n, p.s
     sqpi_n = math.pi ** (n / 2.0)
-    gh_cap = max(q.gh_order, _GH_CAP[n])
+    gh_cap = max(q.gh_order, _gh_cap(u))
     panels = _graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q)
     total = err = 0.0
     inner_a, inner_dens = [], []
@@ -468,10 +491,7 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
         a_all = np.concatenate([a_h, a_l])
         order, prev = q.gh_order, None
         while True:
-            Z, W = _gh_tensor(order, n)
-            pts = x0 + 2.0 * np.sqrt(a_all)[:, None, None] * Z
-            vals = u(pts, np.broadcast_to((t0 - a_all)[:, None], pts.shape[:2]))
-            dens = a_all ** (-1.0 - s) * (sqpi_n * u0 - vals @ W)
+            dens = a_all ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, a_all, order))
             cur = float(np.dot(w_h, dens[:_GL_HI]))
             if ((prev is not None and abs(cur - prev) <= max(q.panel_tol(u0), floor))
                     or order >= gh_cap):
@@ -491,7 +511,8 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
 
 def _order_log(u):
     """u with an evaluator that records, per time t0 - a, the most points a
-    call evaluated there: order^n of that duration's last Gauss-Hermite rule."""
+    call evaluated there: the size of that duration's last rule, order^n for
+    the tensor rule."""
     seen = {}
 
     def evaluator(pts, tt):
@@ -525,10 +546,12 @@ def _cap_wave(n):
     (lambda: _wave(3), 3, 0.7, ([0.2, 0.0, 0.3], -0.2), 60.0, None),
     (lambda: _wave(2), 2, 0.8, ([0.2, -0.1], 0.4), 60.0, None),
     (lambda: w_family(16, 1.0, 0.5), 1, 0.5, ([0.4], 0.1), None, "kink"),
+    (lambda: w_family(16, 1.0, 0.5, n=2), 2, 0.5, ([0.4, 0.0], 0.1), None, "kink"),
     (lambda: w_family(16, 1.0, 0.5, n=3), 3, 0.5, ([0.4, 0.0, 0.0], 0.1), None, "kink"),
     (lambda: _cap_wave(1), 1, 0.25, ([0.1], 0.3), 60.0, "cap"),
     (lambda: _cap_wave(2), 2, 0.25, ([0.1, 0.2], 0.3), 60.0, "cap"),
-], ids=["wave-n1", "wave-n2", "wave-n3", "wave-n3-s07", "wave-n2-s08", "w16-n1", "w16-n3", "gh-cap-n1", "gh-cap-n2"])
+], ids=["wave-n1", "wave-n2", "wave-n3", "wave-n3-s07", "wave-n2-s08", "w16-n1", "w16-n2",
+        "w16-n3", "gh-cap-n1", "gh-cap-n2"])
 def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, feature):
     p, q = kernel_constants(n, s), QuadSpec()
     x0, t0 = np.array(at[0], dtype=float), at[1]

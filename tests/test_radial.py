@@ -1,5 +1,6 @@
-"""The declared radial property: its propagation, the Funk-Hecke shell path
-and the closed-form angular averages it relies on."""
+"""The declared radial property: its propagation, the Funk-Hecke shell path,
+the 1-D rule of the Gauss-Hermite difference panels and the closed-form
+angular averages they rely on."""
 import dataclasses
 import math
 
@@ -11,6 +12,7 @@ from masterop import (
     QuadSpec,
     constant,
     kernel_constants,
+    master_op,
     phi_family,
     psi_family,
     rescale,
@@ -19,14 +21,17 @@ from masterop import (
     zero,
 )
 from masterop.funcdsl import parse, to_handle
-from masterop.handles import combine, from_callable, shifted
+from masterop.handles import GROWTH_BOUNDED, combine, from_callable, shifted
 from masterop.quadrature import (
+    _GH_CAP,
     _I0E_SWITCH,
+    MAX_GH_ORDER,
     angular_rule,
     gl_panel,
     i0e,
     radial_nodes,
     shell_rule,
+    spatial_average,
     sphere_average,
     window_uM_integral,
 )
@@ -170,3 +175,53 @@ def test_tail_of_w_at_origin_is_one(n):
                         p, QuadSpec())
     assert F.err_estimate < 1e-5
     assert abs(F.value - 1.0) <= F.err_estimate
+
+
+# --- the radial body of the Gauss-Hermite difference panels --------------------
+
+def _radial_gaussian(n):
+    """e^{0.3 t - |x|^2}, whose Gauss-Hermite average has a closed form."""
+    return from_callable(lambda pts, tt: np.exp(0.3 * tt - np.sum(pts * pts, axis=-1)), n,
+                         growth=GROWTH_BOUNDED, radial=True)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("rho, beta", [(0.0, 0.0), (0.4, 0.5), (0.4, 1.0), (0.4, 3.0),
+                                       (2.0, 3.0)])
+def test_radial_body_matches_the_closed_form(n, rho, beta):
+    # beta = rho / (2 sqrt a) picks the centred (<= 1) or the shifted (> 1) form at n = 3;
+    # sum W u = (pi / (1 + 4a))^{n/2} exp(0.3 (t0 - a) - rho^2 / (1 + 4a))
+    a = 0.3 if beta == 0.0 else (rho / (2.0 * beta)) ** 2
+    x0, t0 = np.eye(n)[0] * rho, 0.1
+    exact = ((math.pi / (1.0 + 4.0 * a)) ** (n / 2.0)
+             * math.exp(0.3 * (t0 - a) - rho ** 2 / (1.0 + 4.0 * a)))
+    u = _radial_gaussian(n)
+    radial = spatial_average(u, x0, t0, np.array([a]), MAX_GH_ORDER)[0]
+    tensor = spatial_average(dataclasses.replace(u, radial=False), x0, t0, np.array([a]),
+                             _GH_CAP[n])[0]
+    assert radial == pytest.approx(exact, rel=1e-13)
+    assert tensor == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_body_is_exact_for_a_constant_at_every_order(n):
+    # so the cancelling difference pi^{n/2} u0 - sum W u stays at its rounding
+    avals = np.geomspace(1e-10, 100.0, 30)
+    for order in range(1, MAX_GH_ORDER + 1):
+        for rho in (0.0, 0.4, 2.0):
+            got = spatial_average(constant(-2.5, n), np.eye(n)[0] * rho, 0.1, avals, order)
+            assert np.allclose(got, -2.5 * math.pi ** (n / 2.0), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.4])
+@pytest.mark.parametrize("make, q", [
+    (lambda n: w_family(16, 1.0, 0.5, n=n), QuadSpec()),
+    (_radial_gaussian, QuadSpec(horizon=60.0)),
+], ids=["w16", "gaussian"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_and_tensor_bodies_agree_within_err_estimate(n, make, q, x):
+    # at x = 0.4 the panels below a = 0.04 take the shifted form, those above the centred
+    p = kernel_constants(n, 0.5)
+    rad, ten = _both(make(n), lambda u: master_op(u, (np.eye(n)[0] * x, 0.1), p, q))
+    assert rad.nodes_used < ten.nodes_used
+    _agree(n, (rad.value, rad.err_estimate), (ten.value, ten.err_estimate))
