@@ -80,8 +80,9 @@ OPTIONS = {
                  f"starts at (default {QuadSpec.gh_order}); each round doubles it for the "
                  "panels not yet settled, until two successive orders agree to within the "
                  "larger of the tolerance and the rounding floor, up to the cap 200, 80 or 32 "
-                 "at n = 1, 2, 3, or 200 for a radial input, whose order at n = 3 is that of a "
-                 "1-D rule and at n = 2 means order // 2 Gauss-Legendre panels of 8 nodes in r"),
+                 "at n = 1, 2, 3, or 200 for a radial input; a radial input at n = 2, 3 starts "
+                 "at 2 at least, and its order is that of a 1-D rule at n = 3 and means "
+                 "order // 2 Gauss-Legendre panels of 8 nodes in r at n = 2"),
     "grading": (QuadSpec.grading, float, "ratio of the graded time mesh, in (0,1)"),
     "a_min": (QuadSpec.a_min, float, "shortest duration of the graded time mesh"),
     "horizon": (QuadSpec.horizon, float, "time horizon (omit for Auto via support boxes)"),

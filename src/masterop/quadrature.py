@@ -74,14 +74,14 @@ class QuadSpec:
     """Knobs of the singular quadrature engine.
 
     ``gh_order`` (default 4) is the Gauss-Hermite order each time panel of
-    the difference integral starts at; in each escalation round the order
-    of every open panel doubles, up to the cap ``_gh_cap(u)``, and a panel
-    closes once two successive orders agree to within the larger of the
-    tolerance and the rounding floor.  ``grading`` controls the
-    geometric time mesh of that integral.  ``horizon`` of None means
-    Auto: the engine derives the hand-off point from the support box and
-    computes the remainder exactly (functions without a support box then
-    require an explicit horizon).
+    the difference integral starts at (at least 2 for a radial u at n = 2,
+    3); in each escalation round the order of every open panel doubles, up
+    to the cap of ``_gh_orders``, and a panel closes once two successive
+    orders agree to within the larger of the tolerance and the rounding
+    floor.  ``grading`` controls the geometric time mesh of that integral.
+    ``horizon`` of None means Auto: the engine derives the hand-off point
+    from the support box and computes the remainder exactly (functions
+    without a support box then require an explicit horizon).
     """
 
     gh_order: int = 4
@@ -253,10 +253,18 @@ def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
     return _gh_sums(u, x0, t0, avals, order)
 
 
-def _gh_cap(u: FunctionHandle) -> int:
-    """The order cap of u's difference panels: _GH_CAP of its dimension, or
-    MAX_GH_ORDER for a radial u, whose rule in ``spatial_average`` is 1-D."""
-    return MAX_GH_ORDER if u.radial else _GH_CAP[u.dim]
+def _gh_orders(u: FunctionHandle, q: QuadSpec):
+    """The start order and the cap of u's difference panels.
+
+    The tensor rule starts at ``q.gh_order`` and stops at _GH_CAP of u's
+    dimension.  A radial u at n = 2, 3, whose rule in ``spatial_average``
+    is 1-D, stops at MAX_GH_ORDER and starts at order 2 at least: its rules
+    of orders 1 and 2 coincide, and two equal rules would close a panel on
+    the crudest one.  From order 2 on, each doubling gives a finer rule.
+    """
+    if u.radial and u.dim > 1:
+        return max(q.gh_order, 2), MAX_GH_ORDER
+    return q.gh_order, max(q.gh_order, _GH_CAP[u.dim])
 
 
 @lru_cache(maxsize=32)
@@ -434,16 +442,16 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     const * 2^n * int a^{-(1+s)} GH[u0 - u] da extended to a = 0 by the
     fitted small-a model; the u0 mass beyond the horizon is NOT included.
 
-    Every time panel starts at order ``q.gh_order``.  Each escalation round
-    evaluates the durations of all open panels, which share one order,
-    through ``spatial_average``; a panel closes when two successive orders agree
-    to within the larger of the tolerance and the rounding floor, or its
-    order reached the cap, and the others double.
+    Every time panel starts at the start order of ``_gh_orders``.  Each
+    escalation round evaluates the durations of all open panels, which
+    share one order, through ``spatial_average``; a panel closes when two
+    successive orders agree to within the larger of the tolerance and the
+    rounding floor, or its order reached the cap, and the others double.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
     sqpi_n = math.pi ** (n / 2.0)
-    gh_cap = max(q.gh_order, _gh_cap(u))
+    order, gh_cap = _gh_orders(u, q)
 
     edges = np.array(_graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q))
     a_h, w_h = gl_panel(edges[:, :1], edges[:, 1:], _GL_HI)
@@ -454,7 +462,6 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     prev = np.full(len(edges), np.nan)
     total = err = 0.0
     live = np.arange(len(edges))
-    order = q.gh_order
     while live.size:
         aa = a_all[live]
         dens = aa ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, aa.ravel(), order)

@@ -36,7 +36,7 @@ from masterop.quadrature import (
     _POINT_BUDGET,
     _auto_handoff,
     _difference_panels,
-    _gh_cap,
+    _gh_orders,
     _gh_sums,
     _gh_tensor,
     _graded_panels,
@@ -480,7 +480,7 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
     order."""
     n, s = p.n, p.s
     sqpi_n = math.pi ** (n / 2.0)
-    gh_cap = max(q.gh_order, _gh_cap(u))
+    start, gh_cap = _gh_orders(u, q)
     panels = _graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q)
     total = err = 0.0
     inner_a, inner_dens = [], []
@@ -489,7 +489,7 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
         a_h, w_h = gl_panel(lo, hi, _GL_HI)
         a_l, w_l = gl_panel(lo, hi, _GL_LO)
         a_all = np.concatenate([a_h, a_l])
-        order, prev = q.gh_order, None
+        order, prev = start, None
         while True:
             dens = a_all ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, a_all, order))
             cur = float(np.dot(w_h, dens[:_GL_HI]))

@@ -213,6 +213,22 @@ def test_radial_body_is_exact_for_a_constant_at_every_order(n):
             assert np.allclose(got, -2.5 * math.pi ** (n / 2.0), rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("x", [0.0, 0.4, 2.0])
+@pytest.mark.parametrize("make, q", [
+    (lambda n: w_family(16, 1.0, 0.5, n=n), QuadSpec()),
+    (_radial_gaussian, QuadSpec(horizon=60.0)),
+], ids=["w16", "gaussian"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_body_from_gh_order_one_agrees_with_the_default(n, make, q, x):
+    # the radial rules of orders 1 and 2 coincide, so the escalation starts at 2;
+    # run from order 1, every panel closed on the crudest rule, off by 0.85 at
+    # n = 3, x = 0 with a summed err_estimate of 4e-6
+    p, at = kernel_constants(n, 0.5), (np.eye(n)[0] * x, 0.1)
+    low = master_op(make(n), at, p, dataclasses.replace(q, gh_order=1))
+    ref = master_op(make(n), at, p, q)
+    assert abs(low.value - ref.value) <= low.err_estimate + ref.err_estimate
+
+
 @pytest.mark.parametrize("x", [0.0, 0.4])
 @pytest.mark.parametrize("make, q", [
     (lambda n: w_family(16, 1.0, 0.5, n=n), QuadSpec()),
