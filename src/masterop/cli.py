@@ -296,8 +296,8 @@ def cmd_counterexample(args) -> int:
 def cmd_defect(args) -> int:
     cfg = build_config(args)
     p, q = cfg.kernel(), cfg.quad()
-    js = _parse_list(args.j_schedule, int)
-    Rs = _parse_list(args.r_schedule, float)
+    js = _parse_schedule(args.j_schedule, int, "--j-schedule")
+    Rs = _parse_schedule(args.r_schedule, float, "--r-schedule")
     if args.probes is not None:
         probes = _parse_probes(args.probes, cfg.n)
     else:
@@ -501,7 +501,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # the engines' own finiteness checks raise NumericError: no numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     # ParseError is a ValueError; a bad choice in a config file is an ArgumentTypeError
     except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -139,7 +139,7 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     if past_end > T:
         if math.isfinite(past_end) or u.past_integrable():
             # for the infinite past r = a^{-s} leaves u itself as r-integrand
-            tail, terr = window_integral(vals, T, past_end, 1.0 + s, q, kinks=kinks,
+            tail, terr = window_integral(vals, T, past_end, 1.0 + s, kinks=kinks,
                                          pw=s, tol=q.panel_tol(0.0))
             total -= tail
             err += terr

@@ -11,7 +11,10 @@ difference structure:
 The Gauss-Hermite sums come from ``spatial_average``: the order^n tensor
 rule, or for a radial u at n = 2, 3 a 1-D rule in r = |y| (the odd
 extension of r u(r) at n = 3, Gauss-Legendre panels against the
-Funk-Hecke kernel at n = 2), normalised so that a constant is exact.
+Funk-Hecke kernel ``_funk_hecke`` of the radial shell integrals at n = 2),
+normalised so that a constant is exact.  ``gl_panel`` maps every
+Gauss-Legendre panel rule of this module, and ``_panel_sums`` is the one
+hi/lo panel sum, shared by ``adaptive_gl`` and the difference panels.
 
 Three refinements make this robust at desk scale:
 
@@ -35,6 +38,7 @@ dropped with ``truncation_flag`` set when no support box is declared.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -91,8 +95,8 @@ class QuadSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.gh_order < 1:
-            raise ValueError("gh_order must be at least 1")
+        if not isinstance(self.gh_order, numbers.Integral) or self.gh_order < 1:
+            raise ValueError(f"gh_order must be an integer of at least 1, got {self.gh_order!r}")
         if self.gh_order > MAX_GH_ORDER:
             raise ValueError(f"gh_order > {MAX_GH_ORDER} unsupported")
         if not 0.0 < self.grading < 1.0:
@@ -190,9 +194,17 @@ def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     return _blocks(block, avals, max(1, _POINT_BUDGET // len(W)))
 
 
-def _sinhc(x):
-    """sinh(x) / x, 1 at x = 0."""
-    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0)
+def _on_axis(u: FunctionHandle, rr, tt):
+    """A radial u at |r| e_1: radii ``rr`` in one row or a row per entry of the times ``tt``."""
+    pts = np.zeros(np.shape(rr) + (u.dim,))
+    pts[..., 0] = np.abs(rr)
+    return u(np.broadcast_to(pts, (len(tt),) + pts.shape[-2:]), tt)
+
+
+def _funk_hecke(n: int, rho, rr, a):
+    """int_{S^{n-1}} exp(-|x0 - r theta|^2/(4a)) dtheta at |x0| = rho (Funk-Hecke); times
+    rw r^{n-1}, the weight of u(r) in int u(y) exp(-|x0 - y|^2/(4a)) dy on a radial rule."""
+    return np.exp(-(rho - rr) ** 2 / (4.0 * a)) * sphere_average(n, 2.0 * rho * rr / (4.0 * a))
 
 
 def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
@@ -205,9 +217,9 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     ``gauss_hermite_nodes(order)`` (at least 2 nodes): shifted, r = rho + c z
     and v = w r, when beta > 1; centred, r = c z and
     v = w z^2 sinh(2 beta z) / (2 beta z), when beta <= 1.  At n = 2, r runs
-    over max(1, order // 2) equal Gauss-Legendre panels of _GL_HI nodes on
-    (max(0, rho - 9c), rho + 9c) and v is the radial weight r dr times the
-    angular integral of the Gaussian, ``_angular_gaussian``.
+    over max(1, order // 2) equal ``gl_panel`` panels of _GL_HI nodes on
+    (max(0, rho - 9c), rho + 9c) and v is r dr times the angular integral
+    of the Gaussian, ``_funk_hecke``, as in the radial shell integrals.
     """
     n = len(x0)
     rho = float(np.linalg.norm(x0))
@@ -215,10 +227,8 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         z, w = gauss_hermite_nodes(max(order, 2))
     else:
         # the panels' nodes z and weights w on (0, 1)
-        x, wx = _leg_base(_GL_HI)
-        panels = max(1, order // 2)
-        z = ((np.arange(panels)[:, None] + 0.5 * (1.0 + x)) / panels).ravel()
-        w = np.tile(0.5 * wx / panels, panels)
+        edges = np.linspace(0.0, 1.0, max(1, order // 2) + 1)
+        z, w = (g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], _GL_HI))
 
     def block(a):
         c = 2.0 * np.sqrt(a)[:, None]
@@ -226,15 +236,15 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
             beta = rho / c
             shifted = beta > 1.0
             rr = np.where(shifted, rho + c * z, c * z)
-            v = w * np.where(shifted, rr, z * z * _sinhc(2.0 * np.minimum(beta, 1.0) * z))
+            k = 2.0 * np.minimum(beta, 1.0) * z
+            sinhc = np.divide(np.sinh(k), k, out=np.ones_like(k), where=k != 0)
+            v = w * np.where(shifted, rr, z * z * sinhc)
         else:
             lo = np.maximum(rho - _RADIAL_REACH * c, 0.0)
             width = rho + _RADIAL_REACH * c - lo
             rr = lo + width * z
-            v = width * w * rr * _angular_gaussian(n, rho, rr, c * c)
-        pts = np.zeros(rr.shape + (n,))
-        pts[..., 0] = np.abs(rr)
-        vals = u(pts, np.broadcast_to((t0 - a)[:, None], rr.shape))
+            v = width * w * rr * _funk_hecke(n, rho, rr, a[:, None])
+        vals = _on_axis(u, rr, (t0 - a)[:, None])
         return math.pi ** (n / 2.0) * np.sum(v * vals, axis=1) / np.sum(v, axis=1)
 
     return _blocks(block, avals, max(1, _POINT_BUDGET // len(z)))
@@ -256,11 +266,10 @@ def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
 def _gh_orders(u: FunctionHandle, q: QuadSpec):
     """The start order and the cap of u's difference panels.
 
-    The tensor rule starts at ``q.gh_order`` and stops at _GH_CAP of u's
-    dimension.  A radial u at n = 2, 3, whose rule in ``spatial_average``
-    is 1-D, stops at MAX_GH_ORDER and starts at order 2 at least: its rules
-    of orders 1 and 2 coincide, and two equal rules would close a panel on
-    the crudest one.  From order 2 on, each doubling gives a finer rule.
+    The tensor rule runs from ``q.gh_order`` to _GH_CAP of u's dimension.
+    A radial u at n = 2, 3 (a 1-D rule) runs to MAX_GH_ORDER from order 2
+    at least: its orders 1 and 2 give one rule, and two equal rules would
+    close a panel on the crudest one; from order 2 on, each doubling refines.
     """
     if u.radial and u.dim > 1:
         return max(q.gh_order, 2), MAX_GH_ORDER
@@ -273,10 +282,21 @@ def _leg_base(order: int):
 
 
 def gl_panel(lo: float, hi: float, order: int):
-    """Gauss-Legendre nodes/weights mapped to (lo, hi); column arrays map one panel per row."""
+    """Gauss-Legendre nodes/weights mapped to (lo, hi), for every panel rule of this
+    module; column arrays map one panel per row."""
     x, w = _leg_base(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
+
+
+def _panel_sums(fs, w_h, w_l, edges):
+    """Per panel, a row of ``fs`` at its _GL_HI then _GL_LO nodes: the _GL_HI sum and its
+    distance to the _GL_LO sum.  NumericError names a panel with a non-finite sum."""
+    hi = np.sum(w_h * fs[:, :_GL_HI], axis=1)
+    if not np.all(np.isfinite(hi)):
+        a, b = edges[np.argmin(np.isfinite(hi))]
+        raise NumericError(f"non-finite integrand in panel ({a:g}, {b:g}]")
+    return hi, np.abs(hi - np.sum(w_l * fs[:, _GL_HI:], axis=1))
 
 
 def graded_time_mesh(horizon: float, grading: float, a_min: float):
@@ -311,8 +331,8 @@ def split_panels(panels, cuts):
 def adaptive_gl(f, panels, tol: float = math.inf):
     """Integrate a vectorized integrand over panels with local bisection.
 
-    This is the one hi/lo panel sum of the package: each panel is measured
-    by a _GL_HI rule against a _GL_LO rule, and the panel error is their
+    Each panel is measured by ``_panel_sums``, a _GL_HI rule on the nodes
+    of ``gl_panel`` against a _GL_LO rule, and the panel error is their
     difference.  Panels disagreeing by more than ``tol`` are halved, at
     most _BISECT_DEPTH times; the default never splits, so the mesh is
     exactly ``panels``.  ``f`` is called once per bisection level, on the
@@ -321,25 +341,21 @@ def adaptive_gl(f, panels, tol: float = math.inf):
     values of the accepted panels in the order of ``panels``, halves left
     to right, so callers can post-process (e.g. small-argument fits).
     """
-    (x_h, w_h), (x_l, w_l) = _leg_base(_GL_HI), _leg_base(_GL_LO)
     edges = np.array(panels, dtype=float).reshape(-1, 2)
     owner = np.arange(len(edges))
     done = []   # per level: owner, lo, panel value, panel error, nodes, values
     for depth in range(_BISECT_DEPTH + 1):
         lo, hi = edges[:, :1], edges[:, 1:]
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        xs = mid + half * np.concatenate([x_h, x_l])
+        (x_h, w_h), (x_l, w_l) = gl_panel(lo, hi, _GL_HI), gl_panel(lo, hi, _GL_LO)
+        xs = np.hstack([x_h, x_l])
         fs = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-        cur = np.sum(half * w_h * fs[:, :_GL_HI], axis=1)
-        diff = np.abs(cur - np.sum(half * w_l * fs[:, _GL_HI:], axis=1))
-        if not np.all(np.isfinite(cur)):
-            a, b = edges[np.argmin(np.isfinite(cur))]
-            raise NumericError(f"non-finite integrand in panel ({a:g}, {b:g}]")
+        cur, diff = _panel_sums(fs, w_h, w_l, edges)
         split = (diff > tol) & (depth < _BISECT_DEPTH)
         done.append((owner[~split], edges[~split, 0], cur[~split], diff[~split],
                      xs[~split, :_GL_HI], fs[~split, :_GL_HI]))
         if not split.any():
             break
+        mid = 0.5 * (hi + lo)
         edges = np.vstack([np.hstack([lo, mid])[split], np.hstack([mid, hi])[split]])
         owner = np.tile(owner[split], 2)
     owner, lo, cur, diff, xs, fs = (np.concatenate(parts) for parts in zip(*done))
@@ -364,8 +380,8 @@ def _log_mesh(a_lo: float, a_hi: float, per_decade: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def window_integral(Y, a_lo: float, a_hi: float, pe: float, q: QuadSpec,
-                    kinks=(), pw: float | None = None, tol: float = math.inf):
+def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks=(),
+                    pw: float | None = None, tol: float = math.inf):
     """int_{a_lo}^{a_hi} a^{-pe} Y(a) da over log-spaced panels split at ``kinks``.
 
     ``Y`` maps an array of durations to values.  ``a_hi`` may be inf: the
@@ -466,17 +482,12 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
         aa = a_all[live]
         dens = aa ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, aa.ravel(), order)
                                    .reshape(aa.shape))
-        val = np.sum(w_h[live] * dens[:, :_GL_HI], axis=1)
-        if not np.all(np.isfinite(val)):
-            lo, hi = edges[live[np.argmin(np.isfinite(val))]]
-            raise NumericError(f"non-finite integrand in time panel ({lo:g}, {hi:g}]")
+        val, hi_lo = _panel_sums(dens, w_h[live], w_l[live], edges[live])
         step = np.abs(val - prev[live])     # nan in a panel's first round
         shut = (step <= tol[live]) | (order >= gh_cap)
-        done = live[shut]
-        val_lo = np.sum(w_l[done] * dens[shut, _GL_HI:], axis=1)
         total += float(np.sum(val[shut]))
-        err += float(np.nansum(step[shut]) + np.sum(np.abs(val[shut] - val_lo)))
-        dens_h[done] = dens[shut, :_GL_HI]
+        err += float(np.nansum(step[shut]) + np.sum(hi_lo[shut]))
+        dens_h[live[shut]] = dens[shut, :_GL_HI]
         prev[live] = val
         live = live[~shut]
         order = min(2 * order, gh_cap)
@@ -539,15 +550,11 @@ def angular_rule(n: int, count: int):
 def radial_nodes(r_lo: float, r_hi: float, h_target: float, gl: int):
     """Gauss-Legendre nodes/weights on (r_lo, r_hi] in equal panels of width <~ h_target.
 
-    The panel count is clipped to 1..96; nodes of all panels are built at
-    once, with the same arithmetic as ``gl_panel`` on each panel.
+    The panel count is clipped to 1..96; ``gl_panel`` maps all panels at once.
     """
     npan = int(np.clip(math.ceil((r_hi - r_lo) / max(h_target, 1e-300)), 1, 96))
     edges = np.linspace(r_lo, r_hi, npan + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x, w = _leg_base(gl)
-    return (mid + half * x).ravel(), (half * w).ravel()
+    return tuple(g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], gl))
 
 
 def shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
@@ -589,12 +596,6 @@ def sphere_average(n: int, k):
     return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
 
 
-def _angular_gaussian(n: int, rho, rr, a4):
-    """int_{S^{n-1}} exp(-|x0 - r theta|^2 / a4) dtheta at |x0| = rho (Funk-Hecke):
-    exp(-(rho - r)^2 / a4) times ``sphere_average(n, 2 rho r / a4)``."""
-    return np.exp(-(rho - rr) ** 2 / a4) * sphere_average(n, 2.0 * rho * rr / a4)
-
-
 def _panelwise(values):
     """``values`` on one adaptive_gl panel's durations at a time, each with its own rule."""
     return wraps(values)(lambda u, x0, t0, avals, *rest: _blocks(
@@ -605,10 +606,9 @@ def _panelwise(values):
 def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
 
-    A radial u is integrated on the radial rule alone: with k = |x0| r/(2a)
-    the angular integral of the Gaussian is exp(-(|x0|-r)^2/(4a)) times
-    ``sphere_average(n, k)``, and u is evaluated at r * e_1.  Otherwise
-    the durations go through ``_blocks`` on the tensor shell rule.
+    A radial u is integrated on the radial rule alone, weighted by
+    ``_funk_hecke`` and evaluated at r * e_1.  Otherwise the durations go
+    through ``_blocks`` on the tensor shell rule.
     """
     n = p.n
     a_ref = float(np.min(avals))
@@ -618,11 +618,8 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     h_target = max(min(math.sqrt(a_ref), width / 24.0), width / 96.0)
     if u.radial:
         rr, rw = radial_nodes(r_lo, r_hi, h_target, _GL_HI)
-        kern = _angular_gaussian(n, rho, rr, 4.0 * avals[:, None])
-        pts = np.zeros((len(rr), n))
-        pts[:, 0] = rr
-        vals = u(np.broadcast_to(pts, (len(avals),) + pts.shape), t0 - avals[:, None])
-        return (vals * kern) @ (rw * rr ** (n - 1))
+        kern = _funk_hecke(n, rho, rr, avals[:, None])
+        return (_on_axis(u, rr, t0 - avals[:, None]) * kern) @ (rw * rr ** (n - 1))
     if n == 1:
         ang = 2
     else:
@@ -697,7 +694,7 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     # case, Y bounded); pw = s leaves a^{-n/2} Y, bounded for the
     # full-space case where Y grows like a^{n/2}
     pw = s if full_space else n / 2.0 + s
-    total, err = window_integral(Y, a_floor, a_hi, p.time_exponent, q,
+    total, err = window_integral(Y, a_floor, a_hi, p.time_exponent,
                                  kinks=[t0 - k for k in u.time_kinks], pw=pw)
     if not math.isfinite(total):
         raise NumericError("non-finite exterior window integral")

@@ -234,6 +234,8 @@ def cap_address_space():
     (["counterexample", "--which", "2", "--probes="], "--probes does not apply"),
     (["counterexample", "--which", "3", "--times="], "--times applies only"),
     (["defect", "--probes="], "empty list ''"),
+    (["defect", "--j-schedule", "4,4"], "--j-schedule must be strictly increasing"),
+    (["defect", "--r-schedule", "6,6"], "--r-schedule must be strictly increasing"),
 ], ids=["config-is-dir", "out-is-dir", "empty-R", "empty-j-schedule", "empty-r-schedule",
         "samples-0", "samples-negative-c1", "samples-0-partition1", "jobs-negative",
         "jobs-0-defect", "probes-which-2",
@@ -244,7 +246,8 @@ def cap_address_space():
         "flap-point-nan", "marchaud-point-inf", "times-nan", "config-gl-order",
         "beta-overflow-which-1", "beta-overflow-which-2", "phi-alpha-overflow",
         "psi-beta-overflow", "R-inf", "R-negative-partition1", "empty-probes",
-        "empty-times", "empty-probes-which-2", "empty-times-which-3", "defect-empty-probes"])
+        "empty-times", "empty-probes-which-2", "empty-times-which-3", "defect-empty-probes",
+        "defect-j-schedule-repeated", "defect-r-schedule-repeated"])
 def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     (tmp_path / "gl.cfg").write_text("gl_order = 6\n")
     proc = subprocess.run(
@@ -257,10 +260,17 @@ def test_bad_input_exit_2_without_traceback(args, message, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
-@pytest.mark.parametrize("expr", ["sqrt(x1)", "x1^0.5", "1e300*1e300*x1"])
-def test_non_finite_integrand_is_one_line_exit_3(expr):
+@pytest.mark.parametrize("args", [
+    ["sqrt(x1)"], ["x1^0.5"], ["1e300*1e300*x1"],
+    # overflow inside the engines, which numpy would report as warnings
+    ["1e305*cos(x1)*exp(t)"],
+    ["1e305*exp(t)", "--op", "marchaud"],
+    ["1e305*cos(x1)", "--op", "flap"],
+], ids=["sqrt(x1)", "x1^0.5", "1e300*1e300*x1", "overflow-master", "overflow-marchaud",
+        "overflow-flap"])
+def test_non_finite_integrand_is_one_line_exit_3(args):
     proc = subprocess.run(
-        [sys.executable, "-m", "masterop.cli", "eval", expr,
+        [sys.executable, "-m", "masterop.cli", "eval", *args,
          "--horizon", "60", "--point", "1,0"],
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3

@@ -82,3 +82,24 @@ def test_parabolic_geometry_is_defined_in_regions_only():
                         for alias in node.names if alias.name.startswith("masterop")}
     assert definers == ["regions.py"]
     assert imports == {"kernel"}
+
+
+def _referrers(name):
+    """The top-level definitions of the package (file:name) whose code names ``name``."""
+    found = set()
+    for path in sorted((SRC / "masterop").glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.alias) and name in (node.name, node.asname)):
+                    found.add(f"{path.name}:{owner}")
+    return found
+
+
+def test_gauss_legendre_nodes_are_mapped_in_gl_panel_only():
+    # every panel rule comes from gl_panel; angular_rule takes the bare
+    # rule on (-1, 1), and the cached bump moment keeps its own fixed rule
+    assert _referrers("_leg_base") == {"quadrature.py:gl_panel", "quadrature.py:angular_rule"}
+    assert _referrers("leggauss") == {"quadrature.py:_leg_base", "families.py:_bump_moment"}

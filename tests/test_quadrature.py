@@ -276,6 +276,10 @@ def test_quadspec_validation():
         QuadSpec(horizon=1e-12)
     with pytest.raises(ValueError):
         QuadSpec(gh_order=0)
+    # a non-integer order would fail only later, inside numpy's rule builder
+    for order in (4.5, 3.0):
+        with pytest.raises(ValueError, match="integer"):
+            QuadSpec(gh_order=order)
 
 
 @pytest.mark.parametrize("bad", [
