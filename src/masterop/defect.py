@@ -53,11 +53,21 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
 
 
 def pool_map(fn, items, jobs: int):
-    """fn over items on ``jobs`` threads, results in input order; serial when jobs <= 1."""
+    """fn over items on ``jobs`` threads, results in input order; serial when jobs <= 1.
+
+    Each item runs under the caller's numpy error state, which a worker
+    thread would not inherit.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    state = np.geterr()
+
+    def run(it):
+        with np.errstate(**state):
+            return fn(it)
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(run, items))
 
 
 @dataclass

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +71,11 @@ _FULLSPACE_GH = 20
 #: alone needs more: ``_blocks`` then takes max(1, _POINT_BUDGET // size)
 #: durations of ``size`` points at a time; one n=3 duration at the order cap 32
 _POINT_BUDGET = 2 ** 15
+#: points of u one shell-window evaluator call is handed at most, in whole
+#: adaptive_gl panels, unless one panel alone needs more; over two bench
+#: `defect` passes, blocks of 2^15 points made 15x the minor page faults
+#: and peaked 3 MB higher
+_SHELL_BLOCK = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -547,20 +552,29 @@ def angular_rule(n: int, count: int):
     return dirs, ww
 
 
-def radial_nodes(r_lo: float, r_hi: float, h_target: float, gl: int):
-    """Gauss-Legendre nodes/weights on (r_lo, r_hi] in equal panels of width <~ h_target.
+def _shell_panels(width: float, a_ref):
+    """The radial panel count of a shell of ``width`` whose shortest duration is
+    ``a_ref``, elementwise: the spacing max(min(sqrt(a_ref), width/24), width/96)
+    resolves both the kernel (scale sqrt(a)) and u itself, so the count lies
+    in 24..96."""
+    h = np.maximum(np.minimum(np.sqrt(a_ref), width / 24.0), width / 96.0)
+    return np.ceil(width / h).astype(int)
 
-    The panel count is clipped to 1..96; ``gl_panel`` maps all panels at once.
+
+def radial_nodes(r_lo: float, r_hi: float, a_ref: float, gl: int):
+    """Gauss-Legendre nodes/weights on (r_lo, r_hi] for durations from ``a_ref`` on.
+
+    The ``_shell_panels`` equal panels take ``gl`` nodes each; ``gl_panel``
+    maps all panels at once.
     """
-    npan = int(np.clip(math.ceil((r_hi - r_lo) / max(h_target, 1e-300)), 1, 96))
-    edges = np.linspace(r_lo, r_hi, npan + 1)
+    edges = np.linspace(r_lo, r_hi, int(_shell_panels(r_hi - r_lo, a_ref)) + 1)
     return tuple(g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], gl))
 
 
-def shell_rule(n: int, r_lo: float, r_hi: float, h_target: float, gl: int,
+def shell_rule(n: int, r_lo: float, r_hi: float, a_ref: float, gl: int,
                ang_count: int):
-    """Quadrature points/weights for int_{r_lo<|y|<=r_hi} f(y) dy."""
-    rr, rw = radial_nodes(r_lo, r_hi, h_target, gl)
+    """Quadrature points/weights for int_{r_lo<|y|<=r_hi} f(y) dy, on ``radial_nodes``."""
+    rr, rw = radial_nodes(r_lo, r_hi, a_ref, gl)
     dirs, aw = angular_rule(n, ang_count)
     pts = rr[:, None, None] * dirs[None, :, :]
     ww = (rw * rr ** (n - 1))[:, None] * aw[None, :]
@@ -596,45 +610,66 @@ def sphere_average(n: int, k):
     return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
 
 
-def _panelwise(values):
-    """``values`` on one adaptive_gl panel's durations at a time, each with its own rule."""
-    return wraps(values)(lambda u, x0, t0, avals, *rest: _blocks(
-        lambda a: values(u, x0, t0, a, *rest), avals, _GL_HI + _GL_LO))
-
-
-@_panelwise
 def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
 
-    A radial u is integrated on the radial rule alone, weighted by
-    ``_funk_hecke`` and evaluated at r * e_1.  Otherwise the durations go
-    through ``_blocks`` on the tensor shell rule.
+    Each run of _GL_HI + _GL_LO durations is one adaptive_gl panel (a
+    shorter tail, such as ``window_integral``'s endpoint duration, is a
+    panel of its own), and a panel takes the rule of its shortest duration:
+    the ``_shell_panels`` radial count and, on the tensor branch, the
+    angular count.  Each distinct rule is built once and evaluated on all
+    panels that share it, in blocks of whole panels of at most _SHELL_BLOCK
+    points; a panel that alone needs more goes through ``_blocks`` under
+    _POINT_BUDGET.  A radial u is integrated on the radial rule alone,
+    weighted by ``_funk_hecke`` and evaluated at r * e_1; any other u on
+    the tensor shell rule.
     """
     n = p.n
-    a_ref = float(np.min(avals))
     rho = float(np.linalg.norm(x0))
-    # spacing must resolve both the kernel (scale sqrt(a)) and u itself
-    width = r_hi - r_lo
-    h_target = max(min(math.sqrt(a_ref), width / 24.0), width / 96.0)
-    if u.radial:
-        rr, rw = radial_nodes(r_lo, r_hi, h_target, _GL_HI)
-        kern = _funk_hecke(n, rho, rr, avals[:, None])
-        return (_on_axis(u, rr, t0 - avals[:, None]) * kern) @ (rw * rr ** (n - 1))
-    if n == 1:
-        ang = 2
+    step = _GL_HI + _GL_LO
+    starts = np.arange(0, len(avals), step)
+    a_ref = np.minimum.reduceat(avals, starts)
+    count = _shell_panels(r_hi - r_lo, a_ref)
+    if u.radial or n == 1:
+        ang = np.full_like(count, 2)
     else:
-        ang = int(np.clip(8 + 2.0 * r_hi * (rho + 1.0) / max(a_ref, 1e-12) ** 0.5, 12, 64))
-    pts, ww = shell_rule(n, r_lo, r_hi, h_target, _GL_HI, ang)
-    d2 = np.sum((pts - x0) ** 2, axis=-1)
+        ang = np.clip(8 + 2.0 * r_hi * (rho + 1.0) / np.sqrt(np.maximum(a_ref, 1e-12)),
+                      12, 64).astype(int)
+    # panels by rule, a short tail apart so that every block's rows are whole
+    # panels (a dict: np.unique would import numpy.ma, 0.8 MB resident)
+    short = starts + step > len(avals)
+    groups = {}
+    for i, key in enumerate(zip(count.tolist(), ang.tolist(), short.tolist())):
+        groups.setdefault(key, []).append(i)
 
-    def block(a):
-        expo = -d2 / (4.0 * a[:, None])
-        kern = np.exp(np.maximum(expo, -745.0))
-        kern[expo < -745.0] = 0.0
-        vals = u(np.broadcast_to(pts, (len(a),) + pts.shape), t0 - a[:, None])
-        return (vals * kern) @ ww
+    def rule(i):
+        """Panel i's rule as (its values on a block of durations, its point count)."""
+        if u.radial:
+            rr, rw = radial_nodes(r_lo, r_hi, a_ref[i], _GL_HI)
+            weight = rw * rr ** (n - 1)
+            return (lambda a: (_on_axis(u, rr, t0 - a[:, None])
+                               * _funk_hecke(n, rho, rr, a[:, None])) @ weight), len(rr)
+        pts, ww = shell_rule(n, r_lo, r_hi, a_ref[i], _GL_HI, ang[i])
+        d2 = np.sum((pts - x0) ** 2, axis=-1)
 
-    return _blocks(block, avals, max(1, _POINT_BUDGET // len(pts)))
+        def block(a):
+            expo = -d2 / (4.0 * a[:, None])
+            kern = np.exp(np.maximum(expo, -745.0))
+            kern[expo < -745.0] = 0.0
+            vals = u(np.broadcast_to(pts, (len(a),) + pts.shape), t0 - a[:, None])
+            return (vals * kern) @ ww
+
+        return block, len(pts)
+
+    out = np.empty(len(avals))
+    for panels in groups.values():
+        block, size = rule(panels[0])
+        per = max(1, _SHELL_BLOCK // (step * size))
+        for j in range(0, len(panels), per):
+            rows = (starts[panels[j:j + per]][:, None] + np.arange(step)).ravel()
+            rows = rows[rows < len(avals)]
+            out[rows] = _blocks(block, avals[rows], max(1, _POINT_BUDGET // size))
+    return out
 
 
 def _fullspace_values(u, x0, t0, avals, p: KernelParams):

@@ -12,6 +12,7 @@ from masterop import (
     w_family,
     zero,
 )
+from masterop.defect import pool_map
 from masterop.handles import SupportBox, from_callable
 
 
@@ -159,3 +160,10 @@ def test_defect_flags_unconverged_inner_limit(p_half, q_default):
                           inner_tol=1e-6)
     assert not rep.converged
     assert math.isnan(rep.b_estimate)
+
+
+def test_pool_map_workers_keep_the_callers_error_state():
+    # a worker thread starts in numpy's default state, where overflow warns
+    with np.errstate(over="ignore"):
+        out = pool_map(np.exp, [1000.0, 1.0], jobs=2)
+    assert out == [math.inf, math.e]

@@ -103,3 +103,12 @@ def test_gauss_legendre_nodes_are_mapped_in_gl_panel_only():
     # rule on (-1, 1), and the cached bump moment keeps its own fixed rule
     assert _referrers("_leg_base") == {"quadrature.py:gl_panel", "quadrature.py:angular_rule"}
     assert _referrers("leggauss") == {"quadrature.py:_leg_base", "families.py:_bump_moment"}
+
+
+def test_shell_spacing_rule_has_one_definition():
+    # the panel count of a shell comes from _shell_panels, both for the
+    # grouping key of _shell_values and for the rule it then builds
+    assert _referrers("_shell_panels") == {"quadrature.py:_shell_values",
+                                            "quadrature.py:radial_nodes"}
+    assert _referrers("radial_nodes") == {"quadrature.py:_shell_values", "quadrature.py:shell_rule"}
+    assert _referrers("shell_rule") == {"quadrature.py:_shell_values"}

@@ -28,18 +28,22 @@ from masterop.handles import (
     spatial,
     temporal,
 )
+from masterop import quadrature
 from masterop.quadrature import (
     _BISECT_DEPTH,
     _GH_CAP,
     _GL_HI,
     _GL_LO,
     _POINT_BUDGET,
+    _SHELL_BLOCK,
     _auto_handoff,
     _difference_panels,
+    _funk_hecke,
     _gh_orders,
     _gh_sums,
     _gh_tensor,
     _graded_panels,
+    _on_axis,
     _rounding_floor,
     _shell_values,
     adaptive_gl,
@@ -47,6 +51,8 @@ from masterop.quadrature import (
     gl_panel,
     graded_time_mesh,
     integrate_difference,
+    radial_nodes,
+    shell_rule,
     slab_mass,
     small_a_closure,
     spatial_average,
@@ -391,6 +397,19 @@ def _gauss_bump(n):
                          n, growth=GROWTH_DECAYING)
 
 
+def _one_rule_shell_values(u, x0, t0, avals, r_lo, r_hi, p):
+    """The shell values of every duration on the one rule of the shortest duration."""
+    n, a_ref, rho = p.n, float(np.min(avals)), float(np.linalg.norm(x0))
+    if u.radial:
+        rr, rw = radial_nodes(r_lo, r_hi, a_ref, _GL_HI)
+        return ((_on_axis(u, rr, t0 - avals[:, None]) * _funk_hecke(n, rho, rr, avals[:, None]))
+                @ (rw * rr ** (n - 1)))
+    ang = 2 if n == 1 else int(np.clip(8 + 2.0 * r_hi * (rho + 1.0) / math.sqrt(a_ref), 12, 64))
+    pts, ww = shell_rule(n, r_lo, r_hi, a_ref, _GL_HI, ang)
+    kern = np.exp(-np.sum((pts - x0) ** 2, axis=-1) / (4.0 * avals[:, None]))
+    return (u(np.broadcast_to(pts, (len(avals),) + pts.shape), t0 - avals[:, None]) * kern) @ ww
+
+
 @pytest.mark.parametrize("n, make", [
     (1, _gauss_bump), (2, _gauss_bump),
     (2, lambda n: w_family(1, 1.0, 0.5, n=n)), (3, lambda n: w_family(1, 1.0, 0.5, n=n)),
@@ -405,7 +424,7 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
     base = make(n)
 
     def evaluator(pts, tt):
-        sizes.append(pts.shape[0] * pts.shape[1])
+        sizes.append(len(pts))
         return base.evaluator(pts, tt)
 
     u = dataclasses.replace(base, evaluator=evaluator)
@@ -417,11 +436,62 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
     single = np.concatenate([_shell_values(u, x0, 0.1, avals[i:i + step], 0.5, 3.0, p)
                              for i in range(0, len(avals), step)])
     assert np.array_equal(batched, single)
-    # no evaluator call sees more points than the largest single-panel call
-    assert batched_peak == max(sizes)
+    # panels grouped by rule share a call only up to the shell block cap
+    assert batched_peak <= max(_SHELL_BLOCK, max(sizes))
     # one rule sized by the shortest duration of all panels gives other values
-    assert not np.array_equal(_shell_values.__wrapped__(u, x0, 0.1, avals, 0.5, 3.0, p),
-                              batched)
+    one_rule = _one_rule_shell_values(u, x0, 0.1, avals, 0.5, 3.0, p)
+    assert one_rule == pytest.approx(batched, rel=1e-2)
+    assert not np.array_equal(one_rule, batched)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shell_values_keep_a_short_tail_apart(n):
+    # four panels of one rule and a last duration: with the tail in the
+    # panels' block, the row grouping of the final product changed its bits
+    u, p = w_family(1, 1.0, 0.5, n=n), kernel_constants(n, 0.5)
+    edges = 5.0 * np.array([1.0, 1.2, 1.44, 1.7, 2.0])
+    avals = np.concatenate([np.concatenate([gl_panel(lo, hi, _GL_HI)[0],
+                                            gl_panel(lo, hi, _GL_LO)[0]])
+                            for lo, hi in zip(edges[:-1], edges[1:])] + [[12.5]])
+    x0, step = np.full(n, 0.3), _GL_HI + _GL_LO
+    single = np.concatenate([_shell_values(u, x0, 0.1, avals[i:i + step], 0.5, 3.0, p)
+                             for i in range(0, len(avals), step)])
+    assert np.array_equal(_shell_values(u, x0, 0.1, avals, 0.5, 3.0, p), single)
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 153_216), (2, 153_600), (3, 153_888)])
+def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
+    # 43 evaluator calls when every adaptive_gl panel built its own rule
+    u, sizes = _call_sizes(w_family(16, 1.0, 0.5, n=n))
+    res = tail_functional(u, (np.full(n, 0.3), 0.1), 6.0, kernel_constants(n, 0.5), QuadSpec())
+    assert len(sizes) <= 25
+    assert res.nodes_used == nodes
+    # blocks of whole panels stay under the cap, or are one panel of the
+    # largest radial rule, 96 panels of _GL_HI nodes
+    assert max(sizes) <= max(_SHELL_BLOCK, (_GL_HI + _GL_LO) * 96 * _GL_HI)
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_infinite_past_shell_window_matches_the_per_panel_values(n, radial, monkeypatch):
+    # the r-mesh ends with window_integral's endpoint call on one duration
+    w = w_family(2, 1.0, 0.5, n=n)
+    u = dataclasses.replace(w, radial=radial)
+    lengths = []
+    base = u.evaluator
+
+    def evaluator(pts, tt):
+        lengths.append(len(np.unique(tt)))
+        return base(pts, tt)
+
+    u = dataclasses.replace(u, evaluator=evaluator)
+    args = (u, (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(), 40.0, math.inf)
+    grouped = window_uM_integral(*args)
+    assert lengths[-1] == 1
+    step = _GL_HI + _GL_LO
+    monkeypatch.setattr(quadrature, "_shell_values", lambda u, x0, t0, avals, *rest: np.concatenate(
+        [_shell_values(u, x0, t0, avals[i:i + step], *rest) for i in range(0, len(avals), step)]))
+    assert window_uM_integral(*args) == grouped
 
 
 # --- Gauss-Hermite start order ------------------------------------------------

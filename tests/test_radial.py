@@ -75,16 +75,18 @@ def test_to_handle_family_atom_inherits_radial():
 
 # --- rules ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("r_lo, r_hi, h, gl", [
+@pytest.mark.parametrize("r_lo, r_hi, a_ref, gl", [
     (0.0, 6.0, 0.25, 8), (6.0, 48.0, 1e-3, 8), (2.0, 2.5, 10.0, 5), (0.0, 1.0, 1e-310, 4)])
-def test_radial_nodes_match_the_per_panel_loop(r_lo, r_hi, h, gl):
-    npan = int(np.clip(math.ceil((r_hi - r_lo) / max(h, 1e-300)), 1, 96))
+def test_radial_nodes_match_the_per_panel_loop(r_lo, r_hi, a_ref, gl):
+    width = r_hi - r_lo
+    npan = math.ceil(width / max(min(math.sqrt(a_ref), width / 24.0), width / 96.0))
     edges = np.linspace(r_lo, r_hi, npan + 1)
     ref = [gl_panel(edges[i], edges[i + 1], gl) for i in range(npan)]
-    rr, rw = radial_nodes(r_lo, r_hi, h, gl)
+    rr, rw = radial_nodes(r_lo, r_hi, a_ref, gl)
+    assert len(rr) == npan * gl
     assert np.array_equal(rr, np.concatenate([r for r, _ in ref]))
     assert np.array_equal(rw, np.concatenate([w for _, w in ref]))
-    pts, ww = shell_rule(2, r_lo, r_hi, h, gl, 12)
+    pts, ww = shell_rule(2, r_lo, r_hi, a_ref, gl, 12)
     assert pts.shape == (len(rr) * 12, 2)
     assert np.sum(ww) == pytest.approx(math.pi * (r_hi ** 2 - r_lo ** 2), rel=1e-12)
 
