@@ -51,10 +51,10 @@ def master_op(u: FunctionHandle, at, p: KernelParams, q: QuadSpec) -> QuadResult
 def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> QuadResult:
     """(-Lap)^s of a time-independent function, at the spatial point x.
 
-    C_{n,s}/2 * int r^{-1-2s} * sum_angles (2u(x) - u(x+r th) - u(x-r th)) dr.
-    The fixed angular rule is exact for radial profiles; for globally
-    oscillatory u in n >= 2 the angular resolution, not the radial mesh,
-    limits accuracy at large radii.
+    C_{n,s}/2 * int r^{-1-2s} * 2 sum_angles (u(x) - u(x+r th)) dr: the 16-direction
+    rule holds -th with th, so this is the symmetric second difference, O(r^2).
+    The rule is exact for radial profiles; for globally oscillatory u in n >= 2
+    the angular resolution, not the radial mesh, limits accuracy at large radii.
     """
     n, s = p.n, p.s
     C = in_mode(p.C_ns_lap, p.normalization)
@@ -76,17 +76,15 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
         truncated = True
 
     def dens(rr):
-        pts_p = x0[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-        pts_m = x0[None, None, :] - rr[:, None, None] * dirs[None, :, :]
-        tt = np.zeros(pts_p.shape[:2])
-        S = 2.0 * u0 * omega - u(pts_p, tt) @ aw - u(pts_m, tt) @ aw
-        return rr ** (-1.0 - 2.0 * s) * S
+        pts = x0[None, None, :] + rr[:, None, None] * dirs[None, :, :]
+        S = u0 * omega - u(pts, np.zeros(pts.shape[:2])) @ aw
+        return rr ** (-1.0 - 2.0 * s) * 2.0 * S
 
-    # the symmetrized second difference is O(r^2): close in a = r^2
+    # over the symmetric rule the difference is O(r^2): close in a = r^2
     total, err = singular_integral(dens, u, r_cut, math.sqrt(q.a_min), (), s,
                                    u0, q, power=2)
 
-    # analytic tail of the 2 u(x) term; the u(x +/- r th) tail vanishes
+    # analytic tail of the 2 u(x) term; the u(x + r th) tail vanishes
     # beyond the support and is dropped (flagged) otherwise
     total += 2.0 * u0 * omega * r_cut ** (-2.0 * s) / (2.0 * s)
     return QuadResult(value=0.5 * C * total, err_estimate=0.5 * C * err,

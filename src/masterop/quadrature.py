@@ -512,18 +512,18 @@ def small_a_closure(u: FunctionHandle, aa, dens, a_last: float, s: float):
         # only a Hölder bound is claimed: G(a) <~ K a^{s + eps/2}
         eps = u.holder_eps if u.holder_eps else 0.1
         expo = s + 0.5 * eps
-        K = float(np.max(np.abs(GG) / aa ** expo)) if len(aa) else 0.0
+        K = float(np.max(np.abs(GG) / aa ** expo))
         bound = K * a_last ** (0.5 * eps) * 2.0 / eps
         return 0.0, bound
     # smooth path: the symmetric rules (even GH, +/- r) kill the sqrt(a)
     # term, so G = c1 a + c2 a^2
     A = np.stack([aa, aa * aa], axis=1)
     coef, *_ = np.linalg.lstsq(A, GG, rcond=None)
-    resid = float(np.max(np.abs(GG - A @ coef))) if len(aa) else 0.0
+    resid = float(np.max(np.abs(GG - A @ coef)))
     value = (coef[0] * a_last ** (1.0 - s) / (1.0 - s)
              + coef[1] * a_last ** (2.0 - s) / (2.0 - s))
     # propagate the residual as coefficient-level uncertainty on c1
-    sigma1 = resid / float(np.max(aa)) if len(aa) else 0.0
+    sigma1 = resid / float(np.max(aa))
     err = sigma1 * a_last ** (1.0 - s) / max(1.0 - s, 1e-2)
     return float(value), err
 
@@ -533,7 +533,8 @@ def small_a_closure(u: FunctionHandle, aa, dens, a_last: float, s: float):
 # ---------------------------------------------------------------------------
 
 def angular_rule(n: int, count: int):
-    """Directions and weights summing to the sphere surface |S^{n-1}|."""
+    """Directions and weights summing to the sphere surface |S^{n-1}|; for even
+    ``count`` the rule holds -th with the weight of th, so odd terms cancel."""
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
@@ -653,9 +654,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
         d2 = np.sum((pts - x0) ** 2, axis=-1)
 
         def block(a):
-            expo = -d2 / (4.0 * a[:, None])
-            kern = np.exp(np.maximum(expo, -745.0))
-            kern[expo < -745.0] = 0.0
+            kern = np.exp(-d2 / (4.0 * a[:, None]))
             vals = u(np.broadcast_to(pts, (len(a),) + pts.shape), t0 - a[:, None])
             return (vals * kern) @ ww
 
@@ -802,8 +801,7 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
     if sup is not None and math.isfinite(sup.radius):
         upper = max(min(T_total, u_gone_past), hand)
         if upper > hand:
-            w, we = window_uM_integral(u, (x0, t0), p, q, hand, upper,
-                                       r_lo=0.0, r_hi=sup.radius)
+            w, we = window_uM_integral(u, (x0, t0), p, q, hand, upper)
             value -= w
             err += we
         accounted = upper

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.special import gamma
 
 from masterop import (
     C0_constant,
+    QuadSpec,
     combine,
     constant,
     difference_decomposition,
@@ -29,6 +31,7 @@ from masterop.handles import (
     spatial,
     temporal,
 )
+from masterop.quadrature import angular_rule
 
 
 def exp_cos(lam=1.0, xi=1.0):
@@ -155,7 +158,6 @@ def test_flap_master_route_cross_check(p_half, q_default):
 
 def test_flap_holder_marking_gets_honest_error(p_half, q_default):
     # the small-r closure of a Hölder-marked function is a bound, not a fit
-    from dataclasses import replace
     u = phi_family(8, 1.0, 1.0)
     x = np.array([20.0])   # inside the support, the closure is not zero
     smooth = fractional_laplacian(u, x, p_half, q_default)
@@ -163,6 +165,48 @@ def test_flap_holder_marking_gets_honest_error(p_half, q_default):
                                   x, p_half, q_default)
     assert holder.err_estimate > 5 * smooth.err_estimate
     assert abs(holder.value - smooth.value) <= holder.err_estimate
+
+
+@pytest.mark.parametrize("count", [16, 32])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_angular_rule_is_antipodally_symmetric(n, count):
+    # the one-sided flap difference rests on it: -th is in the rule, with th's weight
+    dirs, aw = angular_rule(n, count)
+    gap = np.linalg.norm(dirs[:, None, :] + dirs[None, :, :], axis=-1)
+    mirror = gap.argmin(axis=1)
+    assert np.all(gap.min(axis=1) <= 1e-14)
+    assert sorted(mirror) == list(range(len(dirs)))
+    assert np.all(mirror != np.arange(len(dirs)))
+    assert np.array_equal(aw[mirror], aw)
+
+
+def _flap_points(u, x, p, q):
+    """fractional_laplacian's result and every point it evaluated u at."""
+    seen = []
+
+    def record(pts, tt):
+        seen.append(np.array(pts))
+        return u.evaluator(pts, tt)
+
+    res = fractional_laplacian(replace(u, evaluator=record), x, p, q)
+    return res, np.vstack(seen)
+
+
+@pytest.mark.parametrize("n, nodes", [(1, 1032), (2, 8640), (3, 72192)])
+def test_flap_evaluates_each_point_once(n, nodes):
+    # u(x0 - r th) is u(x0 + r th') on the symmetric rule: no mirrored call
+    x = np.zeros(n)
+    x[0] = 0.2
+    res, pts = _flap_points(phi_family(4, 0.8, 1.0, dim=n), x,
+                            kernel_constants(n, 0.4), QuadSpec())
+    assert res.nodes_used == nodes
+    assert len(np.unique(np.round(pts, 10), axis=0)) == len(pts)
+
+
+def test_flap_evaluates_each_point_of_a_wave_once(q_horizon):
+    u = spatial(lambda pts: np.cos(1.5 * pts[:, 0]), dim=2, growth=GROWTH_BOUNDED)
+    _, pts = _flap_points(u, np.array([0.3, -0.2]), kernel_constants(2, 0.5), q_horizon)
+    assert len(np.unique(np.round(pts, 10), axis=0)) == len(pts)
 
 # --- Marchaud derivative -----------------------------------------------------
 
