@@ -30,6 +30,7 @@ from .quadrature import (
     angular_rule,
     checked_point,
     exterior_spatial_mass,
+    in_blocks,
     integrate_difference,
     singular_integral,
     slab_mass,
@@ -55,6 +56,7 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     rule holds -th with th, so this is the symmetric second difference, O(r^2).
     The rule is exact for radial profiles; for globally oscillatory u in n >= 2
     the angular resolution, not the radial mesh, limits accuracy at large radii.
+    Each bisection level of the radial mesh is evaluated ``in_blocks``.
     """
     n, s = p.n, p.s
     C = in_mode(p.C_ns_lap, p.normalization)
@@ -75,10 +77,12 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
         r_cut = max(1e4, math.sqrt(q.horizon)) if q.horizon is not None else 1e4
         truncated = True
 
-    def dens(rr):
+    def diff(rr):
         pts = x0[None, None, :] + rr[:, None, None] * dirs[None, :, :]
-        S = u0 * omega - u(pts, np.zeros(pts.shape[:2])) @ aw
-        return rr ** (-1.0 - 2.0 * s) * 2.0 * S
+        return u0 * omega - u(pts, np.zeros(pts.shape[:2])) @ aw
+
+    def dens(rr):
+        return rr ** (-1.0 - 2.0 * s) * 2.0 * in_blocks(diff, rr, len(aw))
 
     # over the symmetric rule the difference is O(r^2): close in a = r^2
     total, err = singular_integral(dens, u, r_cut, math.sqrt(q.a_min), (), s,

@@ -67,9 +67,8 @@ _BISECT_DEPTH = 14
 _PANELS_PER_DECADE = 4
 #: fixed Gauss-Hermite order of the full-space window values
 _FULLSPACE_GH = 20
-#: points of u one evaluator call is handed at most, unless one duration
-#: alone needs more: ``_blocks`` then takes max(1, _POINT_BUDGET // size)
-#: durations of ``size`` points at a time; one n=3 duration at the order cap 32
+#: points of u one evaluator call is handed at most, unless one row alone
+#: needs more (``in_blocks``); one n=3 duration at the order cap 32
 _POINT_BUDGET = 2 ** 15
 #: points of u one shell-window evaluator call is handed at most, in whole
 #: adaptive_gl panels, unless one panel alone needs more; over two bench
@@ -172,12 +171,15 @@ def _gh_tensor(order: int, n: int):
     return pts, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
 
 
-def _blocks(f, rows, step: int):
-    """``f`` on consecutive blocks of at most ``step`` rows, the results concatenated.
+def in_blocks(f, rows, points_per_row: int):
+    """``f`` on consecutive blocks of ``rows``, the results concatenated.
 
-    The arrays ``f`` builds for one block are freed when it returns, before
-    the next block is built.
+    A block holds max(1, _POINT_BUDGET // points_per_row) rows, so that ``f``
+    evaluates u at no more than _POINT_BUDGET points unless one row alone
+    needs more.  The arrays ``f`` builds for one block are freed when it
+    returns, before the next block is built.
     """
+    step = max(1, _POINT_BUDGET // points_per_row)
     return np.concatenate([f(rows[i:i + step]) for i in range(0, len(rows), step)])
 
 
@@ -196,7 +198,7 @@ def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         pts = pts.reshape((len(a),) + Z.shape)
         return u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])) @ W
 
-    return _blocks(block, avals, max(1, _POINT_BUDGET // len(W)))
+    return in_blocks(block, avals, len(W))
 
 
 def _on_axis(u: FunctionHandle, rr, tt):
@@ -252,7 +254,7 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         vals = _on_axis(u, rr, (t0 - a)[:, None])
         return math.pi ** (n / 2.0) * np.sum(v * vals, axis=1) / np.sum(v, axis=1)
 
-    return _blocks(block, avals, max(1, _POINT_BUDGET // len(z)))
+    return in_blocks(block, avals, len(z))
 
 
 def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
@@ -261,7 +263,7 @@ def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
 
     A radial u at n = 2, 3 takes the 1-D rule of ``_radial_sums``; any
     other u the order^n tensor rule of ``_gh_sums``.  Both are evaluated
-    through ``_blocks`` under _POINT_BUDGET.
+    ``in_blocks``, under _POINT_BUDGET.
     """
     if u.radial and len(x0) > 1:
         return _radial_sums(u, x0, t0, avals, order)
@@ -582,22 +584,76 @@ def shell_rule(n: int, r_lo: float, r_hi: float, a_ref: float, gl: int,
     return pts.reshape(-1, n), ww.ravel()
 
 
-#: i0e switches from np.i0 to its asymptotic series here; np.i0(k) overflows near 713
+#: the direct formula of i0e, which its table is fitted to, switches from
+#: np.i0 to the Hankel series here; np.i0(k) overflows near 713
 _I0E_SWITCH = 500.0
 #: Hankel series I_0(k) ~ e^k / sqrt(2 pi k) * sum_m c_m k^{-m} with
 #: c_m = ((2m-1)!!)^2 / (m! 8^m); ten terms reach double precision for k >= 500
 _I0E_HANKEL = np.cumprod([1.0] + [(2 * m - 1) ** 2 / (8.0 * m) for m in range(1, 10)])
+#: i0e's table: equal pieces of y = k / (k + 8) in [0, 1], each a polynomial
+#: of this degree; sqrt(k + 8) i0e(k) is smooth in y up to y = 1 (k = inf),
+#: where it tends to 1 / sqrt(2 pi)
+_I0E_PIECES, _I0E_DEGREE = 128, 7
+
+
+@lru_cache(maxsize=1)
+def _i0e_table():
+    """Coefficients (degree + 1, pieces) of sqrt(k + 8) i0e(k) on the pieces of y.
+
+    Piece j covers y in [j, j + 1) / _I0E_PIECES, in the local coordinate
+    t = _I0E_PIECES y - j in [0, 1).  Each piece interpolates the direct
+    formula, np.i0(k) e^{-k} below _I0E_SWITCH and the Hankel series above,
+    at the _I0E_DEGREE + 1 Chebyshev points of t.  All pieces share these
+    points, so the table is one Vandermonde solve, by Bjorck-Pereyra
+    (divided differences, then the Newton form expanded in powers of t):
+    as accurate as np.linalg.solve here, and it loads no LAPACK code, which
+    took 0.5 MB resident in a fresh process.  The value at k = 0 is set to
+    sqrt(8), so that i0e(0) = 1 exactly.
+    """
+    m = _I0E_DEGREE + 1
+    t = 0.5 - 0.5 * np.cos(math.pi * (np.arange(m) + 0.5) / m)
+    y = (np.arange(_I0E_PIECES)[:, None] + t) / _I0E_PIECES
+    k = 8.0 * y / (1.0 - y)
+    small = k < _I0E_SWITCH
+    f = np.empty_like(k)
+    f[small] = np.i0(k[small]) * np.exp(-k[small])
+    kb = k[~small]
+    f[~small] = np.polyval(_I0E_HANKEL[::-1], 1.0 / kb) / np.sqrt(2.0 * math.pi * kb)
+    f *= np.sqrt(k + 8.0)
+    coef = f.T.copy()
+    for d in range(1, m):
+        coef[d:] = (coef[d:] - coef[d - 1:-1]) / (t[d:] - t[:-d])[:, None]
+    for d in range(m - 2, -1, -1):
+        coef[d:-1] -= t[d] * coef[d + 1:]
+    coef[0, 0] = math.sqrt(8.0)
+    coef.flags.writeable = False
+    return coef
 
 
 def i0e(k):
-    """Exponentially scaled modified Bessel function e^{-k} I_0(k) for k >= 0."""
+    """Exponentially scaled modified Bessel function e^{-k} I_0(k) for k >= 0.
+
+    A piecewise polynomial in y = k / (k + 8) (``_i0e_table``), evaluated by
+    Horner's rule in place and divided by sqrt(k + 8).  It is within 1e-15
+    relative of scipy's i0e on 0 <= k <= 1e300, equals 1 at k = 0 and 0 at
+    k = inf, and keeps the shape of ``k``.
+    """
+    coef = _i0e_table()
     k = np.asarray(k, dtype=float)
-    small = k < _I0E_SWITCH
-    out = np.empty_like(k)
-    ks = k[small]
-    out[small] = np.i0(ks) * np.exp(-ks)
-    kb = k[~small]
-    out[~small] = np.polyval(_I0E_HANKEL[::-1], 1.0 / kb) / np.sqrt(2.0 * math.pi * kb)
+    q = np.add(k, 8.0, out=np.empty_like(k))
+    # k / (k + 8) keeps the relative precision of small k; k = inf is y = 1
+    t = np.divide(k, q, out=np.ones_like(k), where=k < math.inf)
+    t *= _I0E_PIECES
+    j = t.astype(np.intp)
+    np.minimum(j, _I0E_PIECES - 1, out=j)
+    t -= j
+    # j is in range: mode="clip" lets take write into ``out`` without a buffer
+    out = coef[_I0E_DEGREE].take(j, out=np.empty_like(k), mode="clip")
+    row = np.empty_like(k)
+    for d in range(_I0E_DEGREE - 1, -1, -1):
+        out *= t
+        out += coef[d].take(j, out=row, mode="clip")
+    out /= np.sqrt(q, out=q)
     return out
 
 
@@ -620,10 +676,10 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     the ``_shell_panels`` radial count and, on the tensor branch, the
     angular count.  Each distinct rule is built once and evaluated on all
     panels that share it, in blocks of whole panels of at most _SHELL_BLOCK
-    points; a panel that alone needs more goes through ``_blocks`` under
-    _POINT_BUDGET.  A radial u is integrated on the radial rule alone,
-    weighted by ``_funk_hecke`` and evaluated at r * e_1; any other u on
-    the tensor shell rule.
+    points; a panel that alone needs more goes through ``in_blocks``.  A
+    radial u is integrated on the radial rule alone, weighted by
+    ``_funk_hecke`` and evaluated at r * e_1; any other u on the tensor
+    shell rule.
     """
     n = p.n
     rho = float(np.linalg.norm(x0))
@@ -667,7 +723,7 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
         for j in range(0, len(panels), per):
             rows = (starts[panels[j:j + per]][:, None] + np.arange(step)).ravel()
             rows = rows[rows < len(avals)]
-            out[rows] = _blocks(block, avals[rows], max(1, _POINT_BUDGET // size))
+            out[rows] = in_blocks(block, avals[rows], size)
     return out
 
 

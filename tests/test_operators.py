@@ -31,7 +31,7 @@ from masterop.handles import (
     spatial,
     temporal,
 )
-from masterop.quadrature import angular_rule
+from masterop.quadrature import _POINT_BUDGET, angular_rule
 
 
 def exp_cos(lam=1.0, xi=1.0):
@@ -180,16 +180,21 @@ def test_angular_rule_is_antipodally_symmetric(n, count):
     assert np.array_equal(aw[mirror], aw)
 
 
-def _flap_points(u, x, p, q):
-    """fractional_laplacian's result and every point it evaluated u at."""
-    seen = []
+def _flap_calls(u, x, p, q):
+    """fractional_laplacian's result and the points of each call of u's evaluator."""
+    calls = []
 
     def record(pts, tt):
-        seen.append(np.array(pts))
+        calls.append(np.array(pts))
         return u.evaluator(pts, tt)
 
-    res = fractional_laplacian(replace(u, evaluator=record), x, p, q)
-    return res, np.vstack(seen)
+    return fractional_laplacian(replace(u, evaluator=record), x, p, q), calls
+
+
+def _flap_points(u, x, p, q):
+    """fractional_laplacian's result and every point it evaluated u at."""
+    res, calls = _flap_calls(u, x, p, q)
+    return res, np.vstack(calls)
 
 
 @pytest.mark.parametrize("n, nodes", [(1, 1032), (2, 8640), (3, 72192)])
@@ -207,6 +212,22 @@ def test_flap_evaluates_each_point_of_a_wave_once(q_horizon):
     u = spatial(lambda pts: np.cos(1.5 * pts[:, 0]), dim=2, growth=GROWTH_BOUNDED)
     _, pts = _flap_points(u, np.array([0.3, -0.2]), kernel_constants(2, 0.5), q_horizon)
     assert len(np.unique(np.round(pts, 10), axis=0)) == len(pts)
+
+
+@pytest.mark.parametrize("case", ["wave-n2", "phi4-n3"])
+def test_flap_calls_stay_within_the_point_budget(case, q_horizon):
+    # a bisection level of the radial mesh is handed to u in blocks of at
+    # most _POINT_BUDGET points, a row being the directions of one radius
+    if case == "wave-n2":
+        u = spatial(lambda pts: np.cos(1.5 * pts[:, 0]), dim=2, growth=GROWTH_BOUNDED)
+        args = (np.array([0.3, -0.2]), kernel_constants(2, 0.5), q_horizon)
+    else:
+        u = phi_family(4, 0.8, 1.0, dim=3)
+        args = (np.array([0.2, 0.0, 0.0]), kernel_constants(3, 0.4), QuadSpec())
+    _, calls = _flap_calls(u, *args)
+    sizes = [math.prod(pts.shape[:-1]) for pts in calls]
+    assert 0 < max(sizes) <= _POINT_BUDGET
+    assert sum(sizes) > _POINT_BUDGET
 
 # --- Marchaud derivative -----------------------------------------------------
 

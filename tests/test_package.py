@@ -112,3 +112,11 @@ def test_shell_spacing_rule_has_one_definition():
                                             "quadrature.py:radial_nodes"}
     assert _referrers("radial_nodes") == {"quadrature.py:_shell_values", "quadrature.py:shell_rule"}
     assert _referrers("shell_rule") == {"quadrature.py:_shell_values"}
+
+
+def test_bessel_table_and_point_budget_have_one_home():
+    # np.i0 only fits i0e's table, so no evaluation goes through its
+    # piecewise Chebyshev loops; the point budget, set at module level, is
+    # read only by in_blocks
+    assert _referrers("i0") == {"quadrature.py:_i0e_table"}
+    assert _referrers("_POINT_BUDGET") == {"quadrature.py:<module>", "quadrature.py:in_blocks"}

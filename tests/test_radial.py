@@ -24,6 +24,7 @@ from masterop.funcdsl import parse, to_handle
 from masterop.handles import GROWTH_BOUNDED, combine, from_callable, shifted
 from masterop.quadrature import (
     _GH_CAP,
+    _I0E_PIECES,
     _I0E_SWITCH,
     MAX_GH_ORDER,
     angular_rule,
@@ -97,6 +98,20 @@ def test_i0e_against_scipy_on_both_branches():
     ref = scipy_i0e(k)
     assert np.max(np.abs(i0e(k) / ref - 1.0)) <= 1e-14
     assert i0e(0.0) == 1.0
+
+
+def test_i0e_at_its_edges():
+    # piece edges of the table in y = k / (k + 8), each +- 1 ulp, and both ends
+    y = np.arange(1, _I0E_PIECES) / _I0E_PIECES
+    edge = 8.0 * y / (1.0 - y)
+    k = np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
+                        [0.0, 5e-324, 1e-300, 1e-8, 1e16, 1e300, np.finfo(float).max]])
+    assert np.max(np.abs(i0e(k) / scipy_i0e(k) - 1.0)) <= 1e-14
+    assert i0e(0.0) == 1.0 and i0e(np.inf) == 0.0
+    assert np.shape(i0e(2.0)) == () and np.shape(i0e(np.array(2.0))) == ()
+    grid = np.array([[0.0, 1.0, 2.0], [3e2, 6e2, np.inf]])
+    assert i0e(grid).shape == grid.shape
+    assert np.array_equal(i0e(grid).ravel(), i0e(grid.ravel()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
