@@ -128,7 +128,7 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     kinks = [t0 - k for k in u.time_kinks]
 
     def vals(aa):
-        return u(np.zeros((len(aa), u.dim)), t0 - aa)
+        return u(np.zeros(np.shape(aa) + (u.dim,)), t0 - aa)
 
     def dens(aa):
         return aa ** (-1.0 - s) * (u0 - vals(aa))

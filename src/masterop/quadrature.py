@@ -67,8 +67,8 @@ _BISECT_DEPTH = 14
 _PANELS_PER_DECADE = 4
 #: fixed Gauss-Hermite order of the full-space window values
 _FULLSPACE_GH = 20
-#: points of u one evaluator call is handed at most, unless one row alone
-#: needs more (``in_blocks``); one n=3 duration at the order cap 32
+#: points of u one evaluator call is handed at most, unless one duration
+#: alone needs more (``in_blocks``); one n=3 duration at the order cap 32
 _POINT_BUDGET = 2 ** 15
 #: points of u one shell-window evaluator call is handed at most, in whole
 #: adaptive_gl panels, unless one panel alone needs more; over two bench
@@ -171,16 +171,17 @@ def _gh_tensor(order: int, n: int):
     return pts, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
 
 
-def in_blocks(f, rows, points_per_row: int):
-    """``f`` on consecutive blocks of ``rows``, the results concatenated.
+def in_blocks(f, rows, points_per_entry: int):
+    """``f`` on consecutive blocks of the flat ``rows``, the results in the shape of ``rows``.
 
-    A block holds max(1, _POINT_BUDGET // points_per_row) rows, so that ``f``
-    evaluates u at no more than _POINT_BUDGET points unless one row alone
-    needs more.  The arrays ``f`` builds for one block are freed when it
-    returns, before the next block is built.
+    A block holds max(1, _POINT_BUDGET // points_per_entry) entries, so that
+    ``f`` evaluates u at no more than _POINT_BUDGET points unless one entry
+    alone needs more.  The arrays ``f`` builds for one block are freed when
+    it returns, before the next block is built.
     """
-    step = max(1, _POINT_BUDGET // points_per_row)
-    return np.concatenate([f(rows[i:i + step]) for i in range(0, len(rows), step)])
+    flat, step = np.ravel(rows), max(1, _POINT_BUDGET // points_per_entry)
+    return np.concatenate([f(flat[i:i + step])
+                           for i in range(0, len(flat), step)]).reshape(np.shape(rows))
 
 
 def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
@@ -263,7 +264,8 @@ def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
 
     A radial u at n = 2, 3 takes the 1-D rule of ``_radial_sums``; any
     other u the order^n tensor rule of ``_gh_sums``.  Both are evaluated
-    ``in_blocks``, under _POINT_BUDGET.
+    ``in_blocks``, under _POINT_BUDGET, and keep the shape of ``avals``,
+    such as the (panels, _GL_HI + _GL_LO) rows of the difference panels.
     """
     if u.radial and len(x0) > 1:
         return _radial_sums(u, x0, t0, avals, order)
@@ -343,7 +345,8 @@ def adaptive_gl(f, panels, tol: float = math.inf):
     difference.  Panels disagreeing by more than ``tol`` are halved, at
     most _BISECT_DEPTH times; the default never splits, so the mesh is
     exactly ``panels``.  ``f`` is called once per bisection level, on the
-    _GL_HI + _GL_LO nodes of each panel of the level, panel after panel.
+    level's (panels, _GL_HI + _GL_LO) matrix of nodes, one panel per row,
+    and returns values of that shape.
     Returns (total, err, xs, fs) where xs/fs hold the _GL_HI nodes and
     values of the accepted panels in the order of ``panels``, halves left
     to right, so callers can post-process (e.g. small-argument fits).
@@ -355,7 +358,7 @@ def adaptive_gl(f, panels, tol: float = math.inf):
         lo, hi = edges[:, :1], edges[:, 1:]
         (x_h, w_h), (x_l, w_l) = gl_panel(lo, hi, _GL_HI), gl_panel(lo, hi, _GL_LO)
         xs = np.hstack([x_h, x_l])
-        fs = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+        fs = np.asarray(f(xs), dtype=float)
         cur, diff = _panel_sums(fs, w_h, w_l, edges)
         split = (diff > tol) & (depth < _BISECT_DEPTH)
         done.append((owner[~split], edges[~split, 0], cur[~split], diff[~split],
@@ -387,16 +390,17 @@ def _log_mesh(a_lo: float, a_hi: float, per_decade: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks=(),
-                    pw: float | None = None, tol: float = math.inf):
+def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
+                    tol: float = math.inf):
     """int_{a_lo}^{a_hi} a^{-pe} Y(a) da over log-spaced panels split at ``kinks``.
 
-    ``Y`` maps an array of durations to values.  ``a_hi`` may be inf: the
+    ``Y`` maps a (panels, nodes) matrix of durations, one ``adaptive_gl``
+    panel per row, to values of that shape.  ``a_hi`` may be inf: the
     infinite past is then mapped to r in (0, a_lo^{-pw}] by r = a^{-pw},
     where a^{-pe} Y da = a^{pw-pe+1} Y dr / pw.  ``pw`` must make that
     r-integrand bounded; the piece (0, r_last] below the r-mesh is then at
-    most its endpoint value times r_last and is added to the error.
-    Returns (value, err).
+    most its endpoint value times r_last, taken on a (1, 1) row, and is
+    added to the error.  Returns (value, err).
     """
     if math.isfinite(a_hi):
         panels = split_panels(_log_mesh(a_lo, a_hi, _PANELS_PER_DECADE),
@@ -413,7 +417,7 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks=(),
 
     total, err, _, _ = adaptive_gl(dens, panels, tol)
     r_last = min(lo for lo, hi in panels)
-    err += abs(float(dens(np.array([r_last]))[0])) * r_last
+    err += abs(float(dens(np.full((1, 1), r_last))[0, 0])) * r_last
     return total / pw, err / pw
 
 
@@ -467,9 +471,10 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
 
     Every time panel starts at the start order of ``_gh_orders``.  Each
     escalation round evaluates the durations of all open panels, which
-    share one order, through ``spatial_average``; a panel closes when two
-    successive orders agree to within the larger of the tolerance and the
-    rounding floor, or its order reached the cap, and the others double.
+    share one order, one panel per row, through ``spatial_average``; a
+    panel closes when two successive orders agree to within the larger of
+    the tolerance and the rounding floor, or its order reached the cap, and
+    the others double.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
@@ -487,8 +492,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     live = np.arange(len(edges))
     while live.size:
         aa = a_all[live]
-        dens = aa ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, aa.ravel(), order)
-                                   .reshape(aa.shape))
+        dens = aa ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, aa, order))
         val, hi_lo = _panel_sums(dens, w_h[live], w_l[live], edges[live])
         step = np.abs(val - prev[live])     # nan in a panel's first round
         shut = (step <= tol[live]) | (order >= gh_cap)
@@ -670,33 +674,27 @@ def sphere_average(n: int, k):
 def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
 
-    Each run of _GL_HI + _GL_LO durations is one adaptive_gl panel (a
-    shorter tail, such as ``window_integral``'s endpoint duration, is a
-    panel of its own), and a panel takes the rule of its shortest duration:
-    the ``_shell_panels`` radial count and, on the tensor branch, the
-    angular count.  Each distinct rule is built once and evaluated on all
-    panels that share it, in blocks of whole panels of at most _SHELL_BLOCK
-    points; a panel that alone needs more goes through ``in_blocks``.  A
-    radial u is integrated on the radial rule alone, weighted by
-    ``_funk_hecke`` and evaluated at r * e_1; any other u on the tensor
-    shell rule.
+    ``avals`` holds one adaptive_gl panel per row, and a panel takes the
+    rule of its shortest duration: the ``_shell_panels`` radial count and,
+    on the tensor branch, the angular count.  Each distinct rule is built
+    once and evaluated on all panels that share it, in blocks of whole rows
+    of at most _SHELL_BLOCK points; a row that alone needs more goes
+    through ``in_blocks``.  A radial u is integrated on the radial rule
+    alone, weighted by ``_funk_hecke`` and evaluated at r * e_1; any other
+    u on the tensor shell rule.  Returns values in the shape of ``avals``.
     """
     n = p.n
     rho = float(np.linalg.norm(x0))
-    step = _GL_HI + _GL_LO
-    starts = np.arange(0, len(avals), step)
-    a_ref = np.minimum.reduceat(avals, starts)
+    a_ref = avals.min(axis=1)
     count = _shell_panels(r_hi - r_lo, a_ref)
     if u.radial or n == 1:
         ang = np.full_like(count, 2)
     else:
         ang = np.clip(8 + 2.0 * r_hi * (rho + 1.0) / np.sqrt(np.maximum(a_ref, 1e-12)),
                       12, 64).astype(int)
-    # panels by rule, a short tail apart so that every block's rows are whole
-    # panels (a dict: np.unique would import numpy.ma, 0.8 MB resident)
-    short = starts + step > len(avals)
+    # panels by rule (a dict: np.unique would import numpy.ma, 0.8 MB resident)
     groups = {}
-    for i, key in enumerate(zip(count.tolist(), ang.tolist(), short.tolist())):
+    for i, key in enumerate(zip(count.tolist(), ang.tolist())):
         groups.setdefault(key, []).append(i)
 
     def rule(i):
@@ -716,13 +714,12 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
 
         return block, len(pts)
 
-    out = np.empty(len(avals))
+    out = np.empty_like(avals)
     for panels in groups.values():
         block, size = rule(panels[0])
-        per = max(1, _SHELL_BLOCK // (step * size))
+        per = max(1, _SHELL_BLOCK // (avals.shape[1] * size))
         for j in range(0, len(panels), per):
-            rows = (starts[panels[j:j + per]][:, None] + np.arange(step)).ravel()
-            rows = rows[rows < len(avals)]
+            rows = panels[j:j + per]
             out[rows] = in_blocks(block, avals[rows], size)
     return out
 

@@ -114,6 +114,14 @@ def test_shell_spacing_rule_has_one_definition():
     assert _referrers("shell_rule") == {"quadrature.py:_shell_values"}
 
 
+def test_panel_layout_has_one_home():
+    # durations travel as adaptive_gl's (panels, _GL_HI + _GL_LO) rows, so
+    # no function past the panel sums re-derives panels from runs of nodes
+    assert _referrers("_GL_LO") == {"quadrature.py:<module>", "quadrature.py:adaptive_gl",
+                                    "quadrature.py:_difference_panels"}
+    assert _referrers("reduceat") == set()
+
+
 def test_bessel_table_and_point_budget_have_one_home():
     # np.i0 only fits i0e's table, so no evaluation goes through its
     # piecewise Chebyshev loops; the point budget, set at module level, is

@@ -50,6 +50,7 @@ from masterop.quadrature import (
     gauss_hermite_nodes,
     gl_panel,
     graded_time_mesh,
+    in_blocks,
     integrate_difference,
     radial_nodes,
     shell_rule,
@@ -390,6 +391,25 @@ def test_adaptive_gl_stops_at_the_depth_cap():
     assert len(calls) == _BISECT_DEPTH + 1
 
 
+def test_in_blocks_keeps_the_shape_of_its_rows():
+    # a (panels, nodes) matrix is handed to f in the flat blocks of its
+    # ravel(), here 7 of 5 durations and one of 1, and comes back as a matrix
+    rows = np.geomspace(1e-3, 10.0, 36).reshape(3, 12)
+    blocks = {"rows": [], "flat": []}
+
+    def f(key):
+        def block(a):
+            blocks[key].append(a.copy())
+            return np.cos(a) * np.sqrt(a)
+        return block
+
+    got = in_blocks(f("rows"), rows, _POINT_BUDGET // 5)
+    flat = in_blocks(f("flat"), rows.ravel(), _POINT_BUDGET // 5)
+    assert got.shape == rows.shape and np.array_equal(got.ravel(), flat)
+    assert [b.shape for b in blocks["rows"]] == [(5,)] * 7 + [(1,)]
+    assert all(np.array_equal(a, b) for a, b in zip(blocks["rows"], blocks["flat"]))
+
+
 # --- _shell_values: one rule per adaptive_gl panel ---------------------------
 
 def _gauss_bump(n):
@@ -417,9 +437,8 @@ def _one_rule_shell_values(u, x0, t0, avals, r_lo, r_hi, p):
 def test_shell_values_keep_one_rule_per_panel(n, make):
     p = kernel_constants(n, 0.5)
     panels = [(1e-3, 1e-2), (1e-2, 0.1), (0.1, 4.0)]
-    avals = np.concatenate([np.concatenate([gl_panel(lo, hi, _GL_HI)[0],
-                                            gl_panel(lo, hi, _GL_LO)[0]])
-                            for lo, hi in panels])
+    avals = np.array([np.concatenate([gl_panel(lo, hi, _GL_HI)[0], gl_panel(lo, hi, _GL_LO)[0]])
+                      for lo, hi in panels])
     sizes = []
     base = make(n)
 
@@ -432,31 +451,19 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
     batched = _shell_values(u, x0, 0.1, avals, 0.5, 3.0, p)
     batched_peak = max(sizes)
     sizes.clear()
-    step = _GL_HI + _GL_LO
-    single = np.concatenate([_shell_values(u, x0, 0.1, avals[i:i + step], 0.5, 3.0, p)
-                             for i in range(0, len(avals), step)])
-    assert np.array_equal(batched, single)
+    single = np.concatenate([_shell_values(u, x0, 0.1, avals[i:i + 1], 0.5, 3.0, p)
+                             for i in range(len(avals))])
+    assert batched.shape == avals.shape and np.array_equal(batched, single)
     # panels grouped by rule share a call only up to the shell block cap
     assert batched_peak <= max(_SHELL_BLOCK, max(sizes))
     # one rule sized by the shortest duration of all panels gives other values
-    one_rule = _one_rule_shell_values(u, x0, 0.1, avals, 0.5, 3.0, p)
-    assert one_rule == pytest.approx(batched, rel=1e-2)
-    assert not np.array_equal(one_rule, batched)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_shell_values_keep_a_short_tail_apart(n):
-    # four panels of one rule and a last duration: with the tail in the
-    # panels' block, the row grouping of the final product changed its bits
-    u, p = w_family(1, 1.0, 0.5, n=n), kernel_constants(n, 0.5)
-    edges = 5.0 * np.array([1.0, 1.2, 1.44, 1.7, 2.0])
-    avals = np.concatenate([np.concatenate([gl_panel(lo, hi, _GL_HI)[0],
-                                            gl_panel(lo, hi, _GL_LO)[0]])
-                            for lo, hi in zip(edges[:-1], edges[1:])] + [[12.5]])
-    x0, step = np.full(n, 0.3), _GL_HI + _GL_LO
-    single = np.concatenate([_shell_values(u, x0, 0.1, avals[i:i + step], 0.5, 3.0, p)
-                             for i in range(0, len(avals), step)])
-    assert np.array_equal(_shell_values(u, x0, 0.1, avals, 0.5, 3.0, p), single)
+    one_rule = _one_rule_shell_values(u, x0, 0.1, avals.ravel(), 0.5, 3.0, p)
+    assert one_rule == pytest.approx(batched.ravel(), rel=1e-2)
+    assert not np.array_equal(one_rule, batched.ravel())
+    # window_integral's endpoint: a (1, 1) row, on the rule of its one duration
+    end = np.full((1, 1), 12.5)
+    assert np.array_equal(_shell_values(u, x0, 0.1, end, 0.5, 3.0, p),
+                          _one_rule_shell_values(u, x0, 0.1, end[0], 0.5, 3.0, p)[None])
 
 
 @pytest.mark.parametrize("n, nodes", [(1, 153_216), (2, 153_600), (3, 153_888)])
@@ -474,7 +481,7 @@ def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_infinite_past_shell_window_matches_the_per_panel_values(n, radial, monkeypatch):
-    # the r-mesh ends with window_integral's endpoint call on one duration
+    # the r-mesh ends with window_integral's endpoint call on a (1, 1) row
     w = w_family(2, 1.0, 0.5, n=n)
     u = dataclasses.replace(w, radial=radial)
     lengths = []
@@ -488,9 +495,8 @@ def test_infinite_past_shell_window_matches_the_per_panel_values(n, radial, monk
     args = (u, (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(), 40.0, math.inf)
     grouped = window_uM_integral(*args)
     assert lengths[-1] == 1
-    step = _GL_HI + _GL_LO
     monkeypatch.setattr(quadrature, "_shell_values", lambda u, x0, t0, avals, *rest: np.concatenate(
-        [_shell_values(u, x0, t0, avals[i:i + step], *rest) for i in range(0, len(avals), step)]))
+        [_shell_values(u, x0, t0, avals[i:i + 1], *rest) for i in range(len(avals))]))
     assert window_uM_integral(*args) == grouped
 
 
