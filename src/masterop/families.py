@@ -162,4 +162,5 @@ def w_family(j: int, gamma: float, s: float, n: int = 1,
         smoothness=C1_TIME,
         time_kinks=(0.0,),
         radial=True,
+        frozen_until=0.0,
     )

@@ -3,8 +3,9 @@
 A :class:`FunctionHandle` wraps a vectorized evaluator together with the
 metadata the integration engines need: a support box (spatial ball radius
 plus a time window), a growth envelope for the infinite past, a smoothness
-marker, and the locations of isolated kinks in time.  Evaluators must be
-pure and reentrant; all engines call them on large node batches.
+marker, the locations of isolated kinks in time, and the declared radial
+symmetry and frozen past.  Evaluators must be pure and reentrant; all
+engines call them on large node batches.
 """
 from __future__ import annotations
 
@@ -21,6 +22,8 @@ HOLDER = "holder"
 GROWTH_DECAYING = "decaying"
 GROWTH_BOUNDED = "bounded"
 GROWTH_FORWARD_POLY = "forward-polynomial"   # bounded on every past cone
+#: growth markers from the strongest envelope to the weakest
+_GROWTH_ORDER = (GROWTH_DECAYING, GROWTH_BOUNDED, GROWTH_FORWARD_POLY)
 
 
 class NumericError(RuntimeError):
@@ -60,6 +63,10 @@ class FunctionHandle:
         difference integral's Gaussian averages at n = 2, 3 a 1-D rule in
         r, and both evaluate u only at points r * e_1, so a wrong
         declaration gives wrong values in either.
+    frozen_until: u(x, t) = u(x, frozen_until) for every t <= frozen_until;
+        inf means that u does not depend on t.  Another unchecked promise:
+        the shell integrals evaluate u once per rule, at one time, on the
+        rows whose durations all reach back that far.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -73,14 +80,17 @@ class FunctionHandle:
     #: operators short-circuit to an exact 0)
     constant_value: float | None = None
     radial: bool = False
+    frozen_until: float | None = None
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise ValueError("spatial dimension must be 1, 2 or 3")
         if self.smoothness not in (SMOOTH, C1_TIME, HOLDER):
             raise ValueError(f"unknown smoothness marker {self.smoothness!r}")
-        if self.growth not in (None, GROWTH_DECAYING, GROWTH_BOUNDED, GROWTH_FORWARD_POLY):
+        if self.growth is not None and self.growth not in _GROWTH_ORDER:
             raise ValueError(f"unknown growth marker {self.growth!r}")
+        if self.frozen_until is not None and math.isnan(self.frozen_until):
+            raise ValueError("frozen_until must be a time or None, got nan")
 
     def __call__(self, points, times) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -103,7 +113,7 @@ class FunctionHandle:
         """Whether the infinite-past tail integrals converge by metadata."""
         if self.support is not None and self.support.t_lo > -math.inf:
             return True
-        return self.growth in (GROWTH_DECAYING, GROWTH_BOUNDED, GROWTH_FORWARD_POLY)
+        return self.growth in _GROWTH_ORDER
 
 
 def counted(u: FunctionHandle):
@@ -137,7 +147,7 @@ def constant(value: float, dim: int = 1) -> FunctionHandle:
         return np.full(pts.shape[0], v)
 
     return FunctionHandle(evaluator=evaluator, dim=dim, growth=GROWTH_BOUNDED,
-                          constant_value=v, radial=True)
+                          constant_value=v, radial=True, frozen_until=math.inf)
 
 
 def zero(dim: int = 1) -> FunctionHandle:
@@ -174,11 +184,16 @@ def combine(coeffs, handles) -> FunctionHandle:
     kinks = tuple(sorted({k for h in handles for k in h.time_kinks}))
     growth = None
     if all(h.past_integrable() for h in handles):
-        growth = GROWTH_BOUNDED if support is None else None
+        # the weakest envelope a term declares; a term without one vanishes
+        # in the far past
+        growth = max((h.growth for h in handles if h.growth is not None),
+                     key=_GROWTH_ORDER.index, default=None)
+    frozen = [h.frozen_until for h in handles]
     return FunctionHandle(
         evaluator=evaluator, dim=dim, support=support, growth=growth,
         smoothness=smoothness, holder_eps=eps, time_kinks=kinks,
         radial=all(h.radial for h in handles),
+        frozen_until=None if None in frozen else min(frozen),
     )
 
 
@@ -187,8 +202,9 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
     """v(x, t) = u(lambda x + x_bar, lambda^2 t + t_bar) / M, parabolic scaling.
 
     The support box transforms along: spatial radius divides by lambda
-    (plus the offset reach), the time window maps affinely.  v stays radial
-    only when u is and x_bar = 0; a constant u gives the constant u / M.
+    (plus the offset reach), the time window, the time kinks and
+    ``frozen_until`` map affinely.  v stays radial only when u is and
+    x_bar = 0; a constant u gives the constant u / M.
     """
     if Mk <= 0 or lambda_k <= 0:
         raise ValueError("need Mk > 0 and lambda_k > 0")
@@ -208,10 +224,11 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
         t_hi = (sup.t_hi - t_bar) / lam2 if sup.t_hi < math.inf else math.inf
         support = SupportBox(radius=radius, t_lo=t_lo, t_hi=t_hi)
     kinks = tuple((k - t_bar) / lam2 for k in u.time_kinks)
-    c = u.constant_value
+    c, frozen = u.constant_value, u.frozen_until
     return replace(u, evaluator=evaluator, support=support, time_kinks=kinks,
                    constant_value=None if c is None else c / Mk,
-                   radial=u.radial and not np.any(x_bar))
+                   radial=u.radial and not np.any(x_bar),
+                   frozen_until=None if frozen is None else (frozen - t_bar) / lam2)
 
 
 def shifted(u: FunctionHandle, x0, t0: float) -> FunctionHandle:
@@ -220,12 +237,13 @@ def shifted(u: FunctionHandle, x0, t0: float) -> FunctionHandle:
 
 
 def spatial(f, dim: int = 1, **meta) -> FunctionHandle:
-    """Handle for u(x) independent of t; f takes (m, n) points."""
+    """Handle for u(x) independent of t (``frozen_until`` inf); f takes (m, n) points."""
 
     def evaluator(pts, tt):
         return np.asarray(f(pts), dtype=float)
 
     meta.setdefault("growth", GROWTH_BOUNDED)
+    meta.setdefault("frozen_until", math.inf)
     return FunctionHandle(evaluator=evaluator, dim=dim, **meta)
 
 

@@ -681,7 +681,11 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     of at most _SHELL_BLOCK points; a row that alone needs more goes
     through ``in_blocks``.  A radial u is integrated on the radial rule
     alone, weighted by ``_funk_hecke`` and evaluated at r * e_1; any other
-    u on the tensor shell rule.  Returns values in the shape of ``avals``.
+    u on the tensor shell rule.  A row whose durations all reach back to
+    u's ``frozen_until`` is frozen, and frozen rows get rules of their own:
+    such a rule evaluates u once, at its shortest duration, and its blocks
+    are the kernel against the weighted values.  Returns values in the
+    shape of ``avals``.
     """
     n = p.n
     rho = float(np.linalg.norm(x0))
@@ -692,35 +696,42 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     else:
         ang = np.clip(8 + 2.0 * r_hi * (rho + 1.0) / np.sqrt(np.maximum(a_ref, 1e-12)),
                       12, 64).astype(int)
+    if u.frozen_until is None:
+        frozen = np.zeros(len(a_ref), dtype=bool)
+    else:
+        frozen = a_ref >= t0 - u.frozen_until
     # panels by rule (a dict: np.unique would import numpy.ma, 0.8 MB resident)
     groups = {}
-    for i, key in enumerate(zip(count.tolist(), ang.tolist())):
+    for i, key in enumerate(zip(count.tolist(), ang.tolist(), frozen.tolist())):
         groups.setdefault(key, []).append(i)
 
     def rule(i):
-        """Panel i's rule as (its values on a block of durations, its point count)."""
+        """Panel i's rule as (u on its points at a column of times, its kernel on a
+        block of durations, its weights)."""
         if u.radial:
             rr, rw = radial_nodes(r_lo, r_hi, a_ref[i], _GL_HI)
-            weight = rw * rr ** (n - 1)
-            return (lambda a: (_on_axis(u, rr, t0 - a[:, None])
-                               * _funk_hecke(n, rho, rr, a[:, None])) @ weight), len(rr)
+            return (lambda tt: _on_axis(u, rr, tt),
+                    lambda a: _funk_hecke(n, rho, rr, a[:, None]), rw * rr ** (n - 1))
         pts, ww = shell_rule(n, r_lo, r_hi, a_ref[i], _GL_HI, ang[i])
         d2 = np.sum((pts - x0) ** 2, axis=-1)
-
-        def block(a):
-            kern = np.exp(-d2 / (4.0 * a[:, None]))
-            vals = u(np.broadcast_to(pts, (len(a),) + pts.shape), t0 - a[:, None])
-            return (vals * kern) @ ww
-
-        return block, len(pts)
+        return (lambda tt: u(np.broadcast_to(pts, (len(tt),) + pts.shape), tt),
+                lambda a: np.exp(-d2 / (4.0 * a[:, None])), ww)
 
     out = np.empty_like(avals)
-    for panels in groups.values():
-        block, size = rule(panels[0])
-        per = max(1, _SHELL_BLOCK // (avals.shape[1] * size))
+    for (_, _, is_frozen), panels in groups.items():
+        values, kern, weight = rule(panels[0])
+        if is_frozen:
+            cw = weight * values(np.full((1, 1), t0 - a_ref[panels[0]]))[0]
+
+            def block(a):
+                return kern(a) @ cw
+        else:
+            def block(a):
+                return (values(t0 - a[:, None]) * kern(a)) @ weight
+        per = max(1, _SHELL_BLOCK // (avals.shape[1] * len(weight)))
         for j in range(0, len(panels), per):
             rows = panels[j:j + per]
-            out[rows] = in_blocks(block, avals[rows], size)
+            out[rows] = in_blocks(block, avals[rows], len(weight))
     return out
 
 

@@ -122,6 +122,13 @@ def test_panel_layout_has_one_home():
     assert _referrers("reduceat") == set()
 
 
+def test_frozen_past_is_read_by_the_shell_values_only():
+    # the declaration changes one path of the quadrature: every other
+    # integral evaluates u at each duration, as for an undeclared handle
+    assert ({r for r in _referrers("frozen_until") if r.startswith("quadrature.py:")}
+            == {"quadrature.py:_shell_values"})
+
+
 def test_bessel_table_and_point_budget_have_one_home():
     # np.i0 only fits i0e's table, so no evaluation goes through its
     # piecewise Chebyshev loops; the point budget, set at module level, is

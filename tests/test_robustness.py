@@ -16,13 +16,21 @@ from masterop import (
     master_op,
     phi_family,
     psi_family,
+    spatial,
     tail_functional,
     temporal,
     w_family,
     zero,
 )
-from masterop.handles import FunctionHandle, combine, shifted
-from masterop.quadrature import integrate_difference
+from masterop.handles import (
+    GROWTH_BOUNDED,
+    GROWTH_DECAYING,
+    GROWTH_FORWARD_POLY,
+    FunctionHandle,
+    combine,
+    shifted,
+)
+from masterop.quadrature import integrate_difference, window_uM_integral
 
 
 def test_handle_dimension_checks():
@@ -85,6 +93,25 @@ def test_combine_validation():
         combine([1.0], [])
     with pytest.raises(ValueError, match="dimension"):
         combine([1.0, 1.0], [constant(1.0, 1), constant(1.0, 2)])
+
+
+def test_combine_keeps_the_weakest_declared_growth():
+    # a support box without a time bound once dropped the marker, so the
+    # full-space window of the combination was refused as unbounded
+    cos = spatial(lambda pts: np.cos(pts[:, 0]), support=SupportBox(radius=math.inf))
+    one = combine([1.0], [cos])
+    assert one.growth == GROWTH_BOUNDED and one.past_integrable()
+    p, at = kernel_constants(1, 0.5), (np.zeros(1), 0.1)
+    bare = window_uM_integral(cos, at, p, QuadSpec(), 1.0, math.inf)
+    assert bare[0] > 0.0
+    assert window_uM_integral(one, at, p, QuadSpec(), 1.0, math.inf) == pytest.approx(bare)
+    decaying = temporal(lambda tt: np.exp(tt), growth=GROWTH_DECAYING)
+    assert combine([1.0, 1.0], [decaying, cos]).growth == GROWTH_BOUNDED
+    assert combine([1.0, 1.0], [cos, w_family(4, 1.0, 0.5)]).growth == GROWTH_FORWARD_POLY
+    # psi declares no envelope: it vanishes before its time window
+    assert combine([1.0, 1.0], [decaying, psi_family(4, 1.0, 1.0)]).growth == GROWTH_DECAYING
+    unbounded = temporal(lambda tt: tt)
+    assert combine([1.0, 1.0], [cos, unbounded]).growth is None
 
 
 def test_shifted_preserves_values():
