@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,18 +38,15 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
     sup = u.support
     a_split = t0 + R * R
     u, nodes = counted(u)
-    v1, e1 = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split, r_lo=R)
+    near = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split, r_lo=R)
     a_end = math.inf
     if sup is not None and sup.t_lo > -math.inf:
         a_end = max(t0 - sup.t_lo, a_split)
-    v2, e2 = window_uM_integral(u, (x0, t0), p, q, a_split, a_end)
-    value = v1 + v2
-    err = e1 + e2
-    if value < -err:
+    res = near + window_uM_integral(u, (x0, t0), p, q, a_split, a_end)
+    if res.value < -res.err_estimate:
         warnings.warn("tail functional came out negative beyond its error "
                       "estimate; is u nonnegative?", stacklevel=2)
-    return QuadResult(value=value, err_estimate=err, truncation_flag=False,
-                      nodes_used=nodes())
+    return replace(res, nodes_used=nodes())
 
 
 def pool_map(fn, items, jobs: int):

@@ -55,7 +55,8 @@ class FunctionHandle:
     support: optional SupportBox; evaluator returns 0 outside it.
     growth: envelope of u on past cones, one of the GROWTH_* markers or None.
     smoothness: SMOOTH, C1_TIME or HOLDER.
-    holder_eps: the Hölder margin when smoothness == HOLDER.
+    holder_eps: the Hölder margin when smoothness == HOLDER, finite and
+        positive; None means 0.1.
     time_kinks: times where u is only C^1 in t (panel split points).
     radial: u(x, t) depends on x only through |x|.  Like ``support``, this
         is a declared property, not a tuning option: the shell integrals
@@ -89,6 +90,8 @@ class FunctionHandle:
             raise ValueError(f"unknown smoothness marker {self.smoothness!r}")
         if self.growth is not None and self.growth not in _GROWTH_ORDER:
             raise ValueError(f"unknown growth marker {self.growth!r}")
+        if self.holder_eps is not None and not 0.0 < self.holder_eps < math.inf:
+            raise ValueError(f"holder_eps must be finite and positive, got {self.holder_eps!r}")
         if self.frozen_until is not None and math.isnan(self.frozen_until):
             raise ValueError("frozen_until must be a time or None, got nan")
 

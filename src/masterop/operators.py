@@ -84,15 +84,12 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     def dens(rr):
         return rr ** (-1.0 - 2.0 * s) * 2.0 * in_blocks(diff, rr, len(aw))
 
-    # over the symmetric rule the difference is O(r^2): close in a = r^2
-    total, err = singular_integral(dens, u, r_cut, math.sqrt(q.a_min), (), s,
-                                   u0, q, power=2)
-
-    # analytic tail of the 2 u(x) term; the u(x + r th) tail vanishes
-    # beyond the support and is dropped (flagged) otherwise
-    total += 2.0 * u0 * omega * r_cut ** (-2.0 * s) / (2.0 * s)
-    return QuadResult(value=0.5 * C * total, err_estimate=0.5 * C * err,
-                      truncation_flag=truncated, nodes_used=nodes())
+    # over the symmetric rule the difference is O(r^2): close in a = r^2;
+    # the 2 u(x) term has an analytic tail, while the u(x + r th) tail
+    # vanishes beyond the support and is dropped (flagged) otherwise
+    res = (singular_integral(dens, u, r_cut, math.sqrt(q.a_min), (), s, u0, q, power=2)
+           + 2.0 * u0 * omega * r_cut ** (-2.0 * s) / (2.0 * s))
+    return replace(0.5 * C * res, truncation_flag=truncated, nodes_used=nodes())
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +130,17 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     def dens(aa):
         return aa ** (-1.0 - s) * (u0 - vals(aa))
 
-    total, err = singular_integral(dens, u, T, q.a_min, kinks, s, u0, q)
-
     # u(t) mass beyond T is analytic; the past tail of u is windowed
-    total += u0 * T ** (-s) / s
+    res = singular_integral(dens, u, T, q.a_min, kinks, s, u0, q) + u0 * T ** (-s) / s
     truncated = False
     if past_end > T:
         if math.isfinite(past_end) or u.past_integrable():
             # for the infinite past r = a^{-s} leaves u itself as r-integrand
-            tail, terr = window_integral(vals, T, past_end, 1.0 + s, kinks=kinks,
-                                         pw=s, tol=q.panel_tol(0.0))
-            total -= tail
-            err += terr
+            res = res - window_integral(vals, T, past_end, 1.0 + s, kinks=kinks,
+                                        pw=s, tol=q.panel_tol(0.0))
         else:
             truncated = True
-    return QuadResult(value=C * total, err_estimate=C * err,
-                      truncation_flag=truncated, nodes_used=nodes())
+    return replace(C * res, truncation_flag=truncated, nodes_used=nodes())
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +177,17 @@ def difference_decomposition(u: FunctionHandle, ui: FunctionHandle, at,
     # the difference integral of v with its u(y) part cut at T: the v0
     # mass beyond T is then removed with the exterior mass below
     D = integrate_difference(v, at, p, replace(q, horizon=T))
-    massI, errM = exterior_spatial_mass(at, R, p, q)
-    ext_mass = massI + slab_mass(T, math.inf, p)
+    mass = exterior_spatial_mass(at, R, p, q)
+    ext_mass = mass.value + slab_mass(T, math.inf, p)
     v, nodes = hd.counted(v)
-    regI, errR = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R)
-    I = D.value - v0 * ext_mass + regI
+    reg = window_uM_integral(v, at, p, q, 0.0, T, r_lo=R)
+    I = D.value - v0 * ext_mass + reg.value
 
     F_u = tail_functional(u, at, R, p, q)
     F_ui = tail_functional(ui, at, R, p, q)
     E = v0 * ext_mass - F_u.value
-    err = (D.err_estimate + errR + abs(v0) * errM + F_u.err_estimate + F_ui.err_estimate)
+    err = (D.err_estimate + reg.err_estimate + abs(v0) * mass.err_estimate
+           + F_u.err_estimate + F_ui.err_estimate)
     return DecompositionResult(I=I, E=E, F=F_ui.value, R=R, err_estimate=err,
                                nodes_used=D.nodes_used + nodes() + F_u.nodes_used + F_ui.nodes_used,
                                ext_mass=ext_mass)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -117,11 +117,14 @@ class QuadSpec:
         return self.rel_tol * 1e-3 * max(1.0, abs(scale))
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadResult:
-    """A value and its error bound.  ``nodes_used`` counts the points at which
-    the quadrature evaluated u, without the anchor value u(x, t); it is 1 for
-    a constant, which is not integrated."""
+    """A value and its error bound, the result of every stage.  ``nodes_used``
+    counts the points at which the quadrature evaluated u, without the anchor
+    value u(x, t); it is 1 for a constant, which is not integrated.  ``a + b``
+    adds values, errors and ``nodes_used`` and ORs ``truncation_flag``, and a
+    number is an exact term (error 0); ``c * r`` scales the value by c and the
+    error by |c|; ``a - b`` is ``a + -1.0 * b``, so errors add."""
 
     value: float
     err_estimate: float
@@ -131,7 +134,21 @@ class QuadResult:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise NumericError("non-finite quadrature value")
-        self.err_estimate = abs(self.err_estimate)
+        object.__setattr__(self, "err_estimate", abs(self.err_estimate))
+
+    def __add__(self, other):
+        o = other if isinstance(other, QuadResult) else QuadResult(other, 0.0)
+        return QuadResult(self.value + o.value, self.err_estimate + o.err_estimate,
+                          self.truncation_flag or o.truncation_flag, self.nodes_used + o.nodes_used)
+
+    def __mul__(self, c):
+        return QuadResult(c * self.value, abs(c) * self.err_estimate,
+                          self.truncation_flag, self.nodes_used)
+
+    def __sub__(self, other):
+        return self + -1.0 * other
+
+    __radd__, __rmul__ = __add__, __mul__
 
 
 def checked_point(u: FunctionHandle, at, p: KernelParams):
@@ -347,7 +364,7 @@ def adaptive_gl(f, panels, tol: float = math.inf):
     exactly ``panels``.  ``f`` is called once per bisection level, on the
     level's (panels, _GL_HI + _GL_LO) matrix of nodes, one panel per row,
     and returns values of that shape.
-    Returns (total, err, xs, fs) where xs/fs hold the _GL_HI nodes and
+    Returns (QuadResult, xs, fs) where xs/fs hold the _GL_HI nodes and
     values of the accepted panels in the order of ``panels``, halves left
     to right, so callers can post-process (e.g. small-argument fits).
     """
@@ -370,7 +387,7 @@ def adaptive_gl(f, panels, tol: float = math.inf):
         owner = np.tile(owner[split], 2)
     owner, lo, cur, diff, xs, fs = (np.concatenate(parts) for parts in zip(*done))
     order = np.lexsort((lo, owner))
-    return (float(np.sum(cur[order])), float(np.sum(diff[order])),
+    return (QuadResult(float(np.sum(cur[order])), float(np.sum(diff[order]))),
             xs[order].ravel(), fs[order].ravel())
 
 
@@ -400,13 +417,12 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
     where a^{-pe} Y da = a^{pw-pe+1} Y dr / pw.  ``pw`` must make that
     r-integrand bounded; the piece (0, r_last] below the r-mesh is then at
     most its endpoint value times r_last, taken on a (1, 1) row, and is
-    added to the error.  Returns (value, err).
+    added to the error.  Returns a QuadResult.
     """
     if math.isfinite(a_hi):
         panels = split_panels(_log_mesh(a_lo, a_hi, _PANELS_PER_DECADE),
                               [k for k in kinks if a_lo < k < a_hi])
-        total, err, _, _ = adaptive_gl(lambda a: a ** (-pe) * Y(a), panels, tol)
-        return total, err
+        return adaptive_gl(lambda a: a ** (-pe) * Y(a), panels, tol)[0]
     r0 = a_lo ** (-pw)
     panels = split_panels(graded_time_mesh(r0, 0.5, r0 * 1e-8),
                           [k ** (-pw) for k in kinks if k > a_lo])
@@ -415,10 +431,10 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
         a = rr ** (-1.0 / pw)
         return a ** (pw - pe + 1.0) * Y(a)
 
-    total, err, _, _ = adaptive_gl(dens, panels, tol)
+    res = adaptive_gl(dens, panels, tol)[0]
     r_last = min(lo for lo, hi in panels)
-    err += abs(float(dens(np.full((1, 1), r_last))[0, 0])) * r_last
-    return total / pw, err / pw
+    end = abs(float(dens(np.full((1, 1), r_last))[0, 0])) * r_last
+    return replace(res, value=res.value / pw, err_estimate=(res.err_estimate + end) / pw)
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +449,18 @@ def _graded_panels(T: float, lo: float, kinks, q: QuadSpec):
 
 def singular_integral(dens, u: FunctionHandle, T: float, lo: float, kinks,
                       s: float, scale: float, q: QuadSpec, power: int = 1):
-    """int_0^T dens(x) dx, singular at x = 0, for a difference of u; returns (value, err).
+    """int_0^T dens(x) dx, singular at x = 0, for a difference of u, as a QuadResult.
 
     ``adaptive_gl`` sums the graded panels from T down to lo, split at
     ``kinks``, at ``q.panel_tol(scale)``; ``small_a_closure`` closes (0, lo)
     from the two innermost panels in a = x^power, dx = da / (power x^(power-1)).
     """
     panels = _graded_panels(T, lo, kinks, q)
-    total, err, xs, fs = adaptive_gl(dens, panels, q.panel_tol(scale))
+    res, xs, fs = adaptive_gl(dens, panels, q.panel_tol(scale))
     m = xs <= panels[min(1, len(panels) - 1)][1]
     xs = xs[m]
-    closure, closure_err = small_a_closure(u, xs ** power,
-                                           fs[m] / (power * xs ** (power - 1)),
-                                           panels[0][0] ** power, s)
-    return total + closure, err + closure_err
+    return res + small_a_closure(u, xs ** power, fs[m] / (power * xs ** (power - 1)),
+                                 panels[0][0] ** power, s)
 
 
 def _rounding_floor(lo, hi, u0: float, p: KernelParams):
@@ -465,7 +479,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
                        q: QuadSpec, horizon: float):
     """GH-difference integral on (a_min, horizon] plus sub-a_min closure.
 
-    Returns (value, err).  The value is
+    Returns a QuadResult whose value is
     const * 2^n * int a^{-(1+s)} GH[u0 - u] da extended to a = 0 by the
     fitted small-a model; the u0 mass beyond the horizon is NOT included.
 
@@ -488,7 +502,7 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     tol = np.maximum(q.panel_tol(u0), _rounding_floor(edges[:, 0], edges[:, 1], u0, p))
     dens_h = np.empty_like(a_h)
     prev = np.full(len(edges), np.nan)
-    total = err = 0.0
+    total = QuadResult(0.0, 0.0)
     live = np.arange(len(edges))
     while live.size:
         aa = a_all[live]
@@ -496,31 +510,28 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
         val, hi_lo = _panel_sums(dens, w_h[live], w_l[live], edges[live])
         step = np.abs(val - prev[live])     # nan in a panel's first round
         shut = (step <= tol[live]) | (order >= gh_cap)
-        total += float(np.sum(val[shut]))
-        err += float(np.nansum(step[shut]) + np.sum(hi_lo[shut]))
+        total += QuadResult(float(np.sum(val[shut])),
+                            float(np.nansum(step[shut]) + np.sum(hi_lo[shut])))
         dens_h[live[shut]] = dens[shut, :_GL_HI]
         prev[live] = val
         live = live[~shut]
         order = min(2 * order, gh_cap)
 
-    closure, closure_err = small_a_closure(u, a_h[:2].ravel(), dens_h[:2].ravel(),
-                                           edges[0, 0], s)
-    return pref * (total + closure), pref * (err + closure_err)
+    return pref * (total + small_a_closure(u, a_h[:2].ravel(), dens_h[:2].ravel(),
+                                           edges[0, 0], s))
 
 
 def small_a_closure(u: FunctionHandle, aa, dens, a_last: float, s: float):
     """Close int_0^{a_last} dens(a) da from samples dens(aa) of the innermost panels.
 
-    The integrand is written dens = a^{-(1+s)} G(a); returns (value, err).
+    The integrand is written dens = a^{-(1+s)} G(a); returns a QuadResult.
     """
     GG = dens * aa ** (1.0 + s)
     if u.smoothness == HOLDER:
         # only a Hölder bound is claimed: G(a) <~ K a^{s + eps/2}
-        eps = u.holder_eps if u.holder_eps else 0.1
-        expo = s + 0.5 * eps
-        K = float(np.max(np.abs(GG) / aa ** expo))
-        bound = K * a_last ** (0.5 * eps) * 2.0 / eps
-        return 0.0, bound
+        eps = 0.1 if u.holder_eps is None else u.holder_eps
+        K = float(np.max(np.abs(GG) / aa ** (s + 0.5 * eps)))
+        return QuadResult(0.0, K * a_last ** (0.5 * eps) * 2.0 / eps)
     # smooth path: the symmetric rules (even GH, +/- r) kill the sqrt(a)
     # term, so G = c1 a + c2 a^2
     A = np.stack([aa, aa * aa], axis=1)
@@ -530,8 +541,7 @@ def small_a_closure(u: FunctionHandle, aa, dens, a_last: float, s: float):
              + coef[1] * a_last ** (2.0 - s) / (2.0 - s))
     # propagate the residual as coefficient-level uncertainty on c1
     sigma1 = resid / float(np.max(aa))
-    err = sigma1 * a_last ** (1.0 - s) / max(1.0 - s, 1e-2)
-    return float(value), err
+    return QuadResult(float(value), sigma1 * a_last ** (1.0 - s) / max(1.0 - s, 1e-2))
 
 
 # ---------------------------------------------------------------------------
@@ -754,14 +764,14 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     ``r_hi`` of None means the full space beyond r_lo.  When u declares a
     finite support radius that is the shell up to it, exactly; otherwise
     the exterior of a ball is formed as full-space minus inner ball, which
-    requires a declared growth envelope on u.  Returns (value, err).
+    requires a declared growth envelope on u.  Returns a QuadResult.
     """
     x0, t0 = checked_point(u, at, p)
     n, s = p.n, p.s
     if r_hi is None and u.support is not None and math.isfinite(u.support.radius):
         r_hi = u.support.radius
     if a_hi <= a_lo or (r_hi is not None and r_hi <= r_lo):
-        return 0.0, 0.0
+        return QuadResult(0.0, 0.0)
 
     full_space = r_hi is None or math.isinf(r_hi)
     if full_space and not u.past_integrable():
@@ -784,7 +794,7 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
         if gap > 0.0:
             a_floor = max(a_lo, gap * gap / 2500.0)
         if a_floor >= a_hi:
-            return 0.0, 0.0
+            return QuadResult(0.0, 0.0)
     if a_floor <= 0.0:
         raise ValueError("the window must start at a positive duration")
 
@@ -792,18 +802,15 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     # case, Y bounded); pw = s leaves a^{-n/2} Y, bounded for the
     # full-space case where Y grows like a^{n/2}
     pw = s if full_space else n / 2.0 + s
-    total, err = window_integral(Y, a_floor, a_hi, p.time_exponent,
-                                 kinks=[t0 - k for k in u.time_kinks], pw=pw)
-    if not math.isfinite(total):
-        raise NumericError("non-finite exterior window integral")
-    return p.constant * total, p.constant * err
+    return p.constant * window_integral(Y, a_floor, a_hi, p.time_exponent,
+                                        kinks=[t0 - k for k in u.time_kinks], pw=pw)
 
 
 def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
     """int_0^{t+R^2} int_{|y|>R} M(x-y, a) dy da, for (x, t) in Q_{R/3}.
 
     The exterior window of the constant 1: exact full-space mass minus the
-    ball.  Returns (value, err).
+    ball.  Returns a QuadResult.
     """
     return window_uM_integral(constant(1.0, p.n), at, p, q, 0.0,
                               float(at[1]) + R * R, r_lo=R)
@@ -854,10 +861,8 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
 
     u0 = u.at(x0, t0)
     u, nodes = counted(u)
-    value, err = _difference_panels(u, u0, x0, t0, p, q, hand)
-
-    # exact mass of the u(x,t) term over (hand, inf)
-    value += u0 * slab_mass(hand, math.inf, p)
+    # plus the exact mass of the u(x,t) term over (hand, inf)
+    res = _difference_panels(u, u0, x0, t0, p, q, hand) + u0 * slab_mass(hand, math.inf, p)
 
     # remaining -int_{a>hand} int u M: direct over the support window
     u_gone_past = t0 - sup.t_lo if (sup is not None and sup.t_lo > -math.inf) else math.inf
@@ -865,12 +870,7 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
     if sup is not None and math.isfinite(sup.radius):
         upper = max(min(T_total, u_gone_past), hand)
         if upper > hand:
-            w, we = window_uM_integral(u, (x0, t0), p, q, hand, upper)
-            value -= w
-            err += we
+            res = res - window_uM_integral(u, (x0, t0), p, q, hand, upper)
         accounted = upper
     # everything beyond max(accounted, where u vanishes) is unknowable
-    truncated = accounted < u_gone_past
-
-    return QuadResult(value=value, err_estimate=err,
-                      truncation_flag=truncated, nodes_used=nodes())
+    return replace(res, truncation_flag=accounted < u_gone_past, nodes_used=nodes())

@@ -129,6 +129,31 @@ def test_frozen_past_is_read_by_the_shell_values_only():
             == {"quadrature.py:_shell_values"})
 
 
+_STAGES = {"quadrature.py": {"adaptive_gl", "window_integral", "singular_integral",
+                             "_difference_panels", "small_a_closure", "window_uM_integral",
+                             "exterior_spatial_mass"},
+           "defect.py": {"tail_functional"}}
+
+
+def test_stages_return_quad_results_not_pairs():
+    # a stage's error, flag and count travel up as one QuadResult, whose
+    # arithmetic replaces the hand-paired (value, err) sums of its callers
+    seen = set()
+    for name, stages in _STAGES.items():
+        tree = ast.parse((SRC / "masterop" / name).read_text(), filename=name)
+        for top in tree.body:
+            if getattr(top, "name", None) in stages:
+                seen.add(top.name)
+                pairs = [node.lineno for node in ast.walk(top) if isinstance(node, ast.Return)
+                         and isinstance(node.value, ast.Tuple) and len(node.value.elts) == 2]
+                assert pairs == [], (name, top.name)
+    assert seen == set().union(*_STAGES.values())
+    # so a non-finite value is refused where a result is built, and a
+    # non-finite panel where the panel sums are taken
+    assert ({r for r in _referrers("NumericError") if r.startswith("quadrature.py:")}
+            == {"quadrature.py:<module>", "quadrature.py:QuadResult", "quadrature.py:_panel_sums"})
+
+
 def test_bessel_table_and_point_budget_have_one_home():
     # np.i0 only fits i0e's table, so no evaluation goes through its
     # piecewise Chebyshev loops; the point budget, set at module level, is

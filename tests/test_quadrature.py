@@ -8,6 +8,7 @@ import pytest
 from scipy.special import gamma
 
 from masterop import (
+    QuadResult,
     QuadSpec,
     constant,
     fractional_laplacian,
@@ -23,6 +24,7 @@ from masterop import (
 from masterop.handles import (
     GROWTH_BOUNDED,
     GROWTH_DECAYING,
+    NumericError,
     SupportBox,
     counted,
     spatial,
@@ -60,6 +62,33 @@ from masterop.quadrature import (
     split_panels,
     window_uM_integral,
 )
+
+
+# --- QuadResult: the arithmetic of every stage -------------------------------
+
+def test_quad_result_arithmetic():
+    a = QuadResult(0.1, 0.25, nodes_used=3)
+    b = QuadResult(0.3, -0.5, truncation_flag=True, nodes_used=4)
+    assert b.err_estimate == 0.5
+    # a difference adds errors, ORs flags and adds counts; its value is the
+    # floating-point a.value - b.value
+    assert a - b == QuadResult(0.1 - 0.3, 0.75, True, 7)
+    assert a + b == b + a == QuadResult(0.1 + 0.3, 0.75, True, 7)
+    assert -2.0 * a == a * -2.0 == QuadResult(-0.2, 0.5, False, 3)
+    # a plain number is an exact term
+    assert a + 2.0 == 2.0 + a == QuadResult(2.1, 0.25, False, 3)
+    assert a - 2.0 == QuadResult(0.1 - 2.0, 0.25, False, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.value = 1.0
+    for make in (lambda: QuadResult(math.nan, 0.0), lambda: a + math.inf,
+                 lambda: 1e300 * QuadResult(1e300, 0.0)):
+        with pytest.raises(NumericError, match="non-finite"):
+            make()
+
+
+def test_non_finite_panel_sum_names_its_panel():
+    with pytest.raises(NumericError, match=r"panel \(2, 3\]"):
+        adaptive_gl(lambda x: np.where(x > 2.0, np.inf, x), [(0.0, 1.0), (2.0, 3.0)])
 
 
 # --- Gauss-Hermite rule -----------------------------------------------------
@@ -252,13 +281,13 @@ def test_slab_mass_closed_form(p_half):
 def test_window_integral_matches_mass_for_unit_function(p_half, q_default):
     # int_{a in (A,B)} int_R^n 1 * M dy da must equal the analytic slab mass
     one = constant(1.0, 1)
-    got, err = window_uM_integral(one, (np.zeros(1), 0.0), p_half, q_default,
-                                     2.0, 32.0, r_lo=0.0, r_hi=None)
-    assert got == pytest.approx(slab_mass(2.0, 32.0, p_half), rel=1e-8)
-    got_inf, err = window_uM_integral(one, (np.zeros(1), 0.0), p_half,
-                                         q_default, 2.0, math.inf,
-                                         r_lo=0.0, r_hi=None)
-    assert got_inf == pytest.approx(slab_mass(2.0, math.inf, p_half), rel=1e-6)
+    got = window_uM_integral(one, (np.zeros(1), 0.0), p_half, q_default,
+                             2.0, 32.0, r_lo=0.0, r_hi=None)
+    assert got.value == pytest.approx(slab_mass(2.0, 32.0, p_half), rel=1e-8)
+    got_inf = window_uM_integral(one, (np.zeros(1), 0.0), p_half,
+                                 q_default, 2.0, math.inf,
+                                 r_lo=0.0, r_hi=None)
+    assert got_inf.value == pytest.approx(slab_mass(2.0, math.inf, p_half), rel=1e-6)
 
 
 def test_holder_marking_gets_honest_error(p_half, q_default):
@@ -272,6 +301,21 @@ def test_holder_marking_gets_honest_error(p_half, q_default):
     holder = integrate_difference(wh, at, p_half, q_default)
     assert holder.err_estimate > 5 * smooth.err_estimate
     assert abs(holder.value - smooth.value) <= holder.err_estimate
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.2])
+def test_holder_margin_must_be_finite_and_positive(eps):
+    # inf and nan once gave err_estimate = nan, 0 was read as the default
+    # 0.1, and a negative margin gave a bound from a negated formula
+    with pytest.raises(ValueError, match="holder_eps"):
+        dataclasses.replace(w_family(8, 1.0, 0.5), smoothness="holder", holder_eps=eps)
+
+
+def test_holder_margin_defaults_to_one_tenth(p_half, q_default):
+    w = dataclasses.replace(w_family(8, 1.0, 0.5), smoothness="holder")
+    at = (np.array([20.0]), 1.0)
+    assert (integrate_difference(w, at, p_half, q_default)
+            == integrate_difference(dataclasses.replace(w, holder_eps=0.1), at, p_half, q_default))
 
 
 def test_quadspec_validation():
@@ -377,11 +421,11 @@ def test_adaptive_gl_matches_the_per_panel_loop(f, panels, tol):
         calls.append(len(x))
         return f(x)
 
-    total, err, xs, fs = adaptive_gl(counted, panels, tol)
+    res, xs, fs = adaptive_gl(counted, panels, tol)
     ref_total, ref_err, ref_xs, ref_fs, levels = _per_panel_gl(f, panels, tol)
     assert len(calls) == levels and (levels == 1) == math.isinf(tol)
-    assert total == pytest.approx(ref_total, rel=1e-13)
-    assert err == pytest.approx(ref_err, rel=1e-13)
+    assert res.value == pytest.approx(ref_total, rel=1e-13)
+    assert res.err_estimate == pytest.approx(ref_err, rel=1e-13)
     assert np.array_equal(xs, ref_xs) and np.array_equal(fs, ref_fs)
 
 
@@ -584,10 +628,10 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
         if idx < 2:
             inner_a.append(a_h)
             inner_dens.append(dens[:_GL_HI])
-    closure, closure_err = small_a_closure(u, np.concatenate(inner_a),
-                                           np.concatenate(inner_dens), panels[0][0], s)
+    closure = small_a_closure(u, np.concatenate(inner_a),
+                              np.concatenate(inner_dens), panels[0][0], s)
     pref = p.constant * 2.0 ** n
-    return pref * (total + closure), pref * (err + closure_err)
+    return pref * (QuadResult(total, err) + closure)
 
 
 def _order_log(u):
@@ -645,7 +689,7 @@ def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, fea
         logged, seen = _order_log(base)
         u, nodes = counted(logged)
         runs.append((engine(u, u0, x0, t0, p, q, horizon), nodes(), seen))
-    ((value, err), nodes, seen), ((ref_value, ref_err), ref_nodes, ref_seen) = runs
+    (res, nodes, seen), (ref, ref_nodes, ref_seen) = runs
     # every duration ends at the same order, so every panel does
     assert seen == ref_seen and nodes == ref_nodes
     if feature == "cap":
@@ -653,8 +697,8 @@ def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, fea
     if feature == "kink":
         # the kink at duration t0 splits a panel of the plain mesh
         assert any(lo < t0 < hi for lo, hi in _graded_panels(horizon, q.a_min, [], q))
-    assert value == pytest.approx(ref_value, rel=1e-8)
-    assert err == pytest.approx(ref_err, rel=1e-8)
+    assert res.value == pytest.approx(ref.value, rel=1e-8)
+    assert res.err_estimate == pytest.approx(ref.err_estimate, rel=1e-8)
 
 
 # --- _difference_panels: the rounding floor -----------------------------------
@@ -749,8 +793,8 @@ def test_tensor_shell_memory_is_bounded():
     # panel were evaluated at once; the value is the one computed then
     u = from_callable(lambda pts, tt: np.exp(0.1 * tt) * np.cos(pts[:, 0]), 3,
                       growth=GROWTH_BOUNDED)
-    (value, err), peak = _traced_peak_mb(lambda: window_uM_integral(
+    res, peak = _traced_peak_mb(lambda: window_uM_integral(
         u, (np.zeros(3), 0.1), kernel_constants(3, 0.5), QuadSpec(), 1e-3, 100.0, r_lo=2.0))
     assert peak < 150.0
-    assert value == pytest.approx(0.03378420141695653, rel=1e-10)
-    assert 0.0 < err < 1e-6
+    assert res.value == pytest.approx(0.03378420141695653, rel=1e-10)
+    assert 0.0 < res.err_estimate < 1e-6

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import i0e as scipy_i0e
 
 from masterop import (
+    QuadResult,
     QuadSpec,
     constant,
     kernel_constants,
@@ -168,8 +169,8 @@ def test_window_integral_radial_matches_angular(n, rho, r_lo, r_hi):
     rad, ang = _both(w_family(2, 1.0, 0.5, n=n),
                      lambda u: window_uM_integral(u, at, p, QuadSpec(), 0.5, 4.0,
                                                   r_lo=r_lo, r_hi=r_hi))
-    assert rad[0] > 0.0
-    _agree(n, rad[:2], ang[:2])
+    assert rad.value > 0.0
+    _agree(n, (rad.value, rad.err_estimate), (ang.value, ang.err_estimate))
 
 
 def test_window_beyond_a_ball_stops_at_the_support_radius():
@@ -177,10 +178,10 @@ def test_window_beyond_a_ball_stops_at_the_support_radius():
     # integral beyond the ball equals the one over the shell (0, 3)
     p = kernel_constants(3, 0.5)
     w, at = w_family(1, 1.0, 0.5, n=3), (np.zeros(3), 0.1)
-    got, err = window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=1.0)
-    shell, _ = window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=0.0, r_hi=3.0)
-    assert abs(got - shell) <= 1e-6 and err < 1e-6
-    assert window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=3.0) == (0.0, 0.0)
+    got = window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=1.0)
+    shell = window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=0.0, r_hi=3.0)
+    assert abs(got.value - shell.value) <= 1e-6 and got.err_estimate < 1e-6
+    assert window_uM_integral(w, at, p, QuadSpec(), 0.5, 4.0, r_lo=3.0) == QuadResult(0.0, 0.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

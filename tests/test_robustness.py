@@ -103,8 +103,9 @@ def test_combine_keeps_the_weakest_declared_growth():
     assert one.growth == GROWTH_BOUNDED and one.past_integrable()
     p, at = kernel_constants(1, 0.5), (np.zeros(1), 0.1)
     bare = window_uM_integral(cos, at, p, QuadSpec(), 1.0, math.inf)
-    assert bare[0] > 0.0
-    assert window_uM_integral(one, at, p, QuadSpec(), 1.0, math.inf) == pytest.approx(bare)
+    assert bare.value > 0.0
+    got = window_uM_integral(one, at, p, QuadSpec(), 1.0, math.inf)
+    assert (got.value, got.err_estimate) == pytest.approx((bare.value, bare.err_estimate))
     decaying = temporal(lambda tt: np.exp(tt), growth=GROWTH_DECAYING)
     assert combine([1.0, 1.0], [decaying, cos]).growth == GROWTH_BOUNDED
     assert combine([1.0, 1.0], [cos, w_family(4, 1.0, 0.5)]).growth == GROWTH_FORWARD_POLY
