@@ -12,9 +12,11 @@ The Gauss-Hermite sums come from ``spatial_average``: the order^n tensor
 rule, or for a radial u at n = 2, 3 a 1-D rule in r = |y| (the odd
 extension of r u(r) at n = 3, Gauss-Legendre panels against the
 Funk-Hecke kernel ``_funk_hecke`` of the radial shell integrals at n = 2),
-normalised so that a constant is exact.  ``gl_panel`` maps every
-Gauss-Legendre panel rule of this module, and ``_panel_sums`` is the one
-hi/lo panel sum, shared by ``adaptive_gl`` and the difference panels.
+normalised so that a constant is exact.  ``gl_panel`` maps every panel
+rule of this module.  Every time panel takes the 9-point Gauss-Kronrod
+rule K9 for its value, checked against the 4-point Gauss rule G4 on its
+odd nodes; ``_panel_sums`` is that one panel sum, shared by
+``adaptive_gl`` and the difference panels.
 
 Three refinements make this robust at desk scale:
 
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -55,8 +57,18 @@ _GH_CAP = {1: MAX_GH_ORDER, 2: 80, 3: 32}
 #: where the Gaussian has fallen to e^{-81}
 _RADIAL_REACH = 9.0
 
-#: every Gauss-Legendre panel sum uses _GL_HI nodes, checked against _GL_LO
-_GL_HI, _GL_LO = 8, 4
+#: the Gauss-Legendre order of the spatial panels (radial and shell rules)
+_GL_HI = 8
+#: the time panels' rule on (-1, 1), (nodes ascending, weights): the Gauss-Kronrod
+#: rule K9 (Kronrod 1965), exact to degree 13; its odd columns are the 4-point Gauss
+#: rule G4.  Constants: computing them would load LAPACK (0.5 MB resident)
+_K9 = tuple(np.concatenate([half, sign * half[-2::-1]]) for half, sign in (
+    (np.array([-0.97656025073757311153, -0.86113631159405257522, -0.6402862174963099824,
+               -0.3399810435848562648, 0.0]), -1.0),
+    (np.array([0.062977373665473014765, 0.1700536053357227268, 0.26679834045228444803,
+               0.32694918960145162956, 0.34644298189013636168]), 1.0)))
+_G4 = (_K9[0][1::2], np.array([0.34785484513745385737, 0.65214515486254614263,
+                               0.65214515486254614263, 0.34785484513745385737]))
 #: a difference panel's rounding floor, in units of eps pi^{n/2} max(1, |u0|)
 #: int a^{-(1+s)} da over the panel; on panels of pure cancellation (a <= 1e-7)
 #: successive orders of random plane waves stepped by at most 6.6 such units
@@ -124,7 +136,8 @@ class QuadResult:
     value u(x, t); it is 1 for a constant, which is not integrated.  ``a + b``
     adds values, errors and ``nodes_used`` and ORs ``truncation_flag``, and a
     number is an exact term (error 0); ``c * r`` scales the value by c and the
-    error by |c|; ``a - b`` is ``a + -1.0 * b``, so errors add."""
+    error by |c|; ``a - b`` is ``a + -1.0 * b``, so errors add.  A non-finite
+    value or error raises NumericError."""
 
     value: float
     err_estimate: float
@@ -134,6 +147,8 @@ class QuadResult:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise NumericError("non-finite quadrature value")
+        if not math.isfinite(self.err_estimate):
+            raise NumericError("non-finite quadrature error estimate")
         object.__setattr__(self, "err_estimate", abs(self.err_estimate))
 
     def __add__(self, other):
@@ -201,6 +216,12 @@ def in_blocks(f, rows, points_per_entry: int):
                            for i in range(0, len(flat), step)]).reshape(np.shape(rows))
 
 
+def _row_dots(m, w):
+    """``m @ w`` by one dot product per row: gemv sums a row by a kernel chosen by its
+    place in ``m``, so a duration's value would depend on its block."""
+    return np.matmul(m[:, None, :], w[:, None])[:, 0, 0]
+
+
 def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     """sum_k W_k u(x0 + 2 sqrt(a) Z_k, t0 - a) per duration a, on the order^n rule."""
     Z, W = _gh_tensor(order, len(x0))
@@ -214,7 +235,7 @@ def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         pts = 2.0 * np.sqrt(a)[:, None] * flat
         pts += x0s
         pts = pts.reshape((len(a),) + Z.shape)
-        return u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])) @ W
+        return _row_dots(u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])), W)
 
     return in_blocks(block, avals, len(W))
 
@@ -241,8 +262,10 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     r u(r) turns the average into a 1-D Gauss-Hermite sum on
     ``gauss_hermite_nodes(order)`` (at least 2 nodes): shifted, r = rho + c z
     and v = w r, when beta > 1; centred, r = c z and
-    v = w z^2 sinh(2 beta z) / (2 beta z), when beta <= 1.  At n = 2, r runs
-    over max(1, order // 2) equal ``gl_panel`` panels of _GL_HI nodes on
+    v = w z^2 sinh(2 beta z) / (2 beta z), when beta <= 1, which is even in
+    z: on the nodes z >= 0, weights doubled but at z = 0, and in blocks of
+    its own.  At n = 2, r runs over
+    max(1, order // 2) equal ``gl_panel`` panels of _GL_HI nodes on
     (max(0, rho - 9c), rho + 9c) and v is r dr times the angular integral
     of the Gaussian, ``_funk_hecke``, as in the radial shell integrals.
     """
@@ -250,20 +273,21 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     rho = float(np.linalg.norm(x0))
     if n == 3:
         z, w = gauss_hermite_nodes(max(order, 2))
+        zc, wc = z[len(z) // 2:], (np.where(z > 0.0, 2.0, 1.0) * w)[len(z) // 2:]
     else:
         # the panels' nodes z and weights w on (0, 1)
         edges = np.linspace(0.0, 1.0, max(1, order // 2) + 1)
         z, w = (g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], _GL_HI))
 
-    def block(a):
+    def block(a, centred=False):
         c = 2.0 * np.sqrt(a)[:, None]
-        if n == 3:
-            beta = rho / c
-            shifted = beta > 1.0
-            rr = np.where(shifted, rho + c * z, c * z)
-            k = 2.0 * np.minimum(beta, 1.0) * z
+        if centred:
+            k = 2.0 * (rho / c) * zc
             sinhc = np.divide(np.sinh(k), k, out=np.ones_like(k), where=k != 0)
-            v = w * np.where(shifted, rr, z * z * sinhc)
+            rr, v = c * zc, wc * (zc * zc * sinhc)
+        elif n == 3:
+            rr = rho + c * z
+            v = w * rr
         else:
             lo = np.maximum(rho - _RADIAL_REACH * c, 0.0)
             width = rho + _RADIAL_REACH * c - lo
@@ -272,7 +296,13 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         vals = _on_axis(u, rr, (t0 - a)[:, None])
         return math.pi ** (n / 2.0) * np.sum(v * vals, axis=1) / np.sum(v, axis=1)
 
-    return in_blocks(block, avals, len(z))
+    if n == 2:
+        return in_blocks(block, avals, len(z))
+    out, far = np.empty(np.shape(avals)), rho / (2.0 * np.sqrt(avals)) > 1.0
+    for rows, centred, size in ((far, False, len(z)), (~far, True, len(zc))):
+        if rows.any():
+            out[rows] = in_blocks(partial(block, centred=centred), avals[rows], size)
+    return out
 
 
 def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
@@ -282,7 +312,7 @@ def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
     A radial u at n = 2, 3 takes the 1-D rule of ``_radial_sums``; any
     other u the order^n tensor rule of ``_gh_sums``.  Both are evaluated
     ``in_blocks``, under _POINT_BUDGET, and keep the shape of ``avals``,
-    such as the (panels, _GL_HI + _GL_LO) rows of the difference panels.
+    such as the (panels, 9) rows of the difference panels' K9 nodes.
     """
     if u.radial and len(x0) > 1:
         return _radial_sums(u, x0, t0, avals, order)
@@ -307,22 +337,24 @@ def _leg_base(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def gl_panel(lo: float, hi: float, order: int):
-    """Gauss-Legendre nodes/weights mapped to (lo, hi), for every panel rule of this
-    module; column arrays map one panel per row."""
-    x, w = _leg_base(order)
+def gl_panel(lo: float, hi: float, rule):
+    """Nodes/weights of ``rule`` mapped to (lo, hi), for every panel rule of this module:
+    ``rule`` is a Gauss-Legendre order or a rule (nodes, weights) on (-1, 1), such
+    as _K9.  Column arrays map one panel per row."""
+    x, w = _leg_base(rule) if isinstance(rule, numbers.Integral) else rule
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
 
-def _panel_sums(fs, w_h, w_l, edges):
-    """Per panel, a row of ``fs`` at its _GL_HI then _GL_LO nodes: the _GL_HI sum and its
-    distance to the _GL_LO sum.  NumericError names a panel with a non-finite sum."""
-    hi = np.sum(w_h * fs[:, :_GL_HI], axis=1)
-    if not np.all(np.isfinite(hi)):
-        a, b = edges[np.argmin(np.isfinite(hi))]
+def _panel_sums(fs, w, w4, edges):
+    """Per panel, a row of ``fs`` at its K9 nodes: the K9 sum (weights ``w``) and its
+    distance to the G4 sum on the odd columns (``w4``).  NumericError names a panel
+    with a non-finite K9 sum, which a non-finite value at any node makes."""
+    val = np.sum(w * fs, axis=1)
+    if not np.all(np.isfinite(val)):
+        a, b = edges[np.argmin(np.isfinite(val))]
         raise NumericError(f"non-finite integrand in panel ({a:g}, {b:g}]")
-    return hi, np.abs(hi - np.sum(w_l * fs[:, _GL_HI:], axis=1))
+    return val, np.abs(val - np.sum(w4 * fs[:, 1::2], axis=1))
 
 
 def graded_time_mesh(horizon: float, grading: float, a_min: float):
@@ -357,29 +389,28 @@ def split_panels(panels, cuts):
 def adaptive_gl(f, panels, tol: float = math.inf):
     """Integrate a vectorized integrand over panels with local bisection.
 
-    Each panel is measured by ``_panel_sums``, a _GL_HI rule on the nodes
-    of ``gl_panel`` against a _GL_LO rule, and the panel error is their
-    difference.  Panels disagreeing by more than ``tol`` are halved, at
-    most _BISECT_DEPTH times; the default never splits, so the mesh is
-    exactly ``panels``.  ``f`` is called once per bisection level, on the
-    level's (panels, _GL_HI + _GL_LO) matrix of nodes, one panel per row,
-    and returns values of that shape.
-    Returns (QuadResult, xs, fs) where xs/fs hold the _GL_HI nodes and
-    values of the accepted panels in the order of ``panels``, halves left
-    to right, so callers can post-process (e.g. small-argument fits).
+    Each panel is measured by ``_panel_sums``: the K9 rule on the nodes of
+    ``gl_panel``, and as its error the distance to the G4 rule on four of
+    them.  Panels whose error exceeds ``tol`` are halved, at most
+    _BISECT_DEPTH times; the default never splits, so the mesh is exactly
+    ``panels``.  ``f`` is called once per bisection level, on the level's
+    (panels, 9) matrix of nodes, one panel per row, and returns values of
+    that shape.
+    Returns (QuadResult, xs, fs) where xs/fs hold the 9 nodes and values of
+    each accepted panel in the order of ``panels``, halves left to right,
+    so callers can post-process (e.g. small-argument fits).
     """
     edges = np.array(panels, dtype=float).reshape(-1, 2)
     owner = np.arange(len(edges))
     done = []   # per level: owner, lo, panel value, panel error, nodes, values
     for depth in range(_BISECT_DEPTH + 1):
         lo, hi = edges[:, :1], edges[:, 1:]
-        (x_h, w_h), (x_l, w_l) = gl_panel(lo, hi, _GL_HI), gl_panel(lo, hi, _GL_LO)
-        xs = np.hstack([x_h, x_l])
+        xs, w = gl_panel(lo, hi, _K9)
         fs = np.asarray(f(xs), dtype=float)
-        cur, diff = _panel_sums(fs, w_h, w_l, edges)
+        cur, diff = _panel_sums(fs, w, gl_panel(lo, hi, _G4)[1], edges)
         split = (diff > tol) & (depth < _BISECT_DEPTH)
         done.append((owner[~split], edges[~split, 0], cur[~split], diff[~split],
-                     xs[~split, :_GL_HI], fs[~split, :_GL_HI]))
+                     xs[~split], fs[~split]))
         if not split.any():
             break
         mid = 0.5 * (hi + lo)
@@ -484,11 +515,13 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     fitted small-a model; the u0 mass beyond the horizon is NOT included.
 
     Every time panel starts at the start order of ``_gh_orders``.  Each
-    escalation round evaluates the durations of all open panels, which
-    share one order, one panel per row, through ``spatial_average``; a
-    panel closes when two successive orders agree to within the larger of
-    the tolerance and the rounding floor, or its order reached the cap, and
-    the others double.
+    escalation round evaluates the 9 K9 durations of all open panels,
+    which share one order, one panel per row, through ``spatial_average``,
+    and sums them by ``_panel_sums``; a panel closes when two successive
+    orders agree to within the larger of the tolerance and the rounding
+    floor, or its order reached the cap, and the others double.  Its error
+    is that last step plus the distance of K9 to G4.  ``small_a_closure``
+    fits the 9 durations of each of the two innermost panels.
     """
     n, s = p.n, p.s
     pref = p.constant * 2.0 ** n
@@ -496,28 +529,27 @@ def _difference_panels(u: FunctionHandle, u0: float, x0, t0, p: KernelParams,
     order, gh_cap = _gh_orders(u, q)
 
     edges = np.array(_graded_panels(horizon, q.a_min, [t0 - k for k in u.time_kinks], q))
-    a_h, w_h = gl_panel(edges[:, :1], edges[:, 1:], _GL_HI)
-    a_l, w_l = gl_panel(edges[:, :1], edges[:, 1:], _GL_LO)
-    a_all = np.hstack([a_h, a_l])
+    a_all, w = gl_panel(edges[:, :1], edges[:, 1:], _K9)
+    w4 = gl_panel(edges[:, :1], edges[:, 1:], _G4)[1]
     tol = np.maximum(q.panel_tol(u0), _rounding_floor(edges[:, 0], edges[:, 1], u0, p))
-    dens_h = np.empty_like(a_h)
+    dens_all = np.empty_like(a_all)
     prev = np.full(len(edges), np.nan)
     total = QuadResult(0.0, 0.0)
     live = np.arange(len(edges))
     while live.size:
         aa = a_all[live]
         dens = aa ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, aa, order))
-        val, hi_lo = _panel_sums(dens, w_h[live], w_l[live], edges[live])
+        val, k_g = _panel_sums(dens, w[live], w4[live], edges[live])
         step = np.abs(val - prev[live])     # nan in a panel's first round
         shut = (step <= tol[live]) | (order >= gh_cap)
         total += QuadResult(float(np.sum(val[shut])),
-                            float(np.nansum(step[shut]) + np.sum(hi_lo[shut])))
-        dens_h[live[shut]] = dens[shut, :_GL_HI]
+                            float(np.nansum(step[shut]) + np.sum(k_g[shut])))
+        dens_all[live[shut]] = dens[shut]
         prev[live] = val
         live = live[~shut]
         order = min(2 * order, gh_cap)
 
-    return pref * (total + small_a_closure(u, a_h[:2].ravel(), dens_h[:2].ravel(),
+    return pref * (total + small_a_closure(u, a_all[:2].ravel(), dens_all[:2].ravel(),
                                            edges[0, 0], s))
 
 
@@ -734,10 +766,10 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
             cw = weight * values(np.full((1, 1), t0 - a_ref[panels[0]]))[0]
 
             def block(a):
-                return kern(a) @ cw
+                return _row_dots(kern(a), cw)
         else:
             def block(a):
-                return (values(t0 - a[:, None]) * kern(a)) @ weight
+                return _row_dots(values(t0 - a[:, None]) * kern(a), weight)
         per = max(1, _SHELL_BLOCK // (avals.shape[1] * len(weight)))
         for j in range(0, len(panels), per):
             rows = panels[j:j + per]

@@ -115,10 +115,13 @@ def test_shell_spacing_rule_has_one_definition():
 
 
 def test_panel_layout_has_one_home():
-    # durations travel as adaptive_gl's (panels, _GL_HI + _GL_LO) rows, so
-    # no function past the panel sums re-derives panels from runs of nodes
-    assert _referrers("_GL_LO") == {"quadrature.py:<module>", "quadrature.py:adaptive_gl",
-                                    "quadrature.py:_difference_panels"}
+    # durations travel as adaptive_gl's (panels, 9) rows of K9 nodes, so no
+    # function past the panel sums re-derives panels from runs of nodes; the
+    # time rule and its G4 check are mapped where the rows are built
+    for rule in ("_K9", "_G4"):
+        assert _referrers(rule) == {"quadrature.py:<module>", "quadrature.py:adaptive_gl",
+                                     "quadrature.py:_difference_panels"}
+    assert _referrers("_GL_LO") == set()
     assert _referrers("reduceat") == set()
 
 

@@ -2,10 +2,12 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from numpy.polynomial import Polynomial, legendre
+from scipy.special import gamma, gammaincc
 
 from masterop import (
     QuadResult,
@@ -33,9 +35,10 @@ from masterop.handles import (
 from masterop import quadrature
 from masterop.quadrature import (
     _BISECT_DEPTH,
+    _G4,
     _GH_CAP,
     _GL_HI,
-    _GL_LO,
+    _K9,
     _POINT_BUDGET,
     _SHELL_BLOCK,
     _auto_handoff,
@@ -60,6 +63,7 @@ from masterop.quadrature import (
     small_a_closure,
     spatial_average,
     split_panels,
+    window_integral,
     window_uM_integral,
 )
 
@@ -81,7 +85,8 @@ def test_quad_result_arithmetic():
     with pytest.raises(dataclasses.FrozenInstanceError):
         a.value = 1.0
     for make in (lambda: QuadResult(math.nan, 0.0), lambda: a + math.inf,
-                 lambda: 1e300 * QuadResult(1e300, 0.0)):
+                 lambda: 1e300 * QuadResult(1e300, 0.0), lambda: QuadResult(1.0, math.inf),
+                 lambda: QuadResult(1.0, math.nan), lambda: a + QuadResult(0.0, 1e308) * 1e10):
         with pytest.raises(NumericError, match="non-finite"):
             make()
 
@@ -89,6 +94,19 @@ def test_quad_result_arithmetic():
 def test_non_finite_panel_sum_names_its_panel():
     with pytest.raises(NumericError, match=r"panel \(2, 3\]"):
         adaptive_gl(lambda x: np.where(x > 2.0, np.inf, x), [(0.0, 1.0), (2.0, 3.0)])
+
+
+def test_non_finite_check_value_names_its_panel():
+    # sin, but inf at the first G4 node of the panel (1, 2): the G4 nodes are
+    # K9's odd columns, so the value's finite check sees every evaluated node
+    def f(x):
+        out = np.sin(x)
+        out[1, 1] = np.inf
+        return out
+
+    assert np.array_equal(gl_panel(1.0, 2.0, _K9)[0][1::2], gl_panel(1.0, 2.0, _G4)[0])
+    with pytest.raises(NumericError, match=r"panel \(1, 2\]"):
+        adaptive_gl(f, [(0.0, 1.0), (1.0, 2.0)])
 
 
 # --- Gauss-Hermite rule -----------------------------------------------------
@@ -380,6 +398,55 @@ def test_nodes_used_is_the_evaluator_point_count(make, run, anchor):
     assert 0 < res.nodes_used == sum(sizes) - anchor
 
 
+# --- the time panels' rule: K9 with its G4 check ------------------------------
+
+def test_time_rule_is_the_kronrod_extension_of_g4():
+    # the Stieltjes polynomial E5 = x^5 + c3 x^3 + c1 x is orthogonal to x and
+    # x^3 against P4 on (-1, 1); its roots and G4's nodes are K9's nodes
+    p4 = [Fraction(c) for c in legendre.leg2poly([0, 0, 0, 0, 1])]
+
+    def moment(k):
+        """int_{-1}^{1} P4(x) x^k dx, exactly."""
+        return sum(c * Fraction(2, i + k + 1) for i, c in enumerate(p4) if (i + k) % 2 == 0)
+
+    c3 = -moment(6) / moment(4)
+    c1 = -(moment(8) + c3 * moment(6)) / moment(4)
+    e5 = Polynomial([0, float(c1), 0, float(c3), 0, 1])
+    roots = e5.roots()
+    for _ in range(2):
+        roots = roots - e5(roots) / e5.deriv()(roots)
+    x, w = _K9
+    g4_x, g4_w = legendre.leggauss(4)
+    ulp = np.spacing(1.0)
+    assert np.allclose(np.sort(np.concatenate([roots, g4_x])), x, rtol=2 * ulp, atol=0.0)
+    assert np.array_equal(x[1::2], g4_x) and np.array_equal(_G4[0], g4_x)
+    assert np.allclose(_G4[1], g4_w, rtol=8 * ulp, atol=0.0)
+    assert np.all(w > 0.0) and np.all(_G4[1] > 0.0)
+    for d in range(16):
+        exact = 0.0 if d % 2 else 2.0 / (d + 1)
+        error = abs(np.sum(w * x ** d) - exact)
+        # exact to degree 13 (and 15, an odd degree), not 14
+        assert (error <= 2 * ulp) == (d != 14), d
+        if d <= 7:
+            assert abs(np.sum(_G4[1] * _G4[0] ** d) - exact) <= 2 * ulp
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("window, kinks", [
+    ((1e-2, 36.0), ()), ((0.5, 40.0), ()), ((1e-3, 1.0), ()), ((0.01, 600.0), (3.0,)),
+], ids=["1e-2-36", "0.5-40", "1e-3-1", "0.01-600-kink"])
+def test_window_integral_is_within_its_err_estimate(n, s, window, kinks):
+    # int_A^B a^{-(1 + m)} exp(-sigma / 4a) da
+    #   = (4 / sigma)^m Gamma(m) [Q(m, sigma / 4B) - Q(m, sigma / 4A)], m = n/2 + s
+    m, (A, B) = n / 2.0 + s, window
+    for sigma in (1e-2, 1.0, 1e2, 1e4):
+        res = window_integral(lambda a: np.exp(-sigma / (4.0 * a)), A, B, 1.0 + m, kinks, m)
+        exact = ((4.0 / sigma) ** m * gamma(m)
+                 * (gammaincc(m, sigma / (4.0 * B)) - gammaincc(m, sigma / (4.0 * A))))
+        assert abs(res.value - exact) <= res.err_estimate, sigma
+
+
 # --- adaptive_gl: one integrand call per bisection level ---------------------
 
 def _per_panel_gl(f, panels, tol):
@@ -393,18 +460,17 @@ def _per_panel_gl(f, panels, tol):
     while stack:
         lo, hi, depth = stack.pop()
         levels = max(levels, depth + 1)
-        x_h, w_h = gl_panel(lo, hi, _GL_HI)
-        x_l, w_l = gl_panel(lo, hi, _GL_LO)
-        fs = f(np.concatenate([x_h, x_l]))
-        cur, cur_lo = float(np.dot(w_h, fs[:_GL_HI])), float(np.dot(w_l, fs[_GL_HI:]))
-        if abs(cur - cur_lo) > tol and depth < _BISECT_DEPTH:
+        x, w = gl_panel(lo, hi, _K9)
+        fs = f(x)
+        cur, cur_g4 = float(np.dot(w, fs)), float(np.dot(gl_panel(lo, hi, _G4)[1], fs[1::2]))
+        if abs(cur - cur_g4) > tol and depth < _BISECT_DEPTH:
             mid = 0.5 * (lo + hi)
             stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
             continue
         total += cur
-        err += abs(cur - cur_lo)
-        xs.append(x_h)
-        fs_all.append(fs[:_GL_HI])
+        err += abs(cur - cur_g4)
+        xs.append(x)
+        fs_all.append(fs)
     return total, err, np.concatenate(xs), np.concatenate(fs_all), levels
 
 
@@ -481,8 +547,7 @@ def _one_rule_shell_values(u, x0, t0, avals, r_lo, r_hi, p):
 def test_shell_values_keep_one_rule_per_panel(n, make):
     p = kernel_constants(n, 0.5)
     panels = [(1e-3, 1e-2), (1e-2, 0.1), (0.1, 4.0)]
-    avals = np.array([np.concatenate([gl_panel(lo, hi, _GL_HI)[0], gl_panel(lo, hi, _GL_LO)[0]])
-                      for lo, hi in panels])
+    avals = np.array([gl_panel(lo, hi, _K9)[0] for lo, hi in panels])
     sizes = []
     base = make(n)
 
@@ -510,7 +575,7 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
                           _one_rule_shell_values(u, x0, 0.1, end[0], 0.5, 3.0, p)[None])
 
 
-@pytest.mark.parametrize("n, nodes", [(1, 40_400), (2, 40_432), (3, 40_456)])
+@pytest.mark.parametrize("n, nodes", [(1, 31_208), (2, 31_224), (3, 31_248)])
 def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
     # 43 evaluator calls when every adaptive_gl panel built its own rule; w_j
     # is frozen for t <= 0, so most rules evaluate it once, not per duration
@@ -519,8 +584,8 @@ def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
     assert len(sizes) <= 25
     assert res.nodes_used == nodes
     # blocks of whole panels stay under the cap, or are one panel of the
-    # largest radial rule, 96 panels of _GL_HI nodes
-    assert max(sizes) <= max(_SHELL_BLOCK, (_GL_HI + _GL_LO) * 96 * _GL_HI)
+    # largest radial rule, 96 panels of _GL_HI nodes, at its 9 durations
+    assert max(sizes) <= max(_SHELL_BLOCK, len(_K9[0]) * 96 * _GL_HI)
 
 
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])
@@ -586,13 +651,17 @@ def test_radial_body_cuts_the_w16_node_count(n, most):
 
 
 def test_tensor_body_matches_the_broadcast_points():
-    # the flat point layout of _gh_sums evaluates u at the same points, bit for bit
+    # the flat point layout of _gh_sums evaluates u at the same points, bit
+    # for bit, and sums each duration's row on its own, whatever its block
     u, x0, t0 = _wave(3), np.array([0.2, -0.1, 0.3]), 0.1
     avals = np.geomspace(1e-6, 10.0, 40)
     Z, W = _gh_tensor(8, 3)
     pts = x0[None, None, :] + 2.0 * np.sqrt(avals)[:, None, None] * Z[None, :, :]
-    ref = u(pts, np.broadcast_to((t0 - avals)[:, None], pts.shape[:2])) @ W
+    ref = np.array([row @ W for row in u(pts, np.broadcast_to((t0 - avals)[:, None],
+                                                                pts.shape[:2]))])
     assert np.array_equal(_gh_sums(u, x0, t0, avals, 8), ref)
+    assert np.array_equal(np.concatenate([_gh_sums(u, x0, t0, avals[i:i + 9], 8)
+                                          for i in range(0, 40, 9)]), ref)
 
 
 # --- _difference_panels: escalation rounds under one point budget -------------
@@ -611,23 +680,21 @@ def _per_panel_difference(u, u0, x0, t0, p, q, horizon):
     inner_a, inner_dens = [], []
     for idx, (lo, hi) in enumerate(panels):
         floor = _rounding_floor(lo, hi, u0, p)
-        a_h, w_h = gl_panel(lo, hi, _GL_HI)
-        a_l, w_l = gl_panel(lo, hi, _GL_LO)
-        a_all = np.concatenate([a_h, a_l])
+        a, w = gl_panel(lo, hi, _K9)
         order, prev = start, None
         while True:
-            dens = a_all ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, a_all, order))
-            cur = float(np.dot(w_h, dens[:_GL_HI]))
+            dens = a ** (-1.0 - s) * (sqpi_n * u0 - spatial_average(u, x0, t0, a, order))
+            cur = float(np.sum(w * dens))
             if ((prev is not None and abs(cur - prev) <= max(q.panel_tol(u0), floor))
                     or order >= gh_cap):
                 err += 0.0 if prev is None else abs(cur - prev)
                 break
             prev, order = cur, min(2 * order, gh_cap)
         total += cur
-        err += abs(cur - float(np.dot(w_l, dens[_GL_HI:])))
+        err += abs(cur - float(np.sum(gl_panel(lo, hi, _G4)[1] * dens[1::2])))
         if idx < 2:
-            inner_a.append(a_h)
-            inner_dens.append(dens[:_GL_HI])
+            inner_a.append(a)
+            inner_dens.append(dens)
     closure = small_a_closure(u, np.concatenate(inner_a),
                               np.concatenate(inner_dens), panels[0][0], s)
     pref = p.constant * 2.0 ** n
@@ -738,7 +805,7 @@ def test_rounding_floor_covers_the_rounding_of_small_a_panels(n):
         for lo, hi in _graded_panels(60.0, 1e-10, [], QuadSpec()):
             if hi > 1e-7:
                 continue
-            a, w = gl_panel(lo, hi, _GL_HI)
+            a, w = gl_panel(lo, hi, _K9)
             vals = [w @ (a ** (-1.0 - s) * (math.pi ** (n / 2.0) * u0
                                              - _gh_sums(u, x0, t0, a, order)))
                     for order in orders]

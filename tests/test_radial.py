@@ -22,13 +22,16 @@ from masterop import (
     zero,
 )
 from masterop.funcdsl import parse, to_handle
+from masterop import quadrature
 from masterop.handles import GROWTH_BOUNDED, combine, from_callable, shifted
 from masterop.quadrature import (
     _GH_CAP,
     _I0E_PIECES,
     _I0E_SWITCH,
     MAX_GH_ORDER,
+    _on_axis,
     angular_rule,
+    gauss_hermite_nodes,
     gl_panel,
     i0e,
     radial_nodes,
@@ -229,6 +232,33 @@ def test_radial_body_is_exact_for_a_constant_at_every_order(n):
         for rho in (0.0, 0.4, 2.0):
             got = spatial_average(constant(-2.5, n), np.eye(n)[0] * rho, 0.1, avals, order)
             assert np.allclose(got, -2.5 * math.pi ** (n / 2.0), rtol=1e-15, atol=0.0)
+
+
+def _whole_rule_radial_sums(u, x0, t0, avals, order):
+    """The n = 3 radial body on the whole Gauss-Hermite rule: a centred duration
+    evaluates u at |c z| for z and -z alike."""
+    rho = float(np.linalg.norm(x0))
+    z, w = gauss_hermite_nodes(max(order, 2))
+    a = np.ravel(avals)[:, None]
+    c = 2.0 * np.sqrt(a)
+    beta = rho / c
+    rr = np.where(beta > 1.0, rho + c * z, c * z)
+    k = 2.0 * np.minimum(beta, 1.0) * z
+    sinhc = np.divide(np.sinh(k), k, out=np.ones_like(k), where=k != 0)
+    v = w * np.where(beta > 1.0, rr, z * z * sinhc)
+    vals = _on_axis(u, rr, t0 - a)
+    return (math.pi ** 1.5 * np.sum(v * vals, axis=1) / np.sum(v, axis=1)).reshape(np.shape(avals))
+
+
+def test_centred_radial_body_evaluates_each_radius_once(monkeypatch):
+    # at x = 0 every duration is centred; its sum is even in z, so the half
+    # z >= 0 with doubled weights gives the whole rule's value
+    u, at, p = w_family(4, 1.0, 0.5, n=3), (np.zeros(3), 0.1), kernel_constants(3, 0.5)
+    half = master_op(u, at, p, QuadSpec())
+    monkeypatch.setattr(quadrature, "_radial_sums", _whole_rule_radial_sums)
+    whole = master_op(u, at, p, QuadSpec())
+    assert half.nodes_used < whole.nodes_used
+    assert half.value == pytest.approx(whole.value, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.4, 2.0])
