@@ -69,9 +69,11 @@ _K9 = tuple(np.concatenate([half, sign * half[-2::-1]]) for half, sign in (
                0.32694918960145162956, 0.34644298189013636168]), 1.0)))
 _G4 = (_K9[0][1::2], np.array([0.34785484513745385737, 0.65214515486254614263,
                                0.65214515486254614263, 0.34785484513745385737]))
-#: a difference panel's rounding floor, in units of eps pi^{n/2} max(1, |u0|)
-#: int a^{-(1+s)} da over the panel; on panels of pure cancellation (a <= 1e-7)
-#: successive orders of random plane waves stepped by at most 6.6 such units
+#: a panel sum's rounding, in units of eps times a bound on its terms: for a
+#: difference panel eps pi^{n/2} max(1, |u0|) int a^{-(1+s)} da over the panel,
+#: where, on panels of pure cancellation (a <= 1e-7), successive orders of
+#: random plane waves stepped by at most 6.6 such units; for an adaptive_gl
+#: panel eps sum |w f| over its K9 terms
 _ROUNDING_FLOOR = 16
 #: adaptive_gl bisects a panel at most this many times
 _BISECT_DEPTH = 14
@@ -393,9 +395,10 @@ def adaptive_gl(f, panels, tol: float = math.inf):
     ``gl_panel``, and as its error the distance to the G4 rule on four of
     them.  Panels whose error exceeds ``tol`` are halved, at most
     _BISECT_DEPTH times; the default never splits, so the mesh is exactly
-    ``panels``.  ``f`` is called once per bisection level, on the level's
-    (panels, 9) matrix of nodes, one panel per row, and returns values of
-    that shape.
+    ``panels``.  An accepted panel reports that distance plus the rounding
+    of its K9 sum, _ROUNDING_FLOOR eps sum |w f|, which no split test reads.
+    ``f`` is called once per bisection level, on the level's (panels, 9)
+    matrix of nodes, one panel per row, and returns values of that shape.
     Returns (QuadResult, xs, fs) where xs/fs hold the 9 nodes and values of
     each accepted panel in the order of ``panels``, halves left to right,
     so callers can post-process (e.g. small-argument fits).
@@ -409,7 +412,10 @@ def adaptive_gl(f, panels, tol: float = math.inf):
         fs = np.asarray(f(xs), dtype=float)
         cur, diff = _panel_sums(fs, w, gl_panel(lo, hi, _G4)[1], edges)
         split = (diff > tol) & (depth < _BISECT_DEPTH)
-        done.append((owner[~split], edges[~split, 0], cur[~split], diff[~split],
+        # |K9 - G4| cannot see the rounding of the K9 sum: the error takes it, the
+        # split test does not
+        err = diff + _ROUNDING_FLOOR * np.finfo(float).eps * np.abs(w * fs).sum(axis=1)
+        done.append((owner[~split], edges[~split, 0], cur[~split], err[~split],
                      xs[~split], fs[~split]))
         if not split.any():
             break
@@ -726,8 +732,18 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     u on the tensor shell rule.  A row whose durations all reach back to
     u's ``frozen_until`` is frozen, and frozen rows get rules of their own:
     such a rule evaluates u once, at its shortest duration, and its blocks
-    are the kernel against the weighted values.  Returns values in the
-    shape of ``avals``.
+    are the kernel against the weighted values.
+
+    u is evaluated on every point of a rule, but the kernel is formed only
+    on the columns from the first to the last where u is nonzero, in the
+    frozen row or in any duration of a moving block (for ``w_j``, the
+    support annulus of ``phi_j``).  Its other columns hold 0, so each term
+    there is the signed 0 of u as before, and each row's dot sums the same
+    terms in the same order: the values are bit for bit those of the kernel
+    formed everywhere.  Dropping the columns from the dot instead would move
+    the other terms between the lanes of the BLAS sum.  A non-finite u is
+    not 0, so it keeps its kernel, and ``counted`` refuses it where u is
+    evaluated.  Returns values in the shape of ``avals``.
     """
     n = p.n
     rho = float(np.linalg.norm(x0))
@@ -748,33 +764,50 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
         groups.setdefault(key, []).append(i)
 
     def rule(i):
-        """Panel i's rule as (u on its points at a column of times, its kernel on a
-        block of durations, its weights)."""
+        """Panel i's rule as (the nodes its kernel reads, u on its points at a column
+        of times, its weights): radii on the radial rule, |y - x0|^2 on the tensor one."""
         if u.radial:
             rr, rw = radial_nodes(r_lo, r_hi, a_ref[i], _GL_HI)
-            return (lambda tt: _on_axis(u, rr, tt),
-                    lambda a: _funk_hecke(n, rho, rr, a[:, None]), rw * rr ** (n - 1))
+            return rr, lambda tt: _on_axis(u, rr, tt), rw * rr ** (n - 1)
         pts, ww = shell_rule(n, r_lo, r_hi, a_ref[i], _GL_HI, ang[i])
-        d2 = np.sum((pts - x0) ** 2, axis=-1)
-        return (lambda tt: u(np.broadcast_to(pts, (len(tt),) + pts.shape), tt),
-                lambda a: np.exp(-d2 / (4.0 * a[:, None])), ww)
+        return (np.sum((pts - x0) ** 2, axis=-1),
+                lambda tt: u(np.broadcast_to(pts, (len(tt),) + pts.shape), tt), ww)
+
+    def kern(nodes, a, nonzero):
+        """The kernel at the durations ``a``, one row per duration, formed on the
+        columns from the first to the last True of ``nonzero`` and 0 elsewhere."""
+        k = np.zeros((len(a), len(nodes)))
+        span = _nonzero_span(nonzero)
+        if u.radial:
+            k[:, span] = _funk_hecke(n, rho, nodes[span], a[:, None])
+        else:
+            k[:, span] = np.exp(-nodes[span] / (4.0 * a[:, None]))
+        return k
 
     out = np.empty_like(avals)
     for (_, _, is_frozen), panels in groups.items():
-        values, kern, weight = rule(panels[0])
+        nodes, values, weight = rule(panels[0])
         if is_frozen:
             cw = weight * values(np.full((1, 1), t0 - a_ref[panels[0]]))[0]
+            nonzero = cw != 0.0
 
             def block(a):
-                return _row_dots(kern(a), cw)
+                return _row_dots(kern(nodes, a, nonzero), cw)
         else:
             def block(a):
-                return _row_dots(values(t0 - a[:, None]) * kern(a), weight)
+                vals = values(t0 - a[:, None])
+                return _row_dots(vals * kern(nodes, a, vals.any(axis=0)), weight)
         per = max(1, _SHELL_BLOCK // (avals.shape[1] * len(weight)))
         for j in range(0, len(panels), per):
             rows = panels[j:j + per]
             out[rows] = in_blocks(block, avals[rows], len(weight))
     return out
+
+
+def _nonzero_span(nonzero):
+    """The slice from the first to the last True of ``nonzero``; empty if none is."""
+    idx = np.flatnonzero(nonzero)
+    return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
 def _fullspace_values(u, x0, t0, avals, p: KernelParams):

@@ -22,7 +22,7 @@ from masterop import (
     zero,
 )
 from masterop.funcdsl import parse, to_handle
-from masterop.handles import combine, shifted
+from masterop.handles import NumericError, combine, shifted
 
 
 # --- propagation of the declaration --------------------------------------------
@@ -81,3 +81,19 @@ def test_tail_functional_evaluates_a_frozen_past_once_per_rule(n, x_bar):
     assert frozen.value == pytest.approx(moving.value, rel=1e-14)
     assert frozen.err_estimate == pytest.approx(moving.err_estimate, rel=1e-10)
     assert frozen.nodes_used < moving.nodes_used
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "moving"])
+def test_nan_in_the_hole_of_u_stops_the_tail_functional(frozen):
+    # the kernel skips the columns where u is 0, but a NaN is not 0: u is
+    # still evaluated there, and the evaluation refuses it
+    base = w_family(16, 1.0, 0.5, n=2)
+
+    def evaluator(pts, tt):
+        vals = base.evaluator(pts, tt)
+        return np.where(np.linalg.norm(pts, axis=-1) < 20.0, math.nan, vals)
+
+    u = dataclasses.replace(base, evaluator=evaluator,
+                            frozen_until=base.frozen_until if frozen else None)
+    with pytest.raises(NumericError, match="non-finite value of u"):
+        tail_functional(u, (np.full(2, 0.3), 0.1), 6.0, kernel_constants(2, 0.5), QuadSpec())

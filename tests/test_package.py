@@ -163,3 +163,28 @@ def test_bessel_table_and_point_budget_have_one_home():
     # read only by in_blocks
     assert _referrers("i0") == {"quadrature.py:_i0e_table"}
     assert _referrers("_POINT_BUDGET") == {"quadrature.py:<module>", "quadrature.py:in_blocks"}
+
+
+def test_shell_kernel_is_formed_in_one_helper():
+    # the Funk-Hecke kernel serves the radial difference panels and the
+    # shells; in the shells one nested helper forms it, and the tensor
+    # kernel, for frozen and moving blocks alike, so the two kinds of row
+    # cannot fork again
+    assert _referrers("_funk_hecke") == {"quadrature.py:_radial_sums", "quadrature.py:_shell_values"}
+    tree = ast.parse((SRC / "masterop" / "quadrature.py").read_text())
+    shell = next(top for top in tree.body if getattr(top, "name", None) == "_shell_values")
+    nested = {}
+    for node in ast.walk(shell):
+        if isinstance(node, ast.FunctionDef) and node is not shell:
+            nested.setdefault(node.name, []).append(node)
+
+    def kernels(fn):
+        return {id(node) for node in ast.walk(fn)
+                if isinstance(node, ast.Name) and node.id == "_funk_hecke"
+                or isinstance(node, ast.Attribute) and node.attr == "exp"}
+
+    (kern,) = nested["kern"]
+    assert kernels(kern) and kernels(shell) == kernels(kern)
+    assert len(nested["block"]) == 2
+    assert all(any(isinstance(node, ast.Name) and node.id == "kern" for node in ast.walk(block))
+               for block in nested["block"])

@@ -29,6 +29,7 @@ from masterop.handles import (
     NumericError,
     SupportBox,
     counted,
+    shifted,
     spatial,
     temporal,
 )
@@ -40,6 +41,7 @@ from masterop.quadrature import (
     _GL_HI,
     _K9,
     _POINT_BUDGET,
+    _ROUNDING_FLOOR,
     _SHELL_BLOCK,
     _auto_handoff,
     _difference_panels,
@@ -447,13 +449,23 @@ def test_window_integral_is_within_its_err_estimate(n, s, window, kinks):
         assert abs(res.value - exact) <= res.err_estimate, sigma
 
 
+@pytest.mark.parametrize("sigma", [1e-2, 1.0, 1e2])
+def test_infinite_window_error_covers_its_rounding(sigma):
+    # int_36^inf a^{-2} exp(-sigma / 4a) da = (4 / sigma)(1 - e^{-sigma / 144}),
+    # on the substitution pw = s = 0.5 of the full-space window at n = 1; at
+    # sigma = 1e-2, |K9 - G4| alone (3.96e-18) was below the error (1.04e-17)
+    res = window_integral(lambda a: np.exp(-sigma / (4.0 * a)), 36.0, math.inf, 2.0, (), 0.5)
+    assert abs(res.value - (4.0 / sigma) * -math.expm1(-sigma / 144.0)) <= res.err_estimate
+
+
 # --- adaptive_gl: one integrand call per bisection level ---------------------
 
 def _per_panel_gl(f, panels, tol):
     """The per-panel loop: panels depth first, one call of f each.
 
-    Returns (total, err, xs, fs, levels), levels being the deepest bisection
-    reached plus one."""
+    A panel splits on |K9 - G4| and reports it plus the rounding of its K9
+    sum.  Returns (total, err, xs, fs, levels), levels being the deepest
+    bisection reached plus one."""
     total = err = 0.0
     xs, fs_all, levels = [], [], 0
     stack = [(lo, hi, 0) for lo, hi in reversed(panels)]
@@ -468,7 +480,7 @@ def _per_panel_gl(f, panels, tol):
             stack += [(mid, hi, depth + 1), (lo, mid, depth + 1)]
             continue
         total += cur
-        err += abs(cur - cur_g4)
+        err += abs(cur - cur_g4) + _ROUNDING_FLOOR * np.finfo(float).eps * np.sum(np.abs(w * fs))
         xs.append(x)
         fs_all.append(fs)
     return total, err, np.concatenate(xs), np.concatenate(fs_all), levels
@@ -586,6 +598,60 @@ def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
     # blocks of whole panels stay under the cap, or are one panel of the
     # largest radial rule, 96 panels of _GL_HI nodes, at its 9 durations
     assert max(sizes) <= max(_SHELL_BLOCK, len(_K9[0]) * 96 * _GL_HI)
+
+
+def _kernel_tally(monkeypatch):
+    """A one-entry list that tallies the elements of every ``_funk_hecke`` result."""
+    tally, base = [0], quadrature._funk_hecke
+
+    def counting(*args):
+        out = base(*args)
+        tally[0] += out.size
+        return out
+
+    monkeypatch.setattr(quadrature, "_funk_hecke", counting)
+    return tally
+
+
+@pytest.mark.parametrize("n, formed, everywhere, nodes", [
+    (1, 41_545, 115_176, 31_208), (2, 41_590, 115_320, 31_224), (3, 41_689, 115_536, 31_248)])
+def test_shell_kernel_is_formed_only_where_u_is_nonzero(n, formed, everywhere, nodes, monkeypatch):
+    # w_16 is phi_16 (zero off 32 <= |y| <= 48) in its frozen past: the
+    # kernel skips the columns of its hole, while u is evaluated at as many
+    # points as before and every sum is the sum of the kernel formed everywhere
+    tally = _kernel_tally(monkeypatch)
+    args = (w_family(16, 1.0, 0.5, n=n), (np.full(n, 0.3), 0.1), 6.0,
+            kernel_constants(n, 0.5), QuadSpec())
+    res = tail_functional(*args)
+    assert (tally[0], res.nodes_used) == (formed, nodes)
+    tally[0] = 0
+    monkeypatch.setattr(quadrature, "_nonzero_span", lambda nonzero: slice(None))
+    full = tail_functional(*args)
+    assert (tally[0], full.nodes_used) == (everywhere, nodes)
+    assert (res.value, res.err_estimate) == (full.value, full.err_estimate)
+
+
+def test_tensor_shell_kernel_is_the_kernel_formed_everywhere(monkeypatch):
+    # a shifted w_4 takes the tensor rule, where u's hole is not one run of
+    # columns: the kernel is formed on the span of its nonzero columns
+    u = shifted(w_family(4, 1.0, 0.5, n=2), np.array([1.5, 0.0]), 0.0)
+    assert not u.radial
+    args = (u, (np.full(2, 0.3), 0.1), 6.0, kernel_constants(2, 0.5), QuadSpec())
+    res = tail_functional(*args)
+    monkeypatch.setattr(quadrature, "_nonzero_span", lambda nonzero: slice(None))
+    assert tail_functional(*args) == res
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shell_inside_the_hole_of_u_forms_no_kernel(n, monkeypatch):
+    # |y| <= 30 lies wholly inside the hole |y| < 32 of w_16
+    tally = _kernel_tally(monkeypatch)
+    args = (w_family(16, 1.0, 0.5, n=n), (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5),
+            QuadSpec(), 1.0, 40.0)
+    res = window_uM_integral(*args, r_lo=0.0, r_hi=30.0)
+    assert (res.value, res.err_estimate, tally[0]) == (0.0, 0.0, 0)
+    monkeypatch.setattr(quadrature, "_nonzero_span", lambda nonzero: slice(None))
+    assert window_uM_integral(*args, r_lo=0.0, r_hi=30.0) == res and tally[0] == 12_528
 
 
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])
