@@ -135,7 +135,7 @@ def marchaud(u: FunctionHandle, t: float, p: KernelParams, q: QuadSpec) -> QuadR
     truncated = False
     if past_end > T:
         if math.isfinite(past_end) or u.past_integrable():
-            # for the infinite past r = a^{-s} leaves u itself as r-integrand
+            # for the infinite past pw = s leaves u itself, f(v) = u(t - 1/v), in v = 1/a
             res = res - window_integral(vals, T, past_end, 1.0 + s, kinks=kinks,
                                         pw=s, tol=q.panel_tol(0.0))
         else:

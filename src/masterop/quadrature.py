@@ -34,8 +34,9 @@ Three refinements make this robust at desk scale:
 
 The remaining piece, int_{a>T} of u against the kernel, is computed by
 direct non-singular quadrature over the declared support (finite windows
-in a, or the substitution r = a^{-(n/2+s)} for the infinite past), and is
-dropped with ``truncation_flag`` set when no support box is declared.
+in a; the infinite past in v = 1/a, closed at v = 0 by one product-rule
+panel), and is dropped with ``truncation_flag`` set when no support box is
+declared.
 """
 from __future__ import annotations
 
@@ -444,34 +445,70 @@ def _log_mesh(a_lo: float, a_hi: float, per_decade: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
+@lru_cache(maxsize=16)
+def _product_weights(pw: float):
+    """The K9 nodes x of (0, 1), and the K9 and G4 (odd columns) weights for
+    int_0^1 x^{pw-1} g(x) dx: interpolatory, so each rule takes the moments
+    1/(pw + m) of its degree exactly.  Each is one dual Vandermonde solve by
+    Bjorck-Pereyra, to rounding and without LAPACK (see ``_i0e_table``)."""
+    x = 0.5 + 0.5 * _K9[0]
+    rules = []
+    for nodes in (x, x[1::2]):
+        last, w = len(nodes) - 1, 1.0 / (pw + np.arange(len(nodes)))
+        for k in range(last):
+            w[k + 1:] -= nodes[k] * w[k:-1]
+        for k in range(last - 1, -1, -1):
+            w[k + 1:] /= nodes[k + 1:] - nodes[:last - k]
+            w[k:-1] = w[k:-1] - w[k + 1:]
+        rules.append(w)
+    return x, rules[0], rules[1]
+
+
 def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
-                    tol: float = math.inf):
+                    tol: float = math.inf, reach: float | None = None):
     """int_{a_lo}^{a_hi} a^{-pe} Y(a) da over log-spaced panels split at ``kinks``.
 
     ``Y`` maps a (panels, nodes) matrix of durations, one ``adaptive_gl``
-    panel per row, to values of that shape.  ``a_hi`` may be inf: the
-    infinite past is then mapped to r in (0, a_lo^{-pw}] by r = a^{-pw},
-    where a^{-pe} Y da = a^{pw-pe+1} Y dr / pw.  ``pw`` must make that
-    r-integrand bounded; the piece (0, r_last] below the r-mesh is then at
-    most its endpoint value times r_last, taken on a (1, 1) row, and is
-    added to the error.  Returns a QuadResult.
+    panel per row, to values of that shape.  ``a_hi`` may be inf: in
+    v = 1/a the infinite past is int_0^{1/a_lo} v^{pw-1} f(v) dv with
+    f(v) = v^{pe-1-pw} Y(1/v), and ``pw`` must make f bounded.  Given the
+    ``reach`` of an f entire in v (the kernel exponent |x0 - y|^2 v/4 is at
+    most 1 below v = 4/reach), panels halve in v from 1/a_lo down to
+    4/reach; otherwise they halve in r = v^{pw} over 8 decades.  Either mesh
+    reaches 1/k for every kink k, and one panel closes (0, v_end] with the
+    product weights of v^{pw-1} (``_product_weights``), K9 for its value and
+    G4 as its check; its row is taken in the first level's call of ``Y``.
+    Returns a QuadResult.
     """
     if math.isfinite(a_hi):
         panels = split_panels(_log_mesh(a_lo, a_hi, _PANELS_PER_DECADE),
                               [k for k in kinks if a_lo < k < a_hi])
         return adaptive_gl(lambda a: a ** (-pe) * Y(a), panels, tol)[0]
-    r0 = a_lo ** (-pw)
-    panels = split_panels(graded_time_mesh(r0, 0.5, r0 * 1e-8),
-                          [k ** (-pw) for k in kinks if k > a_lo])
+    # the halving panels in z = v^p, where v^{pw-1} f dv = v^{pw-p} f dz / p
+    p = pw if reach is None else 1.0
+    z0, cuts = a_lo ** -p, [k ** -p for k in kinks if k > a_lo]
+    z_end = min([z0 * 1e-8 if reach is None else 4.0 / reach] + cuts)
+    panels = [(max(lo, z_end), hi) for lo, hi in graded_time_mesh(z0, 0.5, z_end)
+              ] if z_end < z0 else []
+    v_last = (z_end if panels else z0) ** (1.0 / p)
+    x, w9, w4 = _product_weights(pw)
+    v_close, closing = v_last * x, []
 
-    def dens(rr):
-        a = rr ** (-1.0 / pw)
-        return a ** (pw - pe + 1.0) * Y(a)
+    def dens(z):
+        v = z ** (1.0 / p)
+        if closing:
+            y = Y(1.0 / v)
+        else:
+            y = Y(1.0 / np.vstack([v, v_close]))
+            closing.append(y[-1])
+            y = y[:-1]
+        return v ** (pe - 1.0 - p) * y
 
-    res = adaptive_gl(dens, panels, tol)[0]
-    r_last = min(lo for lo, hi in panels)
-    end = abs(float(dens(np.full((1, 1), r_last))[0, 0])) * r_last
-    return replace(res, value=res.value / pw, err_estimate=(res.err_estimate + end) / pw)
+    res = adaptive_gl(dens, split_panels(panels, cuts), tol)[0]
+    fc, scale = v_close ** (pe - 1.0 - pw) * closing[0], v_last ** pw
+    val, diff = _panel_sums(fc[None], scale * w9, scale * w4, np.array([[0.0, v_last]]))
+    rounding = _ROUNDING_FLOOR * np.finfo(float).eps * scale * np.abs(w9 * fc).sum()
+    return res * (1.0 / p) + QuadResult(float(val[0]), float(diff[0] + rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +862,9 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
                        r_hi: float | None = None):
     """int over a in (a_lo, a_hi], shell r_lo < |y| <= r_hi, of u(y, t-a) M(x-y, a).
 
-    ``a_hi`` may be inf (handled by the substitution r = a^{-(n/2+s)}).
+    ``a_hi`` may be inf, in v = 1/a (``window_integral``): on a finite
+    shell wholly in u's frozen past the mesh stops at the kernel's reach
+    (r_hi + |x0|)^2, and elsewhere it runs 8 decades in v^{pw}.
     ``r_hi`` of None means the full space beyond r_lo.  When u declares a
     finite support radius that is the shell up to it, exactly; otherwise
     the exterior of a ball is formed as full-space minus inner ball, which
@@ -863,12 +902,17 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     if a_floor <= 0.0:
         raise ValueError("the window must start at a positive duration")
 
-    # for the infinite past, pw = n/2+s makes the jacobian factor 1 (shell
-    # case, Y bounded); pw = s leaves a^{-n/2} Y, bounded for the
-    # full-space case where Y grows like a^{n/2}
+    # for the infinite past, pw = n/2+s makes f = Y (shell case, Y bounded);
+    # pw = s makes f = a^{-n/2} Y, bounded for the full-space case where Y
+    # grows like a^{n/2}.  On a shell wholly in u's frozen past f is entire
+    # in v = 1/a, and the mesh may stop where the kernel does
     pw = s if full_space else n / 2.0 + s
+    reach = None
+    if not full_space and u.frozen_until is not None and t0 - a_floor <= u.frozen_until:
+        reach = (r_hi + float(np.linalg.norm(x0))) ** 2
     return p.constant * window_integral(Y, a_floor, a_hi, p.time_exponent,
-                                        kinks=[t0 - k for k in u.time_kinks], pw=pw)
+                                        kinks=[t0 - k for k in u.time_kinks], pw=pw,
+                                        reach=reach)
 
 
 def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from masterop import (
+    QuadSpec,
     constant,
     defect_estimate,
+    kernel_constants,
     master_op,
     phi_family,
     tail_functional,
@@ -58,6 +60,21 @@ def test_tail_w_family_approaches_defect(p_half, q_default):
                             p_half, q_default).value for j in (8, 16, 32)]
     assert all(v >= 0.0 for v in vals)
     assert vals[-1] == pytest.approx(1.0, abs=5e-2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tail_of_w_family_keeps_its_inverse_square_law(n):
+    # F(w_j, 6) - 1 ~ c / j^2: the far past is closed to a = inf, not cut at
+    # a fixed duration, so the law holds out to j = 256, whose support
+    # radius 3j the kernel reaches only at a ~ 1e5
+    x0 = np.zeros(n)
+    x0[0] = 0.3
+    p, js = kernel_constants(n, 0.5), (16, 32, 128, 256)
+    bias = [tail_functional(w_family(j, 1.0, 0.5, n=n), (x0, 0.2), 6.0, p, QuadSpec()).value - 1.0
+            for j in js]
+    for (j0, b0), (j1, b1) in zip(zip(js, bias), zip(js[1:], bias[1:])):
+        # the ratio per doubling of j
+        assert (b0 / b1) ** (1.0 / math.log2(j1 / j0)) == pytest.approx(4.0, abs=0.05), j1
 
 
 def test_tail_matches_negated_master_when_support_clears(p_half, q_default):

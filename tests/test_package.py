@@ -117,19 +117,23 @@ def test_shell_spacing_rule_has_one_definition():
 def test_panel_layout_has_one_home():
     # durations travel as adaptive_gl's (panels, 9) rows of K9 nodes, so no
     # function past the panel sums re-derives panels from runs of nodes; the
-    # time rule and its G4 check are mapped where the rows are built
-    for rule in ("_K9", "_G4"):
-        assert _referrers(rule) == {"quadrature.py:<module>", "quadrature.py:adaptive_gl",
-                                     "quadrature.py:_difference_panels"}
+    # time rule and its G4 check are mapped where the rows are built, and the
+    # infinite past's closing panel takes product weights on the K9 nodes
+    rows = {"quadrature.py:<module>", "quadrature.py:adaptive_gl",
+            "quadrature.py:_difference_panels"}
+    assert _referrers("_K9") == rows | {"quadrature.py:_product_weights"}
+    assert _referrers("_G4") == rows
     assert _referrers("_GL_LO") == set()
     assert _referrers("reduceat") == set()
 
 
-def test_frozen_past_is_read_by_the_shell_values_only():
-    # the declaration changes one path of the quadrature: every other
-    # integral evaluates u at each duration, as for an undeclared handle
+def test_frozen_past_is_read_by_the_shell_values_and_the_window_mesh_only():
+    # the declaration changes two things in the quadrature: how the shell
+    # values evaluate u, and where the mesh of a far shell window stops;
+    # every other integral evaluates u at each duration, as for an
+    # undeclared handle
     assert ({r for r in _referrers("frozen_until") if r.startswith("quadrature.py:")}
-            == {"quadrature.py:_shell_values"})
+            == {"quadrature.py:_shell_values", "quadrature.py:window_uM_integral"})
 
 
 _STAGES = {"quadrature.py": {"adaptive_gl", "window_integral", "singular_integral",

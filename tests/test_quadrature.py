@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial, legendre
-from scipy.special import gamma, gammaincc
+from scipy.integrate import quad
+from scipy.special import gamma, gammainc, gammaincc
 
 from masterop import (
     QuadResult,
@@ -51,6 +52,7 @@ from masterop.quadrature import (
     _gh_tensor,
     _graded_panels,
     _on_axis,
+    _product_weights,
     _rounding_floor,
     _shell_values,
     adaptive_gl,
@@ -433,20 +435,128 @@ def test_time_rule_is_the_kronrod_extension_of_g4():
             assert abs(np.sum(_G4[1] * _G4[0] ** d) - exact) <= 2 * ulp
 
 
+def _gamma_between(alpha, sigma, A, B):
+    """P(alpha, sigma/4A) - P(alpha, sigma/4B) for the regularised incomplete gamma P,
+    from P where sigma/4A < alpha and from Q = 1 - P above, so that neither cancels."""
+    lo, hi = sigma / (4.0 * B), sigma / (4.0 * A)
+    if hi < alpha:
+        return gammainc(alpha, hi) - gammainc(alpha, lo)
+    return gammaincc(alpha, lo) - gammaincc(alpha, hi)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("window, kinks", [
     ((1e-2, 36.0), ()), ((0.5, 40.0), ()), ((1e-3, 1.0), ()), ((0.01, 600.0), (3.0,)),
-], ids=["1e-2-36", "0.5-40", "1e-3-1", "0.01-600-kink"])
+    ((1e-2, math.inf), ()), ((0.5, math.inf), ()), ((0.01, math.inf), (3.0,)),
+], ids=["1e-2-36", "0.5-40", "1e-3-1", "0.01-600-kink", "1e-2-inf", "0.5-inf", "0.01-inf-kink"])
 def test_window_integral_is_within_its_err_estimate(n, s, window, kinks):
-    # int_A^B a^{-(1 + m)} exp(-sigma / 4a) da
-    #   = (4 / sigma)^m Gamma(m) [Q(m, sigma / 4B) - Q(m, sigma / 4A)], m = n/2 + s
+    # int_A^B a^{-(1 + m)} a^g exp(-sigma / 4a) da, m = n/2 + s, alpha = m - g,
+    #   = (4 / sigma)^alpha Gamma(alpha) [Q(alpha, sigma / 4B) - Q(alpha, sigma / 4A)]
+    # with g = 0 and pw = m (a shell window), or g = n/2 and pw = s (a
+    # full-space window, where Y grows like a^{n/2}); in v = 1/a both are
+    # v^{pw-1} times f(v) = exp(-sigma v/4), entire in v, so the infinite past
+    # may also stop its mesh at the reach sigma
     m, (A, B) = n / 2.0 + s, window
+    variants = [(m, 0.0, False)]
+    if math.isinf(B):
+        variants = [(pw, g, reach) for pw, g in ((m, 0.0), (s, n / 2.0)) for reach in (False, True)]
     for sigma in (1e-2, 1.0, 1e2, 1e4):
-        res = window_integral(lambda a: np.exp(-sigma / (4.0 * a)), A, B, 1.0 + m, kinks, m)
-        exact = ((4.0 / sigma) ** m * gamma(m)
-                 * (gammaincc(m, sigma / (4.0 * B)) - gammaincc(m, sigma / (4.0 * A))))
+        for pw, g, reach in variants:
+            res = window_integral(lambda a: a ** g * np.exp(-sigma / (4.0 * a)), A, B, 1.0 + m,
+                                  kinks, pw, reach=sigma if reach else None)
+            alpha = m - g
+            exact = (4.0 / sigma) ** alpha * gamma(alpha) * _gamma_between(alpha, sigma, A, B)
+            assert abs(res.value - exact) <= res.err_estimate, (sigma, pw, reach)
+
+
+@pytest.mark.parametrize("beta", [-0.95, -0.45, 0.0, 0.5, 1.45])
+def test_product_weights_integrate_the_powers_of_their_degree(beta):
+    # int_0^1 x^beta x^m dx = 1 / (beta + 1 + m): K9 for m <= 8, G4 for m <= 3
+    x, w9, w4 = _product_weights(beta + 1.0)
+    assert np.array_equal(x, 0.5 + 0.5 * _K9[0])
+    for nodes, w, degree in ((x, w9, 8), (x[1::2], w4, 3)):
+        for m in range(degree + 1):
+            assert np.sum(w * nodes ** m) == pytest.approx(1.0 / (beta + 1.0 + m), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("reach", [False, True], ids=["r-mesh", "reach"])
+def test_infinite_window_meshes_down_to_a_far_kink(n, s, reach):
+    # Y halves its value past the kink K = 1e6 A, which lies beyond the r-mesh's
+    # 8 decades when pw > 4/3 and beyond the reach sigma / 4: the mesh runs on
+    # to 1/K, so that the closing panel holds no kink
+    m, A, K = n / 2.0 + s, 1.0, 1e6
+    for sigma in (1e-2, 1.0, 1e2):
+        res = window_integral(lambda a: np.where(a <= K, 1.0, 0.5) * np.exp(-sigma / (4.0 * a)),
+                              A, math.inf, 1.0 + m, (K,), m, reach=sigma if reach else None)
+        # (4/sigma)^m [gamma(m, sigma/4A) - gamma(m, sigma/4K) / 2]
+        exact = (4.0 / sigma) ** m * gamma(m) * (_gamma_between(m, sigma, A, K)
+                                                 + 0.5 * _gamma_between(m, sigma, K, math.inf))
         assert abs(res.value - exact) <= res.err_estimate, sigma
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frozen_far_window_takes_one_shell_call_with_its_closing_row(n, monkeypatch):
+    # w_16's far past is frozen: its mesh halves in v = 1/a down to the reach,
+    # and the closing panel's 9 durations ride as one more row in the one
+    # call of the shell values; the moving mesh runs 8 decades in r = v^pw
+    shapes = []
+
+    def recording(u, x0, t0, avals, *rest):
+        shapes.append(avals.shape)
+        return _shell_values(u, x0, t0, avals, *rest)
+
+    monkeypatch.setattr(quadrature, "_shell_values", recording)
+    w = w_family(16, 1.0, 0.5, n=n)
+    rows = []
+    for u in (w, dataclasses.replace(w, frozen_until=None)):
+        shapes.clear()
+        window_uM_integral(u, (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(),
+                           36.1, math.inf)
+        assert len(shapes) == 1 and shapes[0][1] == len(_K9[0])
+        rows.append(shapes[0][0])
+    # 1/36.1 halves 5 times to 4 / (48 + 0.3 sqrt(n))^2; r halves 27 times
+    assert rows == [5 + 1, 27 + 1]
+
+
+def _phi_far_reference(n, s, j, A, rho):
+    """int u(y) (4/sigma)^alpha gamma(alpha, sigma/4A) dy, sigma = |x0 - y|^2, alpha = n/2 + s,
+    for u = phi_j (dim n, alpha 1, beta 1) and |x0| = rho, by nested 1-D quadrature."""
+    alpha = n / 2.0 + s
+    u = phi_family(j, 1.0, 1.0, dim=n)
+
+    def g(sigma):
+        return (4.0 / sigma) ** alpha * gamma(alpha) * gammainc(alpha, sigma / (4.0 * A))
+
+    def u_at(r):
+        return float(u.evaluator(np.array([[r] + [0.0] * (n - 1)]), np.zeros(1))[0])
+
+    if n == 1:
+        return sum(quad(lambda y: u_at(abs(y)) * g((rho - y) ** 2), lo, hi,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((-3.0 * j, -2.0 * j), (2.0 * j, 3.0 * j)))
+    # n = 3: the sphere at radius r, in sigma = rho^2 + r^2 - 2 rho r mu, is
+    # pi r / rho times the integral of g over ((r - rho)^2, (r + rho)^2)
+    return quad(lambda r: u_at(r) * math.pi * r / rho * quad(
+        g, (r - rho) ** 2, (r + rho) ** 2, epsabs=0.0, epsrel=1e-13)[0],
+        2.0 * j, 3.0 * j, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("j", [4, 32, 256])
+def test_far_window_of_phi_matches_the_incomplete_gamma_integral(n, s, j):
+    # a u frozen in time: int_A^inf a^{-(1 + alpha)} exp(-sigma/4a) da is
+    # (4/sigma)^alpha gamma(alpha, sigma/4A), so the far window is one
+    # spatial integral
+    p, A, rho = kernel_constants(n, s), 36.2, 0.3
+    x0 = np.zeros(n)
+    x0[0] = rho
+    got = window_uM_integral(phi_family(j, 1.0, 1.0, dim=n), (x0, 0.2), p, QuadSpec(), A, math.inf)
+    want = p.constant * _phi_far_reference(n, s, j, A, rho)
+    assert got.value == pytest.approx(want, rel=1e-8)
 
 
 @pytest.mark.parametrize("sigma", [1e-2, 1.0, 1e2])
@@ -581,13 +691,14 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
     one_rule = _one_rule_shell_values(u, x0, 0.1, avals.ravel(), 0.5, 3.0, p)
     assert one_rule == pytest.approx(batched.ravel(), rel=1e-2)
     assert not np.array_equal(one_rule, batched.ravel())
-    # window_integral's endpoint: a (1, 1) row, on the rule of its one duration
+    # a (1, 1) row: one duration, on the rule of that duration
     end = np.full((1, 1), 12.5)
     assert np.array_equal(_shell_values(u, x0, 0.1, end, 0.5, 3.0, p),
                           _one_rule_shell_values(u, x0, 0.1, end[0], 0.5, 3.0, p)[None])
 
 
-@pytest.mark.parametrize("n, nodes", [(1, 31_208), (2, 31_224), (3, 31_248)])
+@pytest.mark.parametrize("n, nodes", [(1, 31_016), (2, 31_032), (3, 31_056)],
+                         ids=["n1", "n2", "n3"])
 def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
     # 43 evaluator calls when every adaptive_gl panel built its own rule; w_j
     # is frozen for t <= 0, so most rules evaluate it once, not per duration
@@ -614,7 +725,8 @@ def _kernel_tally(monkeypatch):
 
 
 @pytest.mark.parametrize("n, formed, everywhere, nodes", [
-    (1, 41_545, 115_176, 31_208), (2, 41_590, 115_320, 31_224), (3, 41_689, 115_536, 31_248)])
+    (1, 29_385, 78_696, 31_016), (2, 29_430, 78_840, 31_032), (3, 29_529, 79_056, 31_056)],
+    ids=["n1", "n2", "n3"])
 def test_shell_kernel_is_formed_only_where_u_is_nonzero(n, formed, everywhere, nodes, monkeypatch):
     # w_16 is phi_16 (zero off 32 <= |y| <= 48) in its frozen past: the
     # kernel skips the columns of its hole, while u is evaluated at as many
@@ -657,7 +769,8 @@ def test_shell_inside_the_hole_of_u_forms_no_kernel(n, monkeypatch):
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_infinite_past_shell_window_matches_the_per_panel_values(n, radial, monkeypatch):
-    # the r-mesh ends with window_integral's endpoint call on a (1, 1) row
+    # the closing panel's row rides in the first call of the shell values;
+    # the far past of w_j is frozen, so each call evaluates u at one time
     w = w_family(2, 1.0, 0.5, n=n)
     u = dataclasses.replace(w, radial=radial)
     lengths = []
@@ -670,7 +783,7 @@ def test_infinite_past_shell_window_matches_the_per_panel_values(n, radial, monk
     u = dataclasses.replace(u, evaluator=evaluator)
     args = (u, (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(), 40.0, math.inf)
     grouped = window_uM_integral(*args)
-    assert lengths[-1] == 1
+    assert set(lengths) == {1}
     monkeypatch.setattr(quadrature, "_shell_values", lambda u, x0, t0, avals, *rest: np.concatenate(
         [_shell_values(u, x0, t0, avals[i:i + 1], *rest) for i in range(len(avals))]))
     assert window_uM_integral(*args) == grouped
