@@ -33,10 +33,10 @@ Three refinements make this robust at desk scale:
   remaining mass is added in closed form (essential as s -> 1).
 
 The remaining piece, int_{a>T} of u against the kernel, is computed by
-direct non-singular quadrature over the declared support (finite windows
-in a; the infinite past in v = 1/a, closed at v = 0 by one product-rule
-panel), and is dropped with ``truncation_flag`` set when no support box is
-declared.
+direct non-singular quadrature over the declared support, on one mesh for
+every window: panels halving in v = 1/a (``window_integral``), which the
+infinite past closes at v = 0 with one product-rule panel; it is dropped
+with ``truncation_flag`` set when no support box is declared.
 """
 from __future__ import annotations
 
@@ -78,8 +78,6 @@ _G4 = (_K9[0][1::2], np.array([0.34785484513745385737, 0.65214515486254614263,
 _ROUNDING_FLOOR = 16
 #: adaptive_gl bisects a panel at most this many times
 _BISECT_DEPTH = 14
-#: log-mesh panels per decade of the non-singular window integrals
-_PANELS_PER_DECADE = 4
 #: fixed Gauss-Hermite order of the full-space window values
 _FULLSPACE_GH = 20
 #: points of u one evaluator call is handed at most, unless one duration
@@ -267,8 +265,8 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
     and v = w r, when beta > 1; centred, r = c z and
     v = w z^2 sinh(2 beta z) / (2 beta z), when beta <= 1, which is even in
     z: on the nodes z >= 0, weights doubled but at z = 0, and in blocks of
-    its own.  At n = 2, r runs over
-    max(1, order // 2) equal ``gl_panel`` panels of _GL_HI nodes on
+    its own.  At n = 2, r runs over the ``radial_nodes`` of
+    max(1, order // 2) equal panels on
     (max(0, rho - 9c), rho + 9c) and v is r dr times the angular integral
     of the Gaussian, ``_funk_hecke``, as in the radial shell integrals.
     """
@@ -279,8 +277,7 @@ def _radial_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
         zc, wc = z[len(z) // 2:], (np.where(z > 0.0, 2.0, 1.0) * w)[len(z) // 2:]
     else:
         # the panels' nodes z and weights w on (0, 1)
-        edges = np.linspace(0.0, 1.0, max(1, order // 2) + 1)
-        z, w = (g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], _GL_HI))
+        z, w = radial_nodes(0.0, 1.0, max(1, order // 2))
 
     def block(a, centred=False):
         c = 2.0 * np.sqrt(a)[:, None]
@@ -435,16 +432,6 @@ def slab_mass(a_lo: float, a_hi: float, p: KernelParams) -> float:
     return p.constant * (4.0 * math.pi) ** (p.n / 2.0) * (a_lo ** (-p.s) - upper) / p.s
 
 
-def _log_mesh(a_lo: float, a_hi: float, per_decade: int):
-    """Log-spaced panel edges covering (a_lo, a_hi]."""
-    if a_hi <= a_lo:
-        return []
-    decades = math.log10(a_hi / a_lo)
-    m = max(1, math.ceil(decades * per_decade))
-    edges = np.geomspace(a_lo, a_hi, m + 1)
-    return list(zip(edges[:-1], edges[1:]))
-
-
 @lru_cache(maxsize=16)
 def _product_weights(pw: float):
     """The K9 nodes x of (0, 1), and the K9 and G4 (odd columns) weights for
@@ -466,49 +453,52 @@ def _product_weights(pw: float):
 
 def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
                     tol: float = math.inf, reach: float | None = None):
-    """int_{a_lo}^{a_hi} a^{-pe} Y(a) da over log-spaced panels split at ``kinks``.
+    """int_{a_lo}^{a_hi} a^{-pe} Y(a) da, taken in v = 1/a as int v^{pe-2} Y(1/v) dv.
 
     ``Y`` maps a (panels, nodes) matrix of durations, one ``adaptive_gl``
-    panel per row, to values of that shape.  ``a_hi`` may be inf: in
-    v = 1/a the infinite past is int_0^{1/a_lo} v^{pw-1} f(v) dv with
-    f(v) = v^{pe-1-pw} Y(1/v), and ``pw`` must make f bounded.  Given the
+    panel per row, to values of that shape.  The panels halve in v from
+    1/a_lo (``graded_time_mesh``) down to v_end, where the last one is
+    clipped, and split at 1/k for every kink k; a finite window ends at
+    v_end = 1/a_hi.  ``a_hi`` may be inf: the infinite past is
+    int_0^{1/a_lo} v^{pw-1} f(v) dv with f(v) = v^{pe-1-pw} Y(1/v), and
+    ``pw`` must make f bounded.  Its mesh ends at v_end = 4/reach, given the
     ``reach`` of an f entire in v (the kernel exponent |x0 - y|^2 v/4 is at
-    most 1 below v = 4/reach), panels halve in v from 1/a_lo down to
-    4/reach; otherwise they halve in r = v^{pw} over 8 decades.  Either mesh
-    reaches 1/k for every kink k, and one panel closes (0, v_end] with the
-    product weights of v^{pw-1} (``_product_weights``), K9 for its value and
-    G4 as its check; its row is taken in the first level's call of ``Y``.
-    Returns a QuadResult.
+    most 1 below it), and otherwise 8 decades below 1/a_lo; either v_end
+    lies below 1/k for every kink k.  One panel then closes (0, v_end] with
+    the product weights of v^{pw-1} (``_product_weights``), K9 for its value
+    and G4 as its check; its row is taken in the first level's call of
+    ``Y``.  Returns a QuadResult.
     """
-    if math.isfinite(a_hi):
-        panels = split_panels(_log_mesh(a_lo, a_hi, _PANELS_PER_DECADE),
-                              [k for k in kinks if a_lo < k < a_hi])
-        return adaptive_gl(lambda a: a ** (-pe) * Y(a), panels, tol)[0]
-    # the halving panels in z = v^p, where v^{pw-1} f dv = v^{pw-p} f dz / p
-    p = pw if reach is None else 1.0
-    z0, cuts = a_lo ** -p, [k ** -p for k in kinks if k > a_lo]
-    z_end = min([z0 * 1e-8 if reach is None else 4.0 / reach] + cuts)
-    panels = [(max(lo, z_end), hi) for lo, hi in graded_time_mesh(z0, 0.5, z_end)
-              ] if z_end < z0 else []
-    v_last = (z_end if panels else z0) ** (1.0 / p)
+    v0, cuts = 1.0 / a_lo, [1.0 / k for k in kinks if a_lo < k < a_hi]
+    finite = math.isfinite(a_hi)
+    if finite:
+        v_end = 1.0 / a_hi
+    else:
+        v_end = min([v0 * 1e-8 if reach is None else 4.0 / reach] + cuts)
+    panels = [(max(lo, v_end), hi) for lo, hi in graded_time_mesh(v0, 0.5, v_end)
+              ] if v_end < v0 else []
+    if finite:
+        # a window within graded_time_mesh's 1e-12 of its end takes one panel
+        return adaptive_gl(lambda v: v ** (pe - 2.0) * Y(1.0 / v),
+                           split_panels(panels or [(v_end, v0)], cuts), tol)[0]
+    v_last = v_end if panels else v0
     x, w9, w4 = _product_weights(pw)
     v_close, closing = v_last * x, []
 
-    def dens(z):
-        v = z ** (1.0 / p)
+    def dens(v):
         if closing:
             y = Y(1.0 / v)
         else:
             y = Y(1.0 / np.vstack([v, v_close]))
             closing.append(y[-1])
             y = y[:-1]
-        return v ** (pe - 1.0 - p) * y
+        return v ** (pe - 2.0) * y
 
     res = adaptive_gl(dens, split_panels(panels, cuts), tol)[0]
     fc, scale = v_close ** (pe - 1.0 - pw) * closing[0], v_last ** pw
     val, diff = _panel_sums(fc[None], scale * w9, scale * w4, np.array([[0.0, v_last]]))
     rounding = _ROUNDING_FLOOR * np.finfo(float).eps * scale * np.abs(w9 * fc).sum()
-    return res * (1.0 / p) + QuadResult(float(val[0]), float(diff[0] + rounding))
+    return res + QuadResult(float(val[0]), float(diff[0] + rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -653,20 +643,16 @@ def _shell_panels(width: float, a_ref):
     return np.ceil(width / h).astype(int)
 
 
-def radial_nodes(r_lo: float, r_hi: float, a_ref: float, gl: int):
-    """Gauss-Legendre nodes/weights on (r_lo, r_hi] for durations from ``a_ref`` on.
-
-    The ``_shell_panels`` equal panels take ``gl`` nodes each; ``gl_panel``
-    maps all panels at once.
-    """
-    edges = np.linspace(r_lo, r_hi, int(_shell_panels(r_hi - r_lo, a_ref)) + 1)
-    return tuple(g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], gl))
+def radial_nodes(r_lo: float, r_hi: float, count: int):
+    """Gauss-Legendre nodes/weights on (r_lo, r_hi]: ``count`` equal panels of _GL_HI
+    nodes each, which ``gl_panel`` maps at once."""
+    edges = np.linspace(r_lo, r_hi, count + 1)
+    return tuple(g.ravel() for g in gl_panel(edges[:-1, None], edges[1:, None], _GL_HI))
 
 
-def shell_rule(n: int, r_lo: float, r_hi: float, a_ref: float, gl: int,
-               ang_count: int):
+def shell_rule(n: int, r_lo: float, r_hi: float, count: int, ang_count: int):
     """Quadrature points/weights for int_{r_lo<|y|<=r_hi} f(y) dy, on ``radial_nodes``."""
-    rr, rw = radial_nodes(r_lo, r_hi, a_ref, gl)
+    rr, rw = radial_nodes(r_lo, r_hi, count)
     dirs, aw = angular_rule(n, ang_count)
     pts = rr[:, None, None] * dirs[None, :, :]
     ww = (rw * rr ** (n - 1))[:, None] * aw[None, :]
@@ -804,9 +790,9 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
         """Panel i's rule as (the nodes its kernel reads, u on its points at a column
         of times, its weights): radii on the radial rule, |y - x0|^2 on the tensor one."""
         if u.radial:
-            rr, rw = radial_nodes(r_lo, r_hi, a_ref[i], _GL_HI)
+            rr, rw = radial_nodes(r_lo, r_hi, count[i])
             return rr, lambda tt: _on_axis(u, rr, tt), rw * rr ** (n - 1)
-        pts, ww = shell_rule(n, r_lo, r_hi, a_ref[i], _GL_HI, ang[i])
+        pts, ww = shell_rule(n, r_lo, r_hi, count[i], ang[i])
         return (np.sum((pts - x0) ** 2, axis=-1),
                 lambda tt: u(np.broadcast_to(pts, (len(tt),) + pts.shape), tt), ww)
 
@@ -862,9 +848,10 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
                        r_hi: float | None = None):
     """int over a in (a_lo, a_hi], shell r_lo < |y| <= r_hi, of u(y, t-a) M(x-y, a).
 
-    ``a_hi`` may be inf, in v = 1/a (``window_integral``): on a finite
-    shell wholly in u's frozen past the mesh stops at the kernel's reach
-    (r_hi + |x0|)^2, and elsewhere it runs 8 decades in v^{pw}.
+    The window is taken on ``window_integral``'s halving panels in v = 1/a.
+    ``a_hi`` may be inf: on a finite shell wholly in u's frozen past the
+    mesh then stops at the kernel's reach (r_hi + |x0|)^2, and elsewhere it
+    runs 8 decades in v.
     ``r_hi`` of None means the full space beyond r_lo.  When u declares a
     finite support radius that is the shell up to it, exactly; otherwise
     the exterior of a ball is formed as full-space minus inner ball, which

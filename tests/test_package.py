@@ -106,12 +106,60 @@ def test_gauss_legendre_nodes_are_mapped_in_gl_panel_only():
 
 
 def test_shell_spacing_rule_has_one_definition():
-    # the panel count of a shell comes from _shell_panels, both for the
-    # grouping key of _shell_values and for the rule it then builds
-    assert _referrers("_shell_panels") == {"quadrature.py:_shell_values",
-                                            "quadrature.py:radial_nodes"}
-    assert _referrers("radial_nodes") == {"quadrature.py:_shell_values", "quadrature.py:shell_rule"}
+    # the panel count of a shell comes from _shell_panels, computed once in
+    # _shell_values for its grouping key and handed to the rule it then
+    # builds; every equal-panel radial rule, the n = 2 radial average's on
+    # (0, 1) too, is built by radial_nodes
+    assert _referrers("_shell_panels") == {"quadrature.py:_shell_values"}
+    assert _referrers("radial_nodes") == {"quadrature.py:_shell_values", "quadrature.py:shell_rule",
+                                          "quadrature.py:_radial_sums"}
     assert _referrers("shell_rule") == {"quadrature.py:_shell_values"}
+
+
+def test_window_mesh_has_one_home():
+    # every window integral, finite or infinite, halves its panels in v = 1/a
+    # on graded_time_mesh, the mesh of the difference panels in a
+    quadrature = {r for name in ("geomspace", "_log_mesh", "_PANELS_PER_DECADE")
+                  for r in _referrers(name) if r.startswith("quadrature.py:")}
+    assert quadrature == set()
+    assert _referrers("graded_time_mesh") == {"quadrature.py:_graded_panels",
+                                              "quadrature.py:window_integral"}
+
+
+def _module_level_names(tree):
+    """(index of the top-level statement, name) for every name it defines."""
+    for i, top in enumerate(tree.body):
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            yield i, top.name
+        elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+            targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+            yield from ((i, node.id) for target in targets for node in ast.walk(target)
+                        if isinstance(node, ast.Name))
+
+
+def test_every_private_module_name_is_read():
+    # a private function, class or constant at module level that no other
+    # top-level statement of the package reads is dead: a deleted code path
+    # must not leave its constant or helper behind
+    defined, readers = [], {}
+    for path in sorted((SRC / "masterop").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(path.name, i, name) for i, name in _module_level_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
+        for i, top in enumerate(tree.body):
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.asname or node.name
+                else:
+                    continue
+                readers.setdefault(name, set()).add((path.name, i))
+    assert len(defined) > 50
+    assert [f"{file}:{name}" for file, i, name in defined
+            if not readers.get(name, set()) - {(file, i)}] == []
 
 
 def test_panel_layout_has_one_home():

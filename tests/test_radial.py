@@ -26,10 +26,12 @@ from masterop import quadrature
 from masterop.handles import GROWTH_BOUNDED, combine, from_callable, shifted
 from masterop.quadrature import (
     _GH_CAP,
+    _GL_HI,
     _I0E_PIECES,
     _I0E_SWITCH,
     MAX_GH_ORDER,
     _on_axis,
+    _shell_panels,
     angular_rule,
     gauss_hermite_nodes,
     gl_panel,
@@ -80,18 +82,19 @@ def test_to_handle_family_atom_inherits_radial():
 
 # --- rules ---------------------------------------------------------------------
 
-@pytest.mark.parametrize("r_lo, r_hi, a_ref, gl", [
-    (0.0, 6.0, 0.25, 8), (6.0, 48.0, 1e-3, 8), (2.0, 2.5, 10.0, 5), (0.0, 1.0, 1e-310, 4)])
-def test_radial_nodes_match_the_per_panel_loop(r_lo, r_hi, a_ref, gl):
+@pytest.mark.parametrize("r_lo, r_hi, a_ref", [
+    (0.0, 6.0, 0.25), (6.0, 48.0, 1e-3), (2.0, 2.5, 10.0), (0.0, 1.0, 1e-310)])
+def test_radial_nodes_match_the_per_panel_loop(r_lo, r_hi, a_ref):
     width = r_hi - r_lo
     npan = math.ceil(width / max(min(math.sqrt(a_ref), width / 24.0), width / 96.0))
+    assert _shell_panels(width, np.array([a_ref])).tolist() == [npan]
     edges = np.linspace(r_lo, r_hi, npan + 1)
-    ref = [gl_panel(edges[i], edges[i + 1], gl) for i in range(npan)]
-    rr, rw = radial_nodes(r_lo, r_hi, a_ref, gl)
-    assert len(rr) == npan * gl
+    ref = [gl_panel(edges[i], edges[i + 1], _GL_HI) for i in range(npan)]
+    rr, rw = radial_nodes(r_lo, r_hi, npan)
+    assert len(rr) == npan * _GL_HI
     assert np.array_equal(rr, np.concatenate([r for r, _ in ref]))
     assert np.array_equal(rw, np.concatenate([w for _, w in ref]))
-    pts, ww = shell_rule(2, r_lo, r_hi, a_ref, gl, 12)
+    pts, ww = shell_rule(2, r_lo, r_hi, npan, 12)
     assert pts.shape == (len(rr) * 12, 2)
     assert np.sum(ww) == pytest.approx(math.pi * (r_hi ** 2 - r_lo ** 2), rel=1e-12)
 
