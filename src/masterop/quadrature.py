@@ -34,9 +34,10 @@ Three refinements make this robust at desk scale:
 
 The remaining piece, int_{a>T} of u against the kernel, is computed by
 direct non-singular quadrature over the declared support, on one mesh for
-every window: panels halving in v = 1/a (``window_integral``), which the
-infinite past closes at v = 0 with one product-rule panel; it is dropped
-with ``truncation_flag`` set when no support box is declared.
+every window: panels halving in v = 1/a (``window_integral``), in
+r = v^{pw} on a moving infinite past; the infinite past is closed at
+v = 0 by one product-rule panel.  It is dropped with ``truncation_flag``
+set when no support box is declared.
 """
 from __future__ import annotations
 
@@ -456,49 +457,55 @@ def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
     """int_{a_lo}^{a_hi} a^{-pe} Y(a) da, taken in v = 1/a as int v^{pe-2} Y(1/v) dv.
 
     ``Y`` maps a (panels, nodes) matrix of durations, one ``adaptive_gl``
-    panel per row, to values of that shape.  The panels halve in v from
-    1/a_lo (``graded_time_mesh``) down to v_end, where the last one is
-    clipped, and split at 1/k for every kink k; a finite window ends at
-    v_end = 1/a_hi.  ``a_hi`` may be inf: the infinite past is
+    panel per row, to values of that shape.  The panels halve in z = v^p
+    from a_lo^{-p} (``graded_time_mesh``) down to z_end, where the last one
+    is clipped, and split at k^{-p} for every kink k; p = 1 and z = v for
+    all but the moving infinite past, and a finite window ends at
+    z_end = 1/a_hi.  ``a_hi`` may be inf: the infinite past is
     int_0^{1/a_lo} v^{pw-1} f(v) dv with f(v) = v^{pe-1-pw} Y(1/v), and
-    ``pw`` must make f bounded.  Its mesh ends at v_end = 4/reach, given the
-    ``reach`` of an f entire in v (the kernel exponent |x0 - y|^2 v/4 is at
-    most 1 below it), and otherwise 8 decades below 1/a_lo; either v_end
-    lies below 1/k for every kink k.  One panel then closes (0, v_end] with
-    the product weights of v^{pw-1} (``_product_weights``), K9 for its value
-    and G4 as its check; its row is taken in the first level's call of
-    ``Y``.  Returns a QuadResult.
+    ``pw`` must make f bounded.  Given the ``reach`` of an f entire in v
+    (the kernel exponent |x0 - y|^2 v/4 is at most 1 below v = 4/reach),
+    its mesh ends at z_end = 4/reach; otherwise p = pw and it runs 8
+    decades in z, so that the closing panel holds a 1e-8 share of the
+    weight's mass whether or not f is smooth at v = 0.  Either z_end lies
+    below k^{-p} for every kink k.  One panel then closes
+    (0, z_end^{1/p}] with the product weights of v^{pw-1}
+    (``_product_weights``), K9 for its value and G4 as its check; its row
+    is taken in the first level's call of ``Y``.  Returns a QuadResult.
     """
-    v0, cuts = 1.0 / a_lo, [1.0 / k for k in kinks if a_lo < k < a_hi]
+    # the halving panels in z = v^p, where v^{pw-1} f dv = v^{pw-p} f dz / p
     finite = math.isfinite(a_hi)
+    p = pw if reach is None and not finite else 1.0
+    z0, cuts = a_lo ** -p, [k ** -p for k in kinks if a_lo < k < a_hi]
     if finite:
-        v_end = 1.0 / a_hi
+        z_end = a_hi ** -p
     else:
-        v_end = min([v0 * 1e-8 if reach is None else 4.0 / reach] + cuts)
-    panels = [(max(lo, v_end), hi) for lo, hi in graded_time_mesh(v0, 0.5, v_end)
-              ] if v_end < v0 else []
+        z_end = min([z0 * 1e-8 if reach is None else 4.0 / reach] + cuts)
+    panels = [(max(lo, z_end), hi) for lo, hi in graded_time_mesh(z0, 0.5, z_end)
+              ] if z_end < z0 else []
     if finite:
         # a window within graded_time_mesh's 1e-12 of its end takes one panel
         return adaptive_gl(lambda v: v ** (pe - 2.0) * Y(1.0 / v),
-                           split_panels(panels or [(v_end, v0)], cuts), tol)[0]
-    v_last = v_end if panels else v0
+                           split_panels(panels or [(z_end, z0)], cuts), tol)[0]
+    v_last = (z_end if panels else z0) ** (1.0 / p)
     x, w9, w4 = _product_weights(pw)
     v_close, closing = v_last * x, []
 
-    def dens(v):
+    def dens(z):
+        v = z ** (1.0 / p)
         if closing:
             y = Y(1.0 / v)
         else:
             y = Y(1.0 / np.vstack([v, v_close]))
             closing.append(y[-1])
             y = y[:-1]
-        return v ** (pe - 2.0) * y
+        return v ** (pe - 1.0 - p) * y
 
     res = adaptive_gl(dens, split_panels(panels, cuts), tol)[0]
     fc, scale = v_close ** (pe - 1.0 - pw) * closing[0], v_last ** pw
     val, diff = _panel_sums(fc[None], scale * w9, scale * w4, np.array([[0.0, v_last]]))
     rounding = _ROUNDING_FLOOR * np.finfo(float).eps * scale * np.abs(w9 * fc).sum()
-    return res + QuadResult(float(val[0]), float(diff[0] + rounding))
+    return res * (1.0 / p) + QuadResult(float(val[0]), float(diff[0] + rounding))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +858,7 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     The window is taken on ``window_integral``'s halving panels in v = 1/a.
     ``a_hi`` may be inf: on a finite shell wholly in u's frozen past the
     mesh then stops at the kernel's reach (r_hi + |x0|)^2, and elsewhere it
-    runs 8 decades in v.
+    halves r = v^{pw} over 8 decades.
     ``r_hi`` of None means the full space beyond r_lo.  When u declares a
     finite support radius that is the shell up to it, exactly; otherwise
     the exterior of a ball is formed as full-space minus inner ball, which

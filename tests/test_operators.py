@@ -244,6 +244,17 @@ def test_marchaud_exponential(s, t, q_horizon):
     assert res.value == pytest.approx(math.exp(t), rel=1e-4)
 
 
+@pytest.mark.parametrize("s, err", [(0.1, 1e-3), (0.3, 2e-5)])
+def test_marchaud_bounded_cosine(s, err):
+    # D^s e^{it} = i^s e^{it}.  In v = 1/a the far past's f(v) = cos(t - 1/v)
+    # oscillates without end at v = 0, where the closing product-rule panel
+    # is exact only for a smooth f: the halving panels must leave it a small
+    # share of the weight's mass (8 decades in r = v^s)
+    u = temporal(np.cos, dim=1, growth=GROWTH_BOUNDED)
+    res = marchaud(u, 0.3, kernel_constants(1, s), QuadSpec(horizon=1.0))
+    assert abs(res.value - (1j ** s * np.exp(0.3j)).real) <= min(err, res.err_estimate)
+
+
 def test_marchaud_forward_square(p_half, q_default):
     u = from_callable(lambda pts, tt: np.maximum(tt, 0.0) ** 2, 1,
                       support=SupportBox(radius=math.inf, t_lo=0.0),

@@ -140,26 +140,34 @@ def _module_level_names(tree):
 def test_every_private_module_name_is_read():
     # a private function, class or constant at module level that no other
     # top-level statement of the package reads is dead: a deleted code path
-    # must not leave its constant or helper behind
+    # must not leave its constant or helper behind.  A read counts for the
+    # module that owns the name: a bare name for its own module, an
+    # attribute or a relative import for the module it is taken from
     defined, readers = [], {}
     for path in sorted((SRC / "masterop").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         defined += [(path.name, i, name) for i, name in _module_level_names(tree)
                     if name.startswith("_") and not name.startswith("__")]
+        # the names `from . import x [as y]` binds to a sibling module
+        modules = {alias.asname or alias.name: f"{alias.name}.py" for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+                   for alias in node.names}
         for i, top in enumerate(tree.body):
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.asname or node.name
+                    keys = [(path.name, node.id)]
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id in modules):
+                    keys = [(modules[node.value.id], node.attr)]
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                    keys = [(f"{node.module}.py", alias.name) for alias in node.names]
                 else:
                     continue
-                readers.setdefault(name, set()).add((path.name, i))
+                for key in keys:
+                    readers.setdefault(key, set()).add((path.name, i))
     assert len(defined) > 50
     assert [f"{file}:{name}" for file, i, name in defined
-            if not readers.get(name, set()) - {(file, i)}] == []
+            if not readers.get((file, name), set()) - {(file, i)}] == []
 
 
 def test_panel_layout_has_one_home():

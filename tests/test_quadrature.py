@@ -498,8 +498,9 @@ def test_product_weights_integrate_the_powers_of_their_degree(beta):
 @pytest.mark.parametrize("reach", [False, True], ids=["r-mesh", "reach"])
 def test_infinite_window_meshes_down_to_a_far_kink(n, s, reach):
     # Y halves its value past the kink K, which lies beyond the reach sigma / 4
-    # and, at K = 1e10 A, beyond the mesh's 8 decades in v: the mesh runs on
-    # to 1/K, so that the closing panel holds no kink
+    # and beyond the r-mesh's 8 decades when pw > 4/3 (K = 1e6 A) or
+    # pw > 0.8 (K = 1e10 A): the mesh runs on to 1/K, so that the closing
+    # panel holds no kink
     m, A = n / 2.0 + s, 1.0
     for K in (1e6, 1e10):
         for sigma in (1e-2, 1.0, 1e2):
@@ -515,7 +516,7 @@ def test_infinite_window_meshes_down_to_a_far_kink(n, s, reach):
 def test_frozen_far_window_takes_one_shell_call_with_its_closing_row(n, monkeypatch):
     # w_16's far past is frozen: its mesh halves in v = 1/a down to the reach,
     # and the closing panel's 9 durations ride as one more row in the one
-    # call of the shell values; the moving mesh runs 8 decades in v
+    # call of the shell values; the moving mesh runs 8 decades in r = v^pw
     shapes = []
 
     def recording(u, x0, t0, avals, *rest):
@@ -531,7 +532,7 @@ def test_frozen_far_window_takes_one_shell_call_with_its_closing_row(n, monkeypa
                            36.1, math.inf)
         assert len(shapes) == 1 and shapes[0][1] == len(_K9[0])
         rows.append(shapes[0][0])
-    # 1/36.1 halves 5 times to 4 / (48 + 0.3 sqrt(n))^2, and 27 times to 1e-8 / 36.1
+    # 1/36.1 halves 5 times to 4 / (48 + 0.3 sqrt(n))^2; r halves 27 times
     assert rows == [5 + 1, 27 + 1]
 
 
