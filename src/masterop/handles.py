@@ -50,7 +50,9 @@ class FunctionHandle:
     """An evaluable u(x, t) on R^n x R.
 
     evaluator: maps (points, times) -> values, where ``points`` has shape
-        (m, n) and ``times`` shape (m,).  Must accept arbitrary batches.
+        (m, n) and ``times`` shape (m,).  Must accept arbitrary batches,
+        and must not keep ``points`` after it returns: the engine builds
+        the next batch in the same memory.
     dim: spatial dimension n.
     support: optional SupportBox; evaluator returns 0 outside it.
     growth: envelope of u on past cones, one of the GROWTH_* markers or None.

@@ -8,11 +8,13 @@ difference structure:
 
     int_0^inf  const * 2^n * a^{-(1+s)} * GH_z[ u(x,t) - u(x + 2 sqrt(a) z, t - a) ] da.
 
-The Gauss-Hermite sums come from ``spatial_average``: the order^n tensor
-rule, or for a radial u at n = 2, 3 a 1-D rule in r = |y| (the odd
-extension of r u(r) at n = 3, Gauss-Legendre panels against the
-Funk-Hecke kernel ``_funk_hecke`` of the radial shell integrals at n = 2),
-normalised so that a constant is exact.  ``gl_panel`` maps every panel
+The Gauss-Hermite sums come from ``spatial_average``: the tensor rule of
+``_gh_tensor``, the heaviest 2^k of the order^n product nodes that leave
+out at most 1e-18 of the weight (Jäckel 2005), or for a radial u at
+n = 2, 3 a 1-D rule in r = |y| (the odd extension of r u(r) at n = 3,
+Gauss-Legendre panels against the Funk-Hecke kernel ``_funk_hecke`` of the
+radial shell integrals at n = 2), each normalised by its weight sum so
+that a constant is exact.  ``gl_panel`` maps every panel
 rule of this module.  Every time panel takes the 9-point Gauss-Kronrod
 rule K9 for its value, checked against the 4-point Gauss rule G4 on its
 odd nodes; ``_panel_sums`` is that one panel sum, shared by
@@ -81,8 +83,12 @@ _ROUNDING_FLOOR = 16
 _BISECT_DEPTH = 14
 #: fixed Gauss-Hermite order of the full-space window values
 _FULLSPACE_GH = 20
+#: the tensor Gauss-Hermite rules drop product nodes of at most this share
+#: of the weight sum (``_gh_tensor``)
+_GH_DROP = 1e-18
 #: points of u one evaluator call is handed at most, unless one duration
-#: alone needs more (``in_blocks``); one n=3 duration at the order cap 32
+#: alone needs more (``in_blocks``); two n=3 durations at the order cap 32,
+#: whose pruned rule holds 2^14 nodes
 _POINT_BUDGET = 2 ** 15
 #: points of u one shell-window evaluator call is handed at most, in whole
 #: adaptive_gl panels, unless one panel alone needs more; over two bench
@@ -197,12 +203,63 @@ def gauss_hermite_nodes(order: int):
     return z, w
 
 
+def _heaviest(W, k: int):
+    """A mask of the k heaviest entries of W, of equal weights the first ones.
+
+    A quickselect on masks, not a sort: numpy's sort kernels are code a
+    process would otherwise never load (0.3-0.5 MB resident).
+    """
+    c, rest = W, k
+    while True:
+        pivot = c[len(c) // 2]
+        above = c[c > pivot]
+        if len(above) >= rest:
+            c = above
+            continue
+        rest -= len(above)
+        ties = int(np.count_nonzero(c == pivot))
+        if rest <= ties:
+            break
+        rest -= ties
+        c = c[c < pivot]
+    keep = W > pivot
+    keep[np.flatnonzero(W == pivot)[:rest]] = True
+    return keep
+
+
 @lru_cache(maxsize=64)
 def _gh_tensor(order: int, n: int):
-    """Tensor-product Gauss-Hermite rule on R^n: points (order^n, n), weights."""
+    """Pruned tensor-product Gauss-Hermite rule on R^n: points (m, n), weights (m,).
+
+    Of the order^n product nodes it keeps, in their tensor order, the m
+    heaviest, where m is the smallest power of two whose dropped weight is
+    at most _GH_DROP of the weight sum, or order^n when no power of two
+    below it qualifies (Jäckel 2005).  A power of two, so that the blocks of
+    ``in_blocks`` stay full.  Every rule up to order 20 keeps all its
+    nodes.  Of the escalation orders from 4, order 128 at n = 1 keeps 64
+    and 200 keeps 128, 64 and 80 at n = 2 keep 2048, and 32 at n = 3 keeps
+    16,384; orders 23 and 24 at n = 2 keep 512, and 21 and 22 at n = 3 keep
+    8192.
+    """
     z, w = gauss_hermite_nodes(order)
     pts = np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")], axis=1)
-    return pts, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
+    W = np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
+    # the dropped weight falls as m doubles: halve m from the largest power
+    # of two below order^n while the drop stays small enough
+    limit = _GH_DROP * W.sum()
+    keep, m = None, 1 << max(0, (len(W) - 1).bit_length() - 1)
+    while m >= 1:
+        heavy = _heaviest(W, m)
+        if W[~heavy].sum() > limit:
+            break
+        keep, m = heavy, m // 2
+    return (pts, W) if keep is None else (pts[keep], W[keep])
+
+
+@lru_cache(maxsize=64)
+def _gh_scale(order: int, n: int):
+    """pi^{n/2} over the weight sum of ``_gh_tensor(order, n)``."""
+    return math.pi ** (n / 2.0) / _gh_tensor(order, n)[1].sum()
 
 
 def in_blocks(f, rows, points_per_entry: int):
@@ -210,8 +267,9 @@ def in_blocks(f, rows, points_per_entry: int):
 
     A block holds max(1, _POINT_BUDGET // points_per_entry) entries, so that
     ``f`` evaluates u at no more than _POINT_BUDGET points unless one entry
-    alone needs more.  The arrays ``f`` builds for one block are freed when
-    it returns, before the next block is built.
+    alone needs more.  Apart from a buffer it may reuse for every block,
+    the arrays ``f`` builds for one block are freed when it returns, before
+    the next block is built.
     """
     flat, step = np.ravel(rows), max(1, _POINT_BUDGET // points_per_entry)
     return np.concatenate([f(flat[i:i + step])
@@ -225,17 +283,28 @@ def _row_dots(m, w):
 
 
 def _gh_sums(u: FunctionHandle, x0, t0: float, avals, order: int):
-    """sum_k W_k u(x0 + 2 sqrt(a) Z_k, t0 - a) per duration a, on the order^n rule."""
+    """sum_k W_k u(x0 + 2 sqrt(a) Z_k, t0 - a) per duration a, on the pruned rule of
+    ``_gh_tensor``.
+
+    The call allocates one buffer, sized for its first (largest) block:
+    row 0 holds x0 at every node, and every block builds its points in the
+    rows below, so u's evaluator must not keep them.  With new arrays per
+    block the process page-faulted by the allocator's state: the bench's
+    n = 3 ops made from under 500 to 54k minor faults per pass.
+    """
     Z, W = _gh_tensor(order, len(x0))
-    # flat products, not a broadcast over the short last axis of length n > 1
-    # (at n = 1 x0 broadcasts as a scalar); the sum in place, so a block
-    # allocates one array of points
+    # flat products, not a broadcast over the short last axis of length n > 1;
+    # at n = 1 x0 broadcasts as a scalar, faster than a row of short blocks
     flat = Z.ravel()
-    x0s = np.tile(x0, len(W)) if len(x0) > 1 else x0
+    buf = None
 
     def block(a):
-        pts = 2.0 * np.sqrt(a)[:, None] * flat
-        pts += x0s
+        nonlocal buf
+        if buf is None:
+            buf = np.empty((len(a) + 1, flat.size))
+            buf[0].reshape(Z.shape)[:] = x0
+        pts = np.multiply(2.0 * np.sqrt(a)[:, None], flat, out=buf[1:len(a) + 1])
+        pts += buf[0] if len(x0) > 1 else x0
         pts = pts.reshape((len(a),) + Z.shape)
         return _row_dots(u(pts, np.broadcast_to((t0 - a)[:, None], pts.shape[:2])), W)
 
@@ -311,13 +380,17 @@ def spatial_average(u: FunctionHandle, x0, t0: float, avals, order: int):
     average of u(., t0 - a) against exp(-|z|^2) around x0, pi^{n/2} for u = 1.
 
     A radial u at n = 2, 3 takes the 1-D rule of ``_radial_sums``; any
-    other u the order^n tensor rule of ``_gh_sums``.  Both are evaluated
+    other u the tensor rule of ``_gh_sums``, whose sum is scaled by
+    pi^{n/2} / sum W as the radial sums are: so the difference panels'
+    pi^{n/2} u0 - sum W u cancels against the weight sum of the rule in
+    use, not against pi^{n/2}, which the stored weights sum to only to
+    their rounding.  Both are evaluated
     ``in_blocks``, under _POINT_BUDGET, and keep the shape of ``avals``,
     such as the (panels, 9) rows of the difference panels' K9 nodes.
     """
     if u.radial and len(x0) > 1:
         return _radial_sums(u, x0, t0, avals, order)
-    return _gh_sums(u, x0, t0, avals, order)
+    return _gh_sums(u, x0, t0, avals, order) * _gh_scale(order, len(x0))
 
 
 def _gh_orders(u: FunctionHandle, q: QuadSpec):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -165,6 +166,72 @@ def test_gh_tensor_matches_the_product_loop(n, order):
     idx = list(itertools.product(range(order), repeat=n))
     assert np.array_equal(Z, np.array([[z[i] for i in k] for k in idx]))
     assert np.array_equal(W, np.array([math.prod(w[i] for i in k) for k in idx]))
+
+
+def _full_tensor(order, n):
+    """The unpruned order^n product rule."""
+    z, w = gauss_hermite_nodes(order)
+    Z = np.stack([g.ravel() for g in np.meshgrid(*([z] * n), indexing="ij")], axis=1)
+    return Z, np.prod(np.meshgrid(*([w] * n), indexing="ij"), axis=0).ravel()
+
+
+#: the rules pruning shortens, by (n, order): the escalation orders from 4
+#: and the cap, and four orders a start of --gh-order can reach
+_PRUNED_SIZES = {(1, 128): 64, (1, 200): 128, (2, 64): 2048, (2, 80): 2048, (3, 32): 16384,
+                 (2, 23): 512, (2, 24): 512, (3, 21): 8192, (3, 22): 8192}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gh_tensor_prunes_only_its_table(n):
+    # every order up to 20 (the full-space order among them) keeps its whole
+    # rule, bit for bit, as do the unlisted escalation orders from 4
+    orders = sorted({*range(1, 21), 32, 64, 128, 200, *(o for m, o in _PRUNED_SIZES if m == n)})
+    for order in (o for o in orders if o <= _GH_CAP[n]):
+        Z, W = _gh_tensor(order, n)
+        Zf, Wf = _full_tensor(order, n)
+        size = _PRUNED_SIZES.get((n, order), order ** n)
+        assert len(W) == size, (n, order)
+        if size == order ** n:
+            assert np.array_equal(Z, Zf) and np.array_equal(W, Wf), (n, order)
+        else:
+            # the kept nodes are the heaviest, in the tensor order
+            z = gauss_hermite_nodes(order)[0]
+            rows = np.searchsorted(z, Z) @ order ** np.arange(n - 1, -1, -1)
+            assert np.all(np.diff(rows) > 0) and np.array_equal(Z, Zf[rows])
+            assert np.array_equal(W, Wf[rows])
+            assert W.min() >= np.delete(Wf, rows).max()
+            # a power of two, and the smallest whose dropped weight is small enough
+            dropped = math.fsum(np.delete(Wf, rows))
+            assert size & (size - 1) == 0 and dropped <= 1e-18 * math.fsum(Wf)
+            assert math.fsum(np.sort(Wf)[:-(size // 2)]) > 1e-18 * math.fsum(Wf)
+
+
+@pytest.mark.parametrize("n, order", [(2, 64), (2, 80), (3, 32)])
+def test_pruned_rule_keeps_the_radial_moments(n, order):
+    # sum W |Z|^{2k}, k <= 4, as on the full rule
+    Z, W = _gh_tensor(order, n)
+    Zf, Wf = _full_tensor(order, n)
+    r2, rf2 = np.sum(Z * Z, axis=1), np.sum(Zf * Zf, axis=1)
+    for k in range(5):
+        assert math.fsum(W * r2 ** k) == pytest.approx(math.fsum(Wf * rf2 ** k), rel=1e-12)
+
+
+def test_pruned_rule_is_symmetric_to_rounding_under_signed_permutations():
+    # the 16,384-node rule splits its lightest kept orbit, so a signed
+    # permutation of the wave's direction (and of x) moves the value; the
+    # wave runs along an axis, so that u's own rounding does not move
+    x, t, s = np.array([0.1, 0.2, 0.3]), 0.3, 0.25
+    vals = []
+    for perm in itertools.permutations(range(3)):
+        for signs in ((1.0, 1.0, 1.0), (-1.0, 1.0, -1.0)):
+            P = np.zeros((3, 3))
+            P[range(3), perm] = signs
+            xi = P @ np.array([3.0, 0.0, 0.0])
+            u = from_callable(lambda pts, tt, xi=xi: np.exp(0.005 * tt) * np.cos(pts @ xi), 3,
+                              growth=GROWTH_BOUNDED)
+            vals.append(master_op(u, (P @ x, t), kernel_constants(3, s),
+                                  QuadSpec(horizon=60.0)).value)
+    assert np.ptp(vals) <= 1e-13 * abs(vals[0])
 
 
 # --- graded time mesh -------------------------------------------------------
@@ -954,7 +1021,9 @@ def test_escalation_rounds_match_the_per_panel_loop(make, n, s, at, horizon, fea
     # every duration ends at the same order, so every panel does
     assert seen == ref_seen and nodes == ref_nodes
     if feature == "cap":
-        assert max(seen.values()) == _GH_CAP[n] ** n
+        # the size of the pruned cap rule: 128 of order 200's nodes at
+        # n = 1, 2048 of the 6400 of order 80 at n = 2
+        assert max(seen.values()) == {1: 128, 2: 2048}[n]
     if feature == "kink":
         # the kink at duration t0 splits a panel of the plain mesh
         assert any(lo < t0 < hi for lo, hi in _graded_panels(horizon, q.a_min, [], q))
@@ -978,6 +1047,28 @@ def test_rounding_floor_keeps_large_s_at_the_s_half_node_count():
         symbol = 1.5 ** s * math.exp(0.5 * t) * math.cos(x @ xi)
         assert abs(r.value - symbol) <= r.err_estimate
     assert max(runs[0.7].nodes_used, runs[0.8].nodes_used) <= runs[0.5].nodes_used
+
+
+@pytest.mark.parametrize("n, s, lam, xi", [
+    (1, 0.99, 2.0, [0.0]),
+    (2, 0.99, 0.05, [math.sqrt(2.0), math.sqrt(2.0)]),
+    (1, 0.97, 2.0, [0.0]),
+    (2, 0.97, 2.0, [0.0, 0.0]),
+])
+def test_difference_cancels_against_the_weight_sum_of_its_rule(n, s, lam, xi):
+    # near s = 1 the a^{-(1+s)} weight multiplies the rounding of
+    # pi^{n/2} u0 - sum W u at small a; the stored weights of a rule sum to
+    # pi^{n/2} only to their own rounding, so the tensor sum is normalised by
+    # its weight sum: cancelling against pi^{n/2}, these values missed their
+    # estimates by up to 2x
+    xi = np.array(xi)
+    u = from_callable(lambda pts, tt: np.exp(lam * tt) * np.cos(pts @ xi), n,
+                      growth=GROWTH_BOUNDED)
+    x, t = np.linspace(0.1, 0.3, n), 0.2
+    r = master_op(u, (x, t), kernel_constants(n, s), QuadSpec(horizon=60.0))
+    # the symbol (lambda + |xi|^2)^s u; the horizon tail is below e^{-100}
+    assert abs(r.value - (lam + xi @ xi) ** s * math.exp(lam * t) * math.cos(x @ xi)) \
+        <= r.err_estimate
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -1029,6 +1120,22 @@ def test_no_evaluator_call_exceeds_the_point_budget(n, make, q):
     u, sizes = _call_sizes(make(n))
     master_op(u, (np.full(n, 0.2), 0.1), kernel_constants(n, 0.5), q)
     assert 0 < max(sizes) <= max(_POINT_BUDGET, _GH_CAP[n] ** n)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+def test_gh_cap_at_n3_reuses_its_memory():
+    # a second order-cap evaluation at n = 3 builds its points in memory the
+    # process already holds; with a new array per block, three such
+    # evaluations made 54k minor page faults under one driver and none under
+    # another, by the allocator's state
+    import resource
+
+    u, at = _cap_wave(3), (np.array([0.1, 0.2, 0.3]), 0.3)
+    p, q = kernel_constants(3, 0.25), QuadSpec(horizon=60.0)
+    master_op(u, at, p, q)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    master_op(u, at, p, q)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 2000
 
 
 def _traced_peak_mb(run):
