@@ -68,8 +68,8 @@ class FunctionHandle:
         declaration gives wrong values in either.
     frozen_until: u(x, t) = u(x, frozen_until) for every t <= frozen_until;
         inf means that u does not depend on t.  Another unchecked promise:
-        the shell integrals evaluate u once per rule, at one time, on the
-        rows whose durations all reach back that far.
+        a finite shell window takes those durations as one radial integral
+        of u, at one time, against the kernel's time integral in closed form.
     """
 
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]

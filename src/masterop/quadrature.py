@@ -35,11 +35,12 @@ Three refinements make this robust at desk scale:
   remaining mass is added in closed form (essential as s -> 1).
 
 The remaining piece, int_{a>T} of u against the kernel, is computed by
-direct non-singular quadrature over the declared support, on one mesh for
-every window: panels halving in v = 1/a (``window_integral``), in
-r = v^{pw} on a moving infinite past; the infinite past is closed at
-v = 0 by one product-rule panel.  It is dropped with ``truncation_flag``
-set when no support box is declared.
+direct non-singular quadrature over the declared support: in u's frozen
+past one radial integral against the kernel's time integral, an incomplete
+gamma function (``_frozen_window``), elsewhere panels halving in v = 1/a
+(``window_integral``), in r = v^{pw} on a moving infinite past closed at
+v = 0 by a product-rule panel; dropped, with ``truncation_flag``, when no
+support box is declared.
 """
 from __future__ import annotations
 
@@ -95,6 +96,9 @@ _POINT_BUDGET = 2 ** 15
 #: `defect` passes, blocks of 2^15 points made 15x the minor page faults
 #: and peaked 3 MB higher
 _SHELL_BLOCK = 2 ** 13
+#: the kernel's dead zone: at |x - y| >= g, a <= g^2 / _DEAD_ZONE holds under 1e-19 of
+#: int_0^inf a^{-pe} exp(-|x - y|^2/(4a)) da (Gamma(n/2 + s, 50) / Gamma(n/2 + s), s < 1)
+_DEAD_ZONE = 200.0
 
 
 @dataclass(frozen=True)
@@ -526,34 +530,24 @@ def _product_weights(pw: float):
 
 
 def window_integral(Y, a_lo: float, a_hi: float, pe: float, kinks, pw: float,
-                    tol: float = math.inf, reach: float | None = None):
+                    tol: float = math.inf):
     """int_{a_lo}^{a_hi} a^{-pe} Y(a) da, taken in v = 1/a as int v^{pe-2} Y(1/v) dv.
 
     ``Y`` maps a (panels, nodes) matrix of durations, one ``adaptive_gl``
     panel per row, to values of that shape.  The panels halve in z = v^p
-    from a_lo^{-p} (``graded_time_mesh``) down to z_end, where the last one
-    is clipped, and split at k^{-p} for every kink k; p = 1 and z = v for
-    all but the moving infinite past, and a finite window ends at
-    z_end = 1/a_hi.  ``a_hi`` may be inf: the infinite past is
-    int_0^{1/a_lo} v^{pw-1} f(v) dv with f(v) = v^{pe-1-pw} Y(1/v), and
-    ``pw`` must make f bounded.  Given the ``reach`` of an f entire in v
-    (the kernel exponent |x0 - y|^2 v/4 is at most 1 below v = 4/reach),
-    its mesh ends at z_end = 4/reach; otherwise p = pw and it runs 8
-    decades in z, so that the closing panel holds a 1e-8 share of the
-    weight's mass whether or not f is smooth at v = 0.  Either z_end lies
-    below k^{-p} for every kink k.  One panel then closes
-    (0, z_end^{1/p}] with the product weights of v^{pw-1}
-    (``_product_weights``), K9 for its value and G4 as its check; its row
-    is taken in the first level's call of ``Y``.  Returns a QuadResult.
+    from a_lo^{-p} (``graded_time_mesh``) to z_end, the last one clipped,
+    split at k^{-p} for every kink k: p = 1 and z_end = 1/a_hi if finite;
+    for a_hi = inf, int_0^{1/a_lo} v^{pw-1} f(v) dv with f = v^{pe-1-pw} Y(1/v)
+    bounded, p = pw over 8 decades of z (the rest holds 1e-8 of the weight's
+    mass) and below every k^{-p}, and one panel closes (0, z_end^{1/p}] with
+    the product weights of v^{pw-1} (``_product_weights``), K9 checked by G4,
+    its row in the first level's call of ``Y``.  Returns a QuadResult.
     """
     # the halving panels in z = v^p, where v^{pw-1} f dv = v^{pw-p} f dz / p
     finite = math.isfinite(a_hi)
-    p = pw if reach is None and not finite else 1.0
+    p = 1.0 if finite else pw
     z0, cuts = a_lo ** -p, [k ** -p for k in kinks if a_lo < k < a_hi]
-    if finite:
-        z_end = a_hi ** -p
-    else:
-        z_end = min([z0 * 1e-8 if reach is None else 4.0 / reach] + cuts)
+    z_end = a_hi ** -p if finite else min([z0 * 1e-8] + cuts)
     panels = [(max(lo, z_end), hi) for lo, hi in graded_time_mesh(z0, 0.5, z_end)
               ] if z_end < z0 else []
     if finite:
@@ -745,71 +739,106 @@ _I0E_SWITCH = 500.0
 #: Hankel series I_0(k) ~ e^k / sqrt(2 pi k) * sum_m c_m k^{-m} with
 #: c_m = ((2m-1)!!)^2 / (m! 8^m); ten terms reach double precision for k >= 500
 _I0E_HANKEL = np.cumprod([1.0] + [(2 * m - 1) ** 2 / (8.0 * m) for m in range(1, 10)])
-#: i0e's table: equal pieces of y = k / (k + 8) in [0, 1], each a polynomial
-#: of this degree; sqrt(k + 8) i0e(k) is smooth in y up to y = 1 (k = inf),
-#: where it tends to 1 / sqrt(2 pi)
-_I0E_PIECES, _I0E_DEGREE = 128, 7
+#: i0e's and the incomplete gamma's tables: equal pieces of y in [0, 1], polynomials of a degree
+_PIECES, _DEGREE = 128, 7
 
 
-@lru_cache(maxsize=1)
-def _i0e_table():
-    """Coefficients (degree + 1, pieces) of sqrt(k + 8) i0e(k) on the pieces of y.
-
-    Piece j covers y in [j, j + 1) / _I0E_PIECES, in the local coordinate
-    t = _I0E_PIECES y - j in [0, 1).  Each piece interpolates the direct
-    formula, np.i0(k) e^{-k} below _I0E_SWITCH and the Hankel series above,
-    at the _I0E_DEGREE + 1 Chebyshev points of t.  All pieces share these
-    points, so the table is one Vandermonde solve, by Bjorck-Pereyra
-    (divided differences, then the Newton form expanded in powers of t):
-    as accurate as np.linalg.solve here, and it loads no LAPACK code, which
-    took 0.5 MB resident in a fresh process.  The value at k = 0 is set to
-    sqrt(8), so that i0e(0) = 1 exactly.
-    """
-    m = _I0E_DEGREE + 1
+def _piecewise_fit(f, at_zero: float):
+    """Read-only coefficients (degree + 1, pieces) of f(y), y in [0, 1], f(0) = ``at_zero``,
+    at the Chebyshev points of t = _PIECES y - j in piece j: one Vandermonde solve by
+    Bjorck-Pereyra, as accurate as np.linalg.solve, loading no LAPACK (0.5 MB resident)."""
+    m = _DEGREE + 1
     t = 0.5 - 0.5 * np.cos(math.pi * (np.arange(m) + 0.5) / m)
-    y = (np.arange(_I0E_PIECES)[:, None] + t) / _I0E_PIECES
-    k = 8.0 * y / (1.0 - y)
-    small = k < _I0E_SWITCH
-    f = np.empty_like(k)
-    f[small] = np.i0(k[small]) * np.exp(-k[small])
-    kb = k[~small]
-    f[~small] = np.polyval(_I0E_HANKEL[::-1], 1.0 / kb) / np.sqrt(2.0 * math.pi * kb)
-    f *= np.sqrt(k + 8.0)
-    coef = f.T.copy()
+    coef = f((np.arange(_PIECES)[:, None] + t) / _PIECES).T.copy()
     for d in range(1, m):
         coef[d:] = (coef[d:] - coef[d - 1:-1]) / (t[d:] - t[:-d])[:, None]
     for d in range(m - 2, -1, -1):
         coef[d:-1] -= t[d] * coef[d + 1:]
-    coef[0, 0] = math.sqrt(8.0)
+    coef[0, 0] = at_zero
     coef.flags.writeable = False
     return coef
 
 
-def i0e(k):
-    """Exponentially scaled modified Bessel function e^{-k} I_0(k) for k >= 0.
+def _piecewise(coef, t):
+    """The table ``coef`` at y = ``t`` in [0, 1] by Horner's rule, overwriting ``t``."""
+    t *= _PIECES
+    j = t.astype(np.intp)
+    np.minimum(j, _PIECES - 1, out=j)
+    t -= j
+    # j is in range: mode="clip" lets take write into ``out`` without a buffer
+    out = coef[_DEGREE].take(j, out=np.empty_like(t), mode="clip")
+    row = np.empty_like(t)
+    for d in range(_DEGREE - 1, -1, -1):
+        out *= t
+        out += coef[d].take(j, out=row, mode="clip")
+    return out
 
-    A piecewise polynomial in y = k / (k + 8) (``_i0e_table``), evaluated by
-    Horner's rule in place and divided by sqrt(k + 8).  It is within 1e-15
-    relative of scipy's i0e on 0 <= k <= 1e300, equals 1 at k = 0 and 0 at
-    k = inf, and keeps the shape of ``k``.
-    """
-    coef = _i0e_table()
+
+@lru_cache(maxsize=1)
+def _i0e_table():
+    """``_piecewise_fit`` of sqrt(k + 8) i0e(k) in y = k / (k + 8), 1 / sqrt(2 pi) at y = 1:
+    np.i0(k) e^{-k} below _I0E_SWITCH, the Hankel series above, and i0e(0) = 1 exactly."""
+    def f(y):
+        k = 8.0 * y / (1.0 - y)
+        small = k < _I0E_SWITCH
+        out = np.empty_like(k)
+        out[small] = np.i0(k[small]) * np.exp(-k[small])
+        kb = k[~small]
+        out[~small] = np.polyval(_I0E_HANKEL[::-1], 1.0 / kb) / np.sqrt(2.0 * math.pi * kb)
+        return out * np.sqrt(k + 8.0)
+
+    return _piecewise_fit(f, math.sqrt(8.0))
+
+
+def i0e(k):
+    """e^{-k} I_0(k) for k >= 0 in the shape of ``k``: ``_i0e_table`` over sqrt(k + 8),
+    within 1e-15 relative of scipy's i0e on 0 <= k <= 1e300, 1 at 0 and 0 at inf."""
     k = np.asarray(k, dtype=float)
     q = np.add(k, 8.0, out=np.empty_like(k))
     # k / (k + 8) keeps the relative precision of small k; k = inf is y = 1
-    t = np.divide(k, q, out=np.ones_like(k), where=k < math.inf)
-    t *= _I0E_PIECES
-    j = t.astype(np.intp)
-    np.minimum(j, _I0E_PIECES - 1, out=j)
-    t -= j
-    # j is in range: mode="clip" lets take write into ``out`` without a buffer
-    out = coef[_I0E_DEGREE].take(j, out=np.empty_like(k), mode="clip")
-    row = np.empty_like(k)
-    for d in range(_I0E_DEGREE - 1, -1, -1):
-        out *= t
-        out += coef[d].take(j, out=row, mode="clip")
+    out = _piecewise(_i0e_table(), np.divide(k, q, out=np.ones_like(k), where=k < math.inf))
     out /= np.sqrt(q, out=q)
     return out
+
+
+@lru_cache(maxsize=64)
+def _gamma_table(p: float):
+    """``_piecewise_fit`` in y = z / (z + p) of the smaller incomplete gamma tail: e^z z^{-p}
+    gamma(p, z) = sum_k z^k / (p)_{k+1} below z = p, z e^z z^{-p} Gamma(p, z) -> 1 above by
+    Legendre's fraction z / (z + 1 - p - 1 (1 - p) / (z + 3 - ...)), 400 terms (Gautschi 1979)."""
+    def f(y):
+        z = p * y / (1.0 - y)
+        out, lo = np.empty_like(z), y < 0.5
+        acc = np.ones(np.count_nonzero(lo))
+        for k in range(60, 0, -1):
+            acc = 1.0 + z[lo] / (p + k) * acc
+        out[lo] = acc / p
+        d = zh = z[~lo]
+        for k in range(400, 0, -1):
+            d = zh + (2 * k - 1 - p) - k * (k - p) / d
+        out[~lo] = zh / d
+        return out
+
+    return _piecewise_fit(f, 1.0 / p)
+
+
+def _frozen_kernel(p: float, sigma, A: float, B: float):
+    """int_A^B a^{-(p+1)} exp(-sigma/4a) da = (4/sigma)^p [gamma(p, sigma/4A) - gamma(p, sigma/4B)]
+    per sigma (> 0 if A = 0; B may be inf): each end's lower tail is the smaller tail
+    of ``_gamma_table`` at sigma/4a, or (4/sigma)^p Gamma(p) minus the upper one."""
+    def tail(a):
+        if 0.0 < a < math.inf:
+            z = sigma * (0.25 / a)
+            y = z / (z + p)
+            upper = y >= 0.5
+            g = _piecewise(_gamma_table(p), y) * np.exp(-z) * a ** -p
+            return np.divide(g, -z, out=g, where=upper), upper
+        # a = 0 (z = inf) has no upper tail, a = inf (z = 0) a vanishing lower one
+        return 0.0, np.full(sigma.shape, a == 0.0)
+
+    (ta, up_a), (tb, up_b) = tail(A), tail(B)
+    full = np.divide(4.0, sigma, out=np.zeros_like(sigma), where=up_a & ~up_b)
+    return math.gamma(p) * full ** p + (ta - tb)
 
 
 def sphere_average(n: int, k):
@@ -822,57 +851,45 @@ def sphere_average(n: int, k):
     return 4.0 * math.pi * np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x > 0)
 
 
+def _shell_angles(r_hi: float, rho: float, a_ref):
+    """The angular count, 12..64, of a tensor shell rule to ``r_hi`` at durations >= a_ref."""
+    return np.clip(8 + 2.0 * r_hi * (rho + 1.0) / np.sqrt(np.maximum(a_ref, 1e-12)),
+                   12, 64).astype(int)
+
+
 def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
     """Y(a) = int_{r_lo<|y|<=r_hi} u(y, t0 - a) exp(-|x0-y|^2/(4a)) dy per a.
 
-    ``avals`` holds one adaptive_gl panel per row, and a panel takes the
-    rule of its shortest duration: the ``_shell_panels`` radial count and,
-    on the tensor branch, the angular count.  Each distinct rule is built
-    once and evaluated on all panels that share it, in blocks of whole rows
-    of at most _SHELL_BLOCK points; a row that alone needs more goes
-    through ``in_blocks``.  A radial u is integrated on the radial rule
-    alone, weighted by ``_funk_hecke`` and evaluated at r * e_1; any other
-    u on the tensor shell rule.  A row whose durations all reach back to
-    u's ``frozen_until`` is frozen, and frozen rows get rules of their own:
-    such a rule evaluates u once, at its shortest duration, and its blocks
-    are the kernel against the weighted values.
-
-    u is evaluated on every point of a rule, but the kernel is formed only
-    on the columns from the first to the last where u is nonzero, in the
-    frozen row or in any duration of a moving block (for ``w_j``, the
-    support annulus of ``phi_j``).  Its other columns hold 0, so each term
-    there is the signed 0 of u as before, and each row's dot sums the same
-    terms in the same order: the values are bit for bit those of the kernel
-    formed everywhere.  Dropping the columns from the dot instead would move
-    the other terms between the lanes of the BLAS sum.  A non-finite u is
-    not 0, so it keeps its kernel, and ``counted`` refuses it where u is
-    evaluated.  Returns values in the shape of ``avals``.
+    ``avals`` holds one adaptive_gl panel per row, and a panel takes the rule of its
+    shortest duration (``_shell_panels``, and ``_shell_angles`` on the tensor rule), built
+    once for all panels that share it, in blocks of whole rows of at most _SHELL_BLOCK
+    points, and cut where the kernel of their longest duration dies (``_DEAD_ZONE``).  A
+    radial u takes the radial rule, at r * e_1, against ``_funk_hecke``.  The kernel is
+    formed from the first to the last column where u is nonzero in a block, 0 elsewhere,
+    so each row's dot sums the same terms in the same order as with the kernel formed
+    everywhere (dropping columns would move terms between the lanes of the BLAS sum); a
+    non-finite u is not 0, and ``counted`` refuses it.  Returns values in the shape of
+    ``avals``.
     """
-    n = p.n
-    rho = float(np.linalg.norm(x0))
+    n, rho = p.n, float(np.linalg.norm(x0))
     a_ref = avals.min(axis=1)
     count = _shell_panels(r_hi - r_lo, a_ref)
-    if u.radial or n == 1:
-        ang = np.full_like(count, 2)
-    else:
-        ang = np.clip(8 + 2.0 * r_hi * (rho + 1.0) / np.sqrt(np.maximum(a_ref, 1e-12)),
-                      12, 64).astype(int)
-    if u.frozen_until is None:
-        frozen = np.zeros(len(a_ref), dtype=bool)
-    else:
-        frozen = a_ref >= t0 - u.frozen_until
+    ang = np.full_like(count, 2) if u.radial or n == 1 else _shell_angles(r_hi, rho, a_ref)
     # panels by rule (a dict: np.unique would import numpy.ma, 0.8 MB resident)
     groups = {}
-    for i, key in enumerate(zip(count.tolist(), ang.tolist(), frozen.tolist())):
+    for i, key in enumerate(zip(count.tolist(), ang.tolist())):
         groups.setdefault(key, []).append(i)
 
-    def rule(i):
-        """Panel i's rule as (the nodes its kernel reads, u on its points at a column
-        of times, its weights): radii on the radial rule, |y - x0|^2 on the tensor one."""
+    def rule(i, reach):
+        """Panel i's rule on |y| <= reach as (the nodes its kernel reads, u on its points
+        at a column of times, its weights): radii on the radial, |y - x0|^2 on the tensor rule."""
         if u.radial:
             rr, rw = radial_nodes(r_lo, r_hi, count[i])
+            rr, rw = rr[rr <= reach], rw[rr <= reach]
             return rr, lambda tt: _on_axis(u, rr, tt), rw * rr ** (n - 1)
         pts, ww = shell_rule(n, r_lo, r_hi, count[i], ang[i])
+        keep = np.sum(pts * pts, axis=-1) <= reach * reach
+        pts, ww = pts[keep], ww[keep]
         return (np.sum((pts - x0) ** 2, axis=-1),
                 lambda tt: u(np.broadcast_to(pts, (len(tt),) + pts.shape), tt), ww)
 
@@ -888,18 +905,17 @@ def _shell_values(u, x0, t0, avals, r_lo, r_hi, p: KernelParams):
         return k
 
     out = np.empty_like(avals)
-    for (_, _, is_frozen), panels in groups.items():
-        nodes, values, weight = rule(panels[0])
-        if is_frozen:
-            cw = weight * values(np.full((1, 1), t0 - a_ref[panels[0]]))[0]
-            nonzero = cw != 0.0
+    for panels in groups.values():
+        # beyond |y| = rho + sqrt(_DEAD_ZONE a) the kernel is dead at each duration a
+        nodes, values, weight = rule(panels[0], rho + math.sqrt(_DEAD_ZONE * avals[panels].max()))
+        if not len(weight):
+            out[panels] = 0.0
+            continue
 
-            def block(a):
-                return _row_dots(kern(nodes, a, nonzero), cw)
-        else:
-            def block(a):
-                vals = values(t0 - a[:, None])
-                return _row_dots(vals * kern(nodes, a, vals.any(axis=0)), weight)
+        def block(a):
+            vals = values(t0 - a[:, None])
+            return _row_dots(vals * kern(nodes, a, vals.any(axis=0)), weight)
+
         per = max(1, _SHELL_BLOCK // (avals.shape[1] * len(weight)))
         for j in range(0, len(panels), per):
             rows = panels[j:j + per]
@@ -913,11 +929,75 @@ def _nonzero_span(nonzero):
     return slice(idx[0], idx[-1] + 1) if idx.size else slice(0, 0)
 
 
-def _fullspace_values(u, x0, t0, avals, p: KernelParams):
-    """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite.
+@lru_cache(maxsize=16)
+def _angle_rule(n: int, m: int):
+    """mu = cos theta at the nodes, and (nodes, 2) weights, int_{S^{n-1}} f(mu) = sum w f, of
+    a rule and its check: at n = 2 the midpoint rule of 9 m nodes in theta on (0, pi) and
+    the one of 3 m on every third node, at n = 3 m K9 panels in mu and G4."""
+    if n == 2:
+        th, k = math.pi * (np.arange(9 * m) + 0.5) / (9 * m), np.arange(9 * m) % 3
+        w = np.full(9 * m, 2.0 * math.pi / (9 * m))
+        return np.cos(th), np.stack([w, np.where(k == 1, 3.0 * w, 0.0)], axis=1)
+    e = np.linspace(-1.0, 1.0, m + 1)[:, None]
+    (c, w), w4 = gl_panel(e[:-1], e[1:], _K9), np.zeros((m, 9))
+    w4[:, 1::2] = gl_panel(e[:-1], e[1:], _G4)[1]
+    return c.ravel(), 2.0 * math.pi * np.stack([w.ravel(), w4.ravel()], axis=1)
 
-    A constant c gives the exact c (4 pi a)^{n/2} without evaluating u.
-    """
+
+def _frozen_window(u, x0, t_frozen: float, p: KernelParams, q: QuadSpec,
+                   A: float, B: float, r_lo: float, r_hi: float):
+    """int_A^B int_{r_lo<|y|<=r_hi} u(y, t_frozen) a^{-pe} exp(-|x0-y|^2/(4a)) dy da: with
+    ``_frozen_kernel`` of |x0 - y|^2, one radial integral on ``adaptive_gl``'s K9 panels
+    at ``q.panel_tol(0)`` from ``_shell_panels``' finest count, u evaluated once per
+    level, the kernel formed where u is nonzero.  A radial u takes the kernel's sphere
+    average, its check weighed by K9 in r added to the error: two points at n = 1,
+    ``_angle_rule`` at n = 2, 3, tripled per radius until the check is within q.rel_tol."""
+    n, pk, rho = p.n, p.n / 2.0 + p.s, float(np.linalg.norm(x0))
+    angular = [0.0]
+
+    def sphere(rr):
+        if n == 1:
+            kern = _frozen_kernel(pk, np.subtract.outer([rho, -rho], rr) ** 2, A, B)
+            return kern.sum(axis=0), 0.0
+        out, check, todo, m = np.empty_like(rr), np.empty_like(rr), np.arange(len(rr)), 1
+        while todo.size:
+            mu, w = _angle_rule(n, m)
+            r = rr[todo, None]
+            val, g4 = (_frozen_kernel(pk, rho * rho + r * (r - 2.0 * rho * mu), A, B) @ w).T
+            done = (np.abs(val - g4) <= q.rel_tol * val) | (m >= 81)
+            out[todo[done]], check[todo[done]] = val[done], np.abs(val - g4)[done]
+            todo, m = todo[~done], 3 * m
+        return out, check
+
+    if u.radial:
+        def f(rr):
+            vals = _on_axis(u, rr.ravel(), np.full((1, 1), t_frozen))[0].reshape(rr.shape)
+            nz = vals != 0.0
+            vals[nz] *= rr[nz] ** (n - 1)
+            kern, check = sphere(rr[nz])
+            # every row's angular checks against its K9 weights, split rows too
+            weight = (rr[:, -1:] - rr[:, :1]) / (_K9[0][-1] - _K9[0][0]) * _K9[1]
+            angular[0] += float(np.sum(np.abs(vals[nz] * weight[nz]) * check))
+            vals[nz] *= kern
+            return vals
+    else:
+        dirs, aw = angular_rule(n, 2 if n == 1 else int(_shell_angles(r_hi, rho, A)))
+
+        def f(rr):
+            pts = rr.reshape(-1, 1, 1) * dirs
+            vals = u(pts, np.full(pts.shape[:2], t_frozen))
+            nz = vals != 0.0
+            vals[nz] *= _frozen_kernel(pk, np.sum((pts[nz] - x0) ** 2, axis=-1), A, B)
+            return (vals @ aw * rr.ravel() ** (n - 1)).reshape(rr.shape)
+
+    edges = np.linspace(r_lo, r_hi, int(_shell_panels(r_hi - r_lo, 0.0)) + 1)
+    res = adaptive_gl(f, np.stack([edges[:-1], edges[1:]], axis=1), q.panel_tol(0.0))[0]
+    return res + QuadResult(0.0, angular[0])
+
+
+def _fullspace_values(u, x0, t0, avals, p: KernelParams):
+    """Y(a) = int_{R^n} u(y, t0-a) exp(-|x0-y|^2/(4a)) dy via Gauss-Hermite; a
+    constant c gives the exact c (4 pi a)^{n/2} without evaluating u."""
     if u.constant_value is not None:
         return u.constant_value * (4.0 * math.pi * avals) ** (p.n / 2.0)
     return (2.0 * np.sqrt(avals)) ** p.n * _gh_sums(u, x0, t0, avals, _FULLSPACE_GH)
@@ -928,17 +1008,14 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
                        r_hi: float | None = None):
     """int over a in (a_lo, a_hi], shell r_lo < |y| <= r_hi, of u(y, t-a) M(x-y, a).
 
-    The window is taken on ``window_integral``'s halving panels in v = 1/a.
-    ``a_hi`` may be inf: on a finite shell wholly in u's frozen past the
-    mesh then stops at the kernel's reach (r_hi + |x0|)^2, and elsewhere it
-    halves r = v^{pw} over 8 decades.
-    ``r_hi`` of None means the full space beyond r_lo.  When u declares a
-    finite support radius that is the shell up to it, exactly; otherwise
-    the exterior of a ball is formed as full-space minus inner ball, which
+    On a finite shell u's frozen past, a from max(a_lo, t - ``frozen_until``)
+    to a_hi, is ``_frozen_window``, exact from a = 0 (a shell holding x is
+    refused there); the rest ``window_integral``'s panels in v = 1/a.
+    ``r_hi`` of None means the full space beyond r_lo: the shell up to u's
+    finite support radius, or else full space minus the inner ball, which
     requires a declared growth envelope on u.  Returns a QuadResult.
     """
     x0, t0 = checked_point(u, at, p)
-    n, s = p.n, p.s
     if r_hi is None and u.support is not None and math.isfinite(u.support.radius):
         r_hi = u.support.radius
     if a_hi <= a_lo or (r_hi is not None and r_hi <= r_lo):
@@ -950,44 +1027,39 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
             "unbounded function without support box or growth envelope: "
             "the exterior integral may diverge")
 
-    def Y(avals):
-        if full_space:
-            out = _fullspace_values(u, x0, t0, avals, p)
-            if r_lo > 0.0:
-                out = out - _shell_values(u, x0, t0, avals, 0.0, r_lo, p)
-            return out
-        return _shell_values(u, x0, t0, avals, r_lo, r_hi, p)
+    rho = float(np.linalg.norm(x0))
+    res = QuadResult(0.0, 0.0)
+    if not full_space and u.frozen_until is not None and t0 - u.frozen_until < a_hi:
+        a_f = max(a_lo, t0 - u.frozen_until)
+        if a_f <= 0.0 and r_lo <= rho <= r_hi:
+            raise ValueError("the window must start at a positive duration")
+        res = p.constant * _frozen_window(u, x0, t0 - a_f, p, q, a_f, a_hi, r_lo, r_hi)
+        a_hi = a_f
 
-    a_floor = a_lo
-    if r_lo > 0.0:
-        # the kernel cannot reach past r_lo before a ~ gap^2: skip the dead zone
-        gap = max(r_lo - float(np.linalg.norm(x0)), 0.0)
-        if gap > 0.0:
-            a_floor = max(a_lo, gap * gap / 2500.0)
-        if a_floor >= a_hi:
-            return QuadResult(0.0, 0.0)
+    def Y(avals):
+        if not full_space:
+            return _shell_values(u, x0, t0, avals, r_lo, r_hi, p)
+        ball = _shell_values(u, x0, t0, avals, 0.0, r_lo, p) if r_lo > 0.0 else 0.0
+        return _fullspace_values(u, x0, t0, avals, p) - ball
+
+    # the kernel cannot reach past r_lo before a = gap^2 / _DEAD_ZONE: skip the dead zone
+    a_floor = max(a_lo, max(r_lo - rho, 0.0) ** 2 / _DEAD_ZONE)
+    if a_floor >= a_hi:
+        return res
     if a_floor <= 0.0:
         raise ValueError("the window must start at a positive duration")
 
     # for the infinite past, pw = n/2+s makes f = Y (shell case, Y bounded);
     # pw = s makes f = a^{-n/2} Y, bounded for the full-space case where Y
-    # grows like a^{n/2}.  On a shell wholly in u's frozen past f is entire
-    # in v = 1/a, and the mesh may stop where the kernel does
-    pw = s if full_space else n / 2.0 + s
-    reach = None
-    if not full_space and u.frozen_until is not None and t0 - a_floor <= u.frozen_until:
-        reach = (r_hi + float(np.linalg.norm(x0))) ** 2
-    return p.constant * window_integral(Y, a_floor, a_hi, p.time_exponent,
-                                        kinks=[t0 - k for k in u.time_kinks], pw=pw,
-                                        reach=reach)
+    # grows like a^{n/2}
+    pw = p.s if full_space else p.n / 2.0 + p.s
+    return res + p.constant * window_integral(Y, a_floor, a_hi, p.time_exponent,
+                                              kinks=[t0 - k for k in u.time_kinks], pw=pw)
 
 
 def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
-    """int_0^{t+R^2} int_{|y|>R} M(x-y, a) dy da, for (x, t) in Q_{R/3}.
-
-    The exterior window of the constant 1: exact full-space mass minus the
-    ball.  Returns a QuadResult.
-    """
+    """int_0^{t+R^2} int_{|y|>R} M(x-y, a) dy da, for (x, t) in Q_{R/3}: the exterior
+    window of the constant 1, exact full-space mass minus the ball, a QuadResult."""
     return window_uM_integral(constant(1.0, p.n), at, p, q, 0.0,
                               float(at[1]) + R * R, r_lo=R)
 
@@ -997,15 +1069,13 @@ def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
 # ---------------------------------------------------------------------------
 
 def _auto_handoff(u: FunctionHandle, t0: float) -> float:
-    """Hand-off point between the GH difference route and direct windows."""
-    T = 1.0
+    """Hand-off point between the GH difference route and direct windows: 1, or a purely
+    temporal support's whole window.  A longer GH route lets the Gaussian reach a support
+    far from x while the low orders' nodes lie in a hole of u, where zero sums agree."""
     sup = u.support
-    if math.isfinite(sup.radius) and sup.radius > 0:
-        T = max(T, (sup.radius / 10.0) ** 2)
-    elif sup.t_lo > -math.inf:
-        # purely temporal support: the GH route must span the window itself
-        T = max(T, t0 - sup.t_lo)
-    return T
+    if math.isinf(sup.radius) and sup.t_lo > -math.inf:
+        return max(1.0, t0 - sup.t_lo)
+    return 1.0
 
 
 def integrate_difference(u: FunctionHandle, at, p: KernelParams,

@@ -71,13 +71,16 @@ def test_frozen_until_nan_is_refused():
 @pytest.mark.parametrize("n, x_bar", [(1, None), (2, None), (3, None), (2, (1.5, 0.0))],
                          ids=["n1-radial", "n2-radial", "n3-radial", "n2-tensor"])
 def test_tail_functional_evaluates_a_frozen_past_once_per_rule(n, x_bar, monkeypatch):
-    # the declaration also ends the far window's mesh where the kernel ends,
-    # so the two values agree within their estimates, not to the last bit
+    # the frozen past is one radial integral against the kernel's closed-form
+    # time integral, the undeclared one a time mesh of shells, so the two
+    # values agree within their estimates, not to the last bit.  At t = -0.3
+    # the near window is frozen whole, at t = 0.5 only beyond a = 0.5 (the
+    # kernel reaches r = 6 from a = 5.7^2 / 200 = 0.16 on)
     u = w_family(4, 1.0, 0.5, n=n)
     if x_bar is not None:
         u = shifted(u, np.array(x_bar), 0.0)
     assert u.radial == (x_bar is None)
-    # every shell block ends in one _row_dots over its kernel's elements
+    # every moving shell block ends in one _row_dots over its kernel's elements
     formed, row_dots = [0], quadrature._row_dots
 
     def counting(m, w):
@@ -85,14 +88,17 @@ def test_tail_functional_evaluates_a_frozen_past_once_per_rule(n, x_bar, monkeyp
         return row_dots(m, w)
 
     monkeypatch.setattr(quadrature, "_row_dots", counting)
-    args = ((np.full(n, 0.3), 0.1), 6.0, kernel_constants(n, 0.5), QuadSpec())
-    frozen = tail_functional(u, *args)
-    frozen_formed, formed[0] = formed[0], 0
-    moving = tail_functional(dataclasses.replace(u, frozen_until=None), *args)
-    assert frozen.value > 0.0
-    assert abs(frozen.value - moving.value) <= frozen.err_estimate + moving.err_estimate
-    assert frozen.nodes_used < moving.nodes_used
-    assert frozen_formed < formed[0]
+    for t in (-0.3, 0.5):
+        args = ((np.full(n, 0.3), t), 6.0, kernel_constants(n, 0.5), QuadSpec())
+        formed[0] = 0
+        frozen = tail_functional(u, *args)
+        frozen_formed, formed[0] = formed[0], 0
+        moving = tail_functional(dataclasses.replace(u, frozen_until=None), *args)
+        assert frozen.value > 0.0
+        assert abs(frozen.value - moving.value) <= frozen.err_estimate + moving.err_estimate, t
+        assert frozen.nodes_used < moving.nodes_used
+        assert frozen_formed < formed[0]
+        assert (frozen_formed == 0) == (t < 0.0)
 
 
 @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "moving"])

@@ -24,11 +24,18 @@ def test_no_module_imports_private_names_of_another():
 
 
 def test_import_does_not_load_scipy():
+    # nor does a run: the frozen windows' incomplete gamma function is a
+    # table of masterop's own
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, masterop; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    run = ("import sys, masterop\n"
+           "print('scipy' in sys.modules)\n"
+           "for n in (1, 2, 3):\n"
+           "    masterop.tail_functional(masterop.w_family(4, 1.0, 0.5, n=n), ([0.3] * n, 0.1),\n"
+           "                             6.0, masterop.kernel_constants(n, 0.5), masterop.QuadSpec())\n"
+           "print('scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", run],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_readme_and_help_name_every_dsl_function():
@@ -108,9 +115,11 @@ def test_gauss_legendre_nodes_are_mapped_in_gl_panel_only():
 def test_shell_spacing_rule_has_one_definition():
     # the panel count of a shell comes from _shell_panels, computed once in
     # _shell_values for its grouping key and handed to the rule it then
-    # builds; every equal-panel radial rule, the n = 2 radial average's on
+    # builds, and once for the K9 panels of a frozen window; every
+    # equal-panel Gauss-Legendre radial rule, the n = 2 radial average's on
     # (0, 1) too, is built by radial_nodes
-    assert _referrers("_shell_panels") == {"quadrature.py:_shell_values"}
+    assert _referrers("_shell_panels") == {"quadrature.py:_shell_values",
+                                           "quadrature.py:_frozen_window"}
     assert _referrers("radial_nodes") == {"quadrature.py:_shell_values", "quadrature.py:shell_rule",
                                           "quadrature.py:_radial_sums"}
     assert _referrers("shell_rule") == {"quadrature.py:_shell_values"}
@@ -174,22 +183,31 @@ def test_panel_layout_has_one_home():
     # durations travel as adaptive_gl's (panels, 9) rows of K9 nodes, so no
     # function past the panel sums re-derives panels from runs of nodes; the
     # time rule and its G4 check are mapped where the rows are built, and the
-    # infinite past's closing panel takes product weights on the K9 nodes
+    # infinite past's closing panel takes product weights on the K9 nodes; a
+    # frozen window's angle takes K9 panels checked by G4, and its radial
+    # rows weigh their angular checks by K9
     rows = {"quadrature.py:<module>", "quadrature.py:adaptive_gl",
-            "quadrature.py:_difference_panels"}
-    assert _referrers("_K9") == rows | {"quadrature.py:_product_weights"}
+            "quadrature.py:_difference_panels", "quadrature.py:_angle_rule"}
+    assert _referrers("_K9") == rows | {"quadrature.py:_product_weights",
+                                        "quadrature.py:_frozen_window"}
     assert _referrers("_G4") == rows
     assert _referrers("_GL_LO") == set()
     assert _referrers("reduceat") == set()
 
 
-def test_frozen_past_is_read_by_the_shell_values_and_the_window_mesh_only():
-    # the declaration changes two things in the quadrature: how the shell
-    # values evaluate u, and where the mesh of a far shell window stops;
-    # every other integral evaluates u at each duration, as for an
-    # undeclared handle
+def test_frozen_past_is_read_by_the_window_only():
+    # the declaration changes one thing in the quadrature: a finite shell
+    # window takes the durations in the frozen past as one radial integral
+    # against the kernel's closed-form time integral; every other integral
+    # evaluates u at each duration, as for an undeclared handle, and the
+    # time mesh no longer stops at the kernel's reach
     assert ({r for r in _referrers("frozen_until") if r.startswith("quadrature.py:")}
-            == {"quadrature.py:_shell_values", "quadrature.py:window_uM_integral"})
+            == {"quadrature.py:window_uM_integral"})
+    assert _referrers("_frozen_window") == {"quadrature.py:window_uM_integral"}
+    assert _referrers("_frozen_kernel") == {"quadrature.py:_frozen_window"}
+    tree = ast.parse((SRC / "masterop" / "quadrature.py").read_text())
+    window = next(top for top in tree.body if getattr(top, "name", None) == "window_integral")
+    assert "reach" not in {arg.arg for arg in window.args.args + window.args.kwonlyargs}
 
 
 _STAGES = {"quadrature.py": {"adaptive_gl", "window_integral", "singular_integral",
@@ -228,8 +246,8 @@ def test_bessel_table_and_point_budget_have_one_home():
 def test_shell_kernel_is_formed_in_one_helper():
     # the Funk-Hecke kernel serves the radial difference panels and the
     # shells; in the shells one nested helper forms it, and the tensor
-    # kernel, for frozen and moving blocks alike, so the two kinds of row
-    # cannot fork again
+    # kernel, for the one kind of block left: frozen durations take the
+    # closed form outside the shells
     assert _referrers("_funk_hecke") == {"quadrature.py:_radial_sums", "quadrature.py:_shell_values"}
     tree = ast.parse((SRC / "masterop" / "quadrature.py").read_text())
     shell = next(top for top in tree.body if getattr(top, "name", None) == "_shell_values")
@@ -245,6 +263,6 @@ def test_shell_kernel_is_formed_in_one_helper():
 
     (kern,) = nested["kern"]
     assert kernels(kern) and kernels(shell) == kernels(kern)
-    assert len(nested["block"]) == 2
+    assert len(nested["block"]) == 1
     assert all(any(isinstance(node, ast.Name) and node.id == "kern" for node in ast.walk(block))
                for block in nested["block"])

@@ -38,6 +38,7 @@ from masterop.handles import (
 from masterop import quadrature
 from masterop.quadrature import (
     _BISECT_DEPTH,
+    _DEAD_ZONE,
     _G4,
     _GH_CAP,
     _GL_HI,
@@ -47,12 +48,15 @@ from masterop.quadrature import (
     _SHELL_BLOCK,
     _auto_handoff,
     _difference_panels,
+    _frozen_kernel,
     _funk_hecke,
+    _gamma_table,
     _gh_orders,
     _gh_sums,
     _gh_tensor,
     _graded_panels,
     _on_axis,
+    _piecewise,
     _product_weights,
     _rounding_floor,
     _shell_panels,
@@ -525,21 +529,20 @@ def test_window_integral_is_within_its_err_estimate(n, s, window, kinks, tol):
     # int_A^B a^{-(1 + m)} a^g exp(-sigma / 4a) da, m = n/2 + s, alpha = m - g,
     #   = (4 / sigma)^alpha Gamma(alpha) [Q(alpha, sigma / 4B) - Q(alpha, sigma / 4A)]
     # with g = 0 and pw = m (a shell window), or g = n/2 and pw = s (a
-    # full-space window, where Y grows like a^{n/2}); in v = 1/a both are
-    # v^{pw-1} times f(v) = exp(-sigma v/4), entire in v, so the infinite past
-    # may also stop its mesh at the reach sigma.  A finite tol bisects the
-    # panels in v, as Marchaud's window does; (1, 1.5) is one clipped panel
+    # full-space window, where Y grows like a^{n/2}).  A finite tol bisects
+    # the panels in v, as Marchaud's window does; (1, 1.5) is one clipped
+    # panel.  The frozen windows' kernel is this integral in closed form
     m, (A, B) = n / 2.0 + s, window
-    variants = [(m, 0.0, False)]
-    if math.isinf(B):
-        variants = [(pw, g, reach) for pw, g in ((m, 0.0), (s, n / 2.0)) for reach in (False, True)]
+    variants = [(m, 0.0)] + ([(s, n / 2.0)] if math.isinf(B) else [])
     for sigma in (1e-2, 1.0, 1e2, 1e4):
-        for pw, g, reach in variants:
+        for pw, g in variants:
             res = window_integral(lambda a: a ** g * np.exp(-sigma / (4.0 * a)), A, B, 1.0 + m,
-                                  kinks, pw, tol, reach=sigma if reach else None)
+                                  kinks, pw, tol)
             alpha = m - g
             exact = (4.0 / sigma) ** alpha * gamma(alpha) * _gamma_between(alpha, sigma, A, B)
-            assert abs(res.value - exact) <= res.err_estimate, (sigma, pw, reach)
+            assert abs(res.value - exact) <= res.err_estimate, (sigma, pw)
+            closed = _frozen_kernel(alpha, np.array([sigma]), A, B)[0]
+            assert closed == pytest.approx(exact, rel=1e-13, abs=0.0), (sigma, alpha)
 
 
 def test_window_within_the_mesh_tolerance_of_its_end_takes_one_panel():
@@ -567,23 +570,31 @@ def test_infinite_window_meshes_down_to_a_far_kink(n, s, reach):
     # Y halves its value past the kink K, which lies beyond the reach sigma / 4
     # and beyond the r-mesh's 8 decades when pw > 4/3 (K = 1e6 A) or
     # pw > 0.8 (K = 1e10 A): the mesh runs on to 1/K, so that the closing
-    # panel holds no kink
+    # panel holds no kink.  A frozen far past no longer meshes out to the
+    # kernel's reach: there the same integral is the closed-form kernel of
+    # each side of the kink
     m, A = n / 2.0 + s, 1.0
     for K in (1e6, 1e10):
         for sigma in (1e-2, 1.0, 1e2):
-            res = window_integral(lambda a: np.where(a <= K, 1.0, 0.5) * np.exp(-sigma / (4.0 * a)),
-                                  A, math.inf, 1.0 + m, (K,), m, reach=sigma if reach else None)
             # (4/sigma)^m [gamma(m, sigma/4A) - gamma(m, sigma/4K) / 2]
             exact = (4.0 / sigma) ** m * gamma(m) * (_gamma_between(m, sigma, A, K)
                                                      + 0.5 * _gamma_between(m, sigma, K, math.inf))
+            if reach:
+                closed = (_frozen_kernel(m, np.array([sigma]), A, K)
+                          + 0.5 * _frozen_kernel(m, np.array([sigma]), K, math.inf))[0]
+                assert closed == pytest.approx(exact, rel=1e-13, abs=0.0), (K, sigma)
+                continue
+            res = window_integral(lambda a: np.where(a <= K, 1.0, 0.5) * np.exp(-sigma / (4.0 * a)),
+                                  A, math.inf, 1.0 + m, (K,), m)
             assert abs(res.value - exact) <= res.err_estimate, (K, sigma)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_frozen_far_window_takes_one_shell_call_with_its_closing_row(n, monkeypatch):
-    # w_16's far past is frozen: its mesh halves in v = 1/a down to the reach,
-    # and the closing panel's 9 durations ride as one more row in the one
-    # call of the shell values; the moving mesh runs 8 decades in r = v^pw
+def test_frozen_far_window_takes_no_shell_call(n, monkeypatch):
+    # w_16's far past is frozen: its time integral is the closed-form kernel,
+    # so the shell values are never called; the moving mesh runs 8 decades
+    # in r = v^pw, and the closing panel's 9 durations ride as one more row
+    # in its one call of the shell values
     shapes = []
 
     def recording(u, x0, t0, avals, *rest):
@@ -592,15 +603,14 @@ def test_frozen_far_window_takes_one_shell_call_with_its_closing_row(n, monkeypa
 
     monkeypatch.setattr(quadrature, "_shell_values", recording)
     w = w_family(16, 1.0, 0.5, n=n)
-    rows = []
+    calls = []
     for u in (w, dataclasses.replace(w, frozen_until=None)):
         shapes.clear()
         window_uM_integral(u, (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(),
                            36.1, math.inf)
-        assert len(shapes) == 1 and shapes[0][1] == len(_K9[0])
-        rows.append(shapes[0][0])
-    # 1/36.1 halves 5 times to 4 / (48 + 0.3 sqrt(n))^2; r halves 27 times
-    assert rows == [5 + 1, 27 + 1]
+        calls.append(list(shapes))
+    # r halves 27 times
+    assert calls == [[], [(27 + 1, len(_K9[0]))]]
 
 
 def _phi_far_reference(n, s, j, A, rho):
@@ -639,6 +649,68 @@ def test_far_window_of_phi_matches_the_incomplete_gamma_integral(n, s, j):
     got = window_uM_integral(phi_family(j, 1.0, 1.0, dim=n), (x0, 0.2), p, QuadSpec(), A, math.inf)
     want = p.constant * _phi_far_reference(n, s, j, A, rho)
     assert got.value == pytest.approx(want, rel=1e-8)
+    assert abs(got.value - want) <= got.err_estimate
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_frozen_far_window_estimate_is_close_to_its_error(s):
+    # w_16's past beyond a = 400.1 at x = 0.2, t = 0.1: the closing panel of a
+    # mesh in v = 1/a took G4 product weights, exact only to degree 3, as its
+    # check, and overstated the error up to 1e9 times (1.6e-6 at s = 0.3);
+    # the closed form leaves the radial K9 panels' own check
+    p, A, x0 = kernel_constants(1, s), 400.1, 0.2
+    u = w_family(16, 1.0, s, n=1)
+    got = window_uM_integral(u, (np.array([x0]), 0.1), p, QuadSpec(), A, math.inf)
+    alpha = 0.5 + s
+
+    def integrand(y):
+        sigma = (x0 - y) ** 2
+        value = float(u.evaluator(np.array([[y]]), np.zeros(1))[0])
+        return value * (4.0 / sigma) ** alpha * gamma(alpha) * gammainc(alpha, sigma / (4.0 * A))
+
+    want = p.constant * sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                            for lo, hi in ((-48.0, -32.0), (32.0, 48.0)))
+    assert abs(got.value - want) <= got.err_estimate <= 1e-8 * got.value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [200.0, 2000.0])
+def test_frozen_narrow_ring_is_within_its_estimate(n, c):
+    # exp(-c (|y| - 7)^2) is frozen, so both windows of the tail are radial
+    # integrals whose K9 panels bisect to the ring; the shell rule of fixed
+    # Gauss-Legendre panels erred by up to 1e5 times its estimate here.  The
+    # reference is the same integral at a 1e6 times finer tolerance
+    u = spatial(lambda pts: np.exp(-c * (np.linalg.norm(pts, axis=-1) - 7.0) ** 2), dim=n,
+                support=SupportBox(radius=12.0), radial=True)
+    p, at = kernel_constants(n, 0.5), (np.zeros(n), 0.2)
+    got = tail_functional(u, at, 6.0, p, QuadSpec())
+    ref = tail_functional(u, at, 6.0, p, QuadSpec(rel_tol=1e-12))
+    assert got.value > 0.0 and abs(got.value - ref.value) <= got.err_estimate
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.5, 0.9, 0.99])
+def test_gamma_table_matches_scipy_on_both_tails(n, s):
+    # p = n/2 + s, p = 1 at n = 1, s = 0.5; the table holds the smaller tail
+    # and the other is 1 minus it.  Where scipy's own value is off (its
+    # prefactor exp(p log z - z - log Gamma(p)) carries z ulps, 4.6e-14 at
+    # z = 494), the reference is mpmath at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    p, z = n / 2.0 + s, np.concatenate([[0.0], np.logspace(-12, 3)])
+    y = z / (z + p)
+    upper = y >= 0.5
+    # e^z z^{-p} gamma(p, z) below y = 1/2, z e^z z^{-p} Gamma(p, z) above
+    g = _piecewise(_gamma_table(p), y.copy()) * np.exp(-z)
+    small = z ** p * np.divide(g, z, out=g, where=upper) / gamma(p)
+    got = {"P": np.where(upper, 1.0 - small, small), "Q": np.where(upper, small, 1.0 - small)}
+    with mpmath.workdps(30):
+        exact = {"P": [float(mpmath.gammainc(p, 0, x, regularized=True)) for x in z],
+                 "Q": [float(mpmath.gammainc(p, x, mpmath.inf, regularized=True)) for x in z]}
+    for tail, scipy_tail in (("P", gammainc(p, z)), ("Q", gammaincc(p, z))):
+        ref = np.where(np.abs(scipy_tail - exact[tail]) <= 1e-14 * np.abs(exact[tail]),
+                       scipy_tail, exact[tail])
+        assert np.all(np.abs(got[tail] - ref) <= 1e-14 * np.abs(ref)), tail
+    assert (got["P"][0], got["Q"][0]) == (0.0, 1.0)
 
 
 @pytest.mark.parametrize("sigma", [1e-2, 1.0, 1e2])
@@ -779,14 +851,17 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
                           _one_rule_shell_values(u, x0, 0.1, end[0], 0.5, 3.0, p)[None])
 
 
-@pytest.mark.parametrize("n, nodes", [(1, 23_776), (2, 30_736), (3, 30_000)],
+@pytest.mark.parametrize("n, nodes, calls", [(1, 2_655, 4), (2, 2_673, 4), (3, 2_709, 5)],
                          ids=["n1", "n2", "n3"])
-def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes):
+def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes, calls):
     # 43 evaluator calls when every adaptive_gl panel built its own rule; w_j
-    # is frozen for t <= 0, so most rules evaluate it once, not per duration
+    # is frozen for t <= 0, so its frozen windows evaluate it once per level
+    # of their radial panels (one call each, and a bisection at n = 3), and
+    # the moving rows 0.16 < a < 0.5 once per shell rule (two rules), at the
+    # radii the kernel reaches
     u, sizes = _call_sizes(w_family(16, 1.0, 0.5, n=n))
-    res = tail_functional(u, (np.full(n, 0.3), 0.1), 6.0, kernel_constants(n, 0.5), QuadSpec())
-    assert len(sizes) <= 25
+    res = tail_functional(u, (np.full(n, 0.3), 0.5), 6.0, kernel_constants(n, 0.5), QuadSpec())
+    assert len(sizes) == calls
     assert res.nodes_used == nodes
     # blocks of whole panels stay under the cap, or are one panel of the
     # largest radial rule, 96 panels of _GL_HI nodes, at its 9 durations
@@ -807,14 +882,15 @@ def _kernel_tally(monkeypatch):
 
 
 @pytest.mark.parametrize("n, formed, everywhere, nodes", [
-    (1, 25_641, 68_832, 23_776), (2, 25_794, 69_264, 30_736), (3, 25_920, 69_552, 30_000)],
+    (1, 1_296, 2_466, 4_194), (2, 1_350, 2_520, 4_248), (3, 1_404, 2_574, 4_302)],
     ids=["n1", "n2", "n3"])
 def test_shell_kernel_is_formed_only_where_u_is_nonzero(n, formed, everywhere, nodes, monkeypatch):
-    # w_16 is phi_16 (zero off 32 <= |y| <= 48) in its frozen past: the
-    # kernel skips the columns of its hole, while u is evaluated at as many
-    # points as before and every sum is the sum of the kernel formed everywhere
+    # w_4 is phi_4 (zero off 8 <= |y| <= 12) in its frozen past: the moving
+    # rows' kernel skips the columns of its hole, while u is evaluated at as
+    # many points as before and every sum is the sum of the kernel formed
+    # everywhere; the frozen windows form no Funk-Hecke kernel
     tally = _kernel_tally(monkeypatch)
-    args = (w_family(16, 1.0, 0.5, n=n), (np.full(n, 0.3), 0.1), 6.0,
+    args = (w_family(4, 1.0, 0.5, n=n), (np.full(n, 0.3), 0.5), 6.0,
             kernel_constants(n, 0.5), QuadSpec())
     res = tail_functional(*args)
     assert (tally[0], res.nodes_used) == (formed, nodes)
@@ -836,16 +912,48 @@ def test_tensor_shell_kernel_is_the_kernel_formed_everywhere(monkeypatch):
     assert tail_functional(*args) == res
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_shell_inside_the_hole_of_u_forms_no_kernel(n, monkeypatch):
-    # |y| <= 30 lies wholly inside the hole |y| < 32 of w_16
-    tally = _kernel_tally(monkeypatch)
-    args = (w_family(16, 1.0, 0.5, n=n), (np.full(n, 0.3), 0.1), kernel_constants(n, 0.5),
-            QuadSpec(), 1.0, 40.0)
-    res = window_uM_integral(*args, r_lo=0.0, r_hi=30.0)
-    assert (res.value, res.err_estimate, tally[0]) == (0.0, 0.0, 0)
+@pytest.mark.parametrize("n, everywhere", [(1, 10_098), (2, 10_107), (3, 10_107)],
+                         ids=["1", "2", "3"])
+def test_shell_inside_the_hole_of_u_forms_no_kernel(n, everywhere, monkeypatch):
+    # |y| <= 30 lies wholly inside the hole |y| < 32 of w_16: its frozen
+    # window forms no closed-form kernel, and the same window declared
+    # moving forms no Funk-Hecke kernel unless it is formed everywhere, on
+    # the radii each rule's durations reach
+    tally, frozen = _kernel_tally(monkeypatch), [0]
+    base = quadrature._frozen_kernel
+    monkeypatch.setattr(quadrature, "_frozen_kernel",
+                        lambda p, sigma, A, B: frozen.__setitem__(0, frozen[0] + sigma.size)
+                        or base(p, sigma, A, B))
+    w = w_family(16, 1.0, 0.5, n=n)
+    args = ((np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(), 1.0, 40.0)
+    res = window_uM_integral(w, *args, r_lo=0.0, r_hi=30.0)
+    assert (res.value, res.err_estimate, frozen[0], tally[0]) == (0.0, 0.0, 0, 0)
+    moving = dataclasses.replace(w, frozen_until=None)
+    assert window_uM_integral(moving, *args, r_lo=0.0, r_hi=30.0) == res and tally[0] == 0
     monkeypatch.setattr(quadrature, "_nonzero_span", lambda nonzero: slice(None))
-    assert window_uM_integral(*args, r_lo=0.0, r_hi=30.0) == res and tally[0] == 10_800
+    assert window_uM_integral(moving, *args, r_lo=0.0, r_hi=30.0) == res and tally[0] == everywhere
+
+
+@pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])
+def test_shell_rule_stops_where_the_kernel_is_dead(radial, monkeypatch):
+    # at durations a <= 0.5 the kernel is below e^{-50} of its peak beyond
+    # |y| = 0.3 + sqrt(_DEAD_ZONE a) = 10.3: a moving Gaussian is evaluated up
+    # to there, and the rule run to r_hi = 40 gives the same value to rounding
+    u, sizes = _call_sizes(from_callable(
+        lambda pts, tt: np.exp(-0.05 * np.sum(pts ** 2, axis=-1) + 0.1 * tt), 2,
+        growth=GROWTH_DECAYING, radial=radial))
+    reached, base = [], u.evaluator
+    u = dataclasses.replace(u, evaluator=lambda pts, tt: reached.append(
+        np.linalg.norm(pts, axis=-1).max()) or base(pts, tt))
+    args = (u, (np.array([0.3, 0.0]), 0.5), kernel_constants(2, 0.5), QuadSpec(), 0.2, 0.5, 0.5, 40.0)
+    cut = window_uM_integral(*args)
+    assert 10.0 < max(reached) <= 0.3 + math.sqrt(_DEAD_ZONE * 0.5)
+    nodes = sum(sizes)
+    monkeypatch.setattr(quadrature, "_DEAD_ZONE", math.inf)
+    sizes.clear()
+    whole = window_uM_integral(*args)
+    assert cut.value == pytest.approx(whole.value, rel=1e-14, abs=0.0)
+    assert sum(sizes) > 2 * nodes
 
 
 @pytest.mark.parametrize("radial", [True, False], ids=["radial", "tensor"])

@@ -27,7 +27,7 @@ from masterop.handles import GROWTH_BOUNDED, combine, from_callable, shifted
 from masterop.quadrature import (
     _GH_CAP,
     _GL_HI,
-    _I0E_PIECES,
+    _PIECES,
     _I0E_SWITCH,
     MAX_GH_ORDER,
     _on_axis,
@@ -109,7 +109,7 @@ def test_i0e_against_scipy_on_both_branches():
 
 def test_i0e_at_its_edges():
     # piece edges of the table in y = k / (k + 8), each +- 1 ulp, and both ends
-    y = np.arange(1, _I0E_PIECES) / _I0E_PIECES
+    y = np.arange(1, _PIECES) / _PIECES
     edge = 8.0 * y / (1.0 - y)
     k = np.concatenate([edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf),
                         [0.0, 5e-324, 1e-300, 1e-8, 1e16, 1e300, np.finfo(float).max]])
