@@ -418,7 +418,9 @@ def _check_reductions(n: int, p: KernelParams, q: QuadSpec) -> dict:
         # and Auto horizon so the support-window tail is computed exactly
         sp = families.phi_family(4, 1.0, 1.0, dim=n)
         q_sp = replace(q, horizon=None)
-    d1 = abs(master_op(sp, (origin, 0.0), p, q_sp).value
+    # master_op sees no declared hole, so its difference panels check the flap's window
+    d1 = abs(master_op(replace(sp, support=None if n == 1 else replace(sp.support, inner=0.0)),
+                       (origin, 0.0), p, q_sp).value
              - fractional_laplacian(sp, origin, p, q_sp).value)
     expt = temporal(lambda tt: np.exp(tt), dim=n, growth=GROWTH_DECAYING)
     d2 = abs(master_op(expt, (origin, 0.0), p, qh).value

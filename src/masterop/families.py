@@ -101,7 +101,8 @@ def phi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandl
     def f(pts):
         return amp * standard_bump(scale * np.linalg.norm(pts, axis=-1))
 
-    return spatial(f, dim=dim, support=SupportBox(radius=3.0 * reach), radial=True)
+    return spatial(f, dim=dim, support=SupportBox(radius=3.0 * reach, inner=2.0 * reach),
+                   radial=True)
 
 
 def psi_family(j: int, alpha: float, beta: float, dim: int = 1) -> FunctionHandle:
@@ -157,7 +158,7 @@ def w_family(j: int, gamma: float, s: float, n: int = 1,
 
     return FunctionHandle(
         evaluator=evaluator, dim=n,
-        support=SupportBox(radius=3.0 * float(j)),
+        support=SupportBox(radius=3.0 * float(j), inner=2.0 * float(j)),
         growth=GROWTH_FORWARD_POLY,
         smoothness=C1_TIME,
         time_kinks=(0.0,),

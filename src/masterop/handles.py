@@ -32,15 +32,21 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True)
 class SupportBox:
-    """u vanishes for |x| > radius or t outside (t_lo, t_hi)."""
+    """u vanishes for |x| > radius, for |x| < inner at every t, or t outside (t_lo, t_hi).
+
+    An unchecked promise like ``radial``: in a hole (|x| < inner or t > t_hi) of a
+    finite-radius u, ``master_op`` and ``fractional_laplacian`` take one window of u."""
 
     radius: float = math.inf
     t_lo: float = -math.inf
     t_hi: float = math.inf
+    inner: float = 0.0
 
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("support radius must be nonnegative")
+        if not 0.0 <= self.inner <= self.radius:
+            raise ValueError(f"inner radius must lie in [0, radius], got {self.inner!r}")
         if self.t_lo > self.t_hi:
             raise ValueError("empty time window in support box")
 
@@ -182,6 +188,7 @@ def combine(coeffs, handles) -> FunctionHandle:
             radius=max(h.support.radius for h in handles),
             t_lo=min(h.support.t_lo for h in handles),
             t_hi=max(h.support.t_hi for h in handles),
+            inner=min(h.support.inner for h in handles),
         )
     order = {SMOOTH: 0, C1_TIME: 1, HOLDER: 2}
     smoothness = max((h.smoothness for h in handles), key=order.get)
@@ -206,10 +213,10 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
             t_bar: float) -> FunctionHandle:
     """v(x, t) = u(lambda x + x_bar, lambda^2 t + t_bar) / M, parabolic scaling.
 
-    The support box transforms along: spatial radius divides by lambda
-    (plus the offset reach), the time window, the time kinks and
-    ``frozen_until`` map affinely.  v stays radial only when u is and
-    x_bar = 0; a constant u gives the constant u / M.
+    The support box transforms along: spatial radius divides by lambda (plus
+    the offset reach; the inner radius less it, at least 0), the time window,
+    the time kinks and ``frozen_until`` map affinely.  v stays radial only
+    when u is and x_bar = 0; a constant u gives the constant u / M.
     """
     if Mk <= 0 or lambda_k <= 0:
         raise ValueError("need Mk > 0 and lambda_k > 0")
@@ -222,12 +229,13 @@ def rescale(u: FunctionHandle, Mk: float, lambda_k: float, x_bar,
     support = None
     if u.support is not None:
         sup = u.support
-        radius = sup.radius
+        radius, reach = sup.radius, float(np.linalg.norm(x_bar))
         if math.isfinite(radius):
-            radius = (radius + float(np.linalg.norm(x_bar))) / lambda_k
+            radius = (radius + reach) / lambda_k
         t_lo = (sup.t_lo - t_bar) / lam2 if sup.t_lo > -math.inf else -math.inf
         t_hi = (sup.t_hi - t_bar) / lam2 if sup.t_hi < math.inf else math.inf
-        support = SupportBox(radius=radius, t_lo=t_lo, t_hi=t_hi)
+        support = SupportBox(radius=radius, t_lo=t_lo, t_hi=t_hi,
+                             inner=max(0.0, sup.inner - reach) / lambda_k)
     kinks = tuple((k - t_bar) / lam2 for k in u.time_kinks)
     c, frozen = u.constant_value, u.frozen_until
     return replace(u, evaluator=evaluator, support=support, time_kinks=kinks,

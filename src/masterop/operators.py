@@ -56,7 +56,8 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     rule holds -th with th, so this is the symmetric second difference, O(r^2).
     The rule is exact for radial profiles; for globally oscillatory u in n >= 2
     the angular resolution, not the radial mesh, limits accuracy at large radii.
-    Each bisection level of the radial mesh is evaluated ``in_blocks``.
+    Each bisection level of the radial mesh is evaluated ``in_blocks``.  In a declared
+    hole (``SupportBox.inner``) of a finite-radius u frozen by t = 0 it is one window.
     """
     n, s = p.n, p.s
     C = in_mode(p.C_ns_lap, p.normalization)
@@ -69,6 +70,11 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     omega = float(np.sum(aw))
 
     sup = u.support
+    if (sup is not None and math.isfinite(sup.radius) and np.linalg.norm(x0) < sup.inner
+            and u.frozen_until is not None and u.frozen_until >= 0.0):
+        # -C int u |x-y|^{-2k}, k = n/2 + s: int_0^inf a^{-1-k} e^{-r^2/4a} da = Gamma(k) (4/r^2)^k
+        k, res = n / 2.0 + s, window_uM_integral(u, (x0, 0.0), p, q, 0.0, math.inf, r_lo=sup.inner)
+        return replace(-C / (math.gamma(k) * 4.0 ** k * p.constant) * res, nodes_used=nodes())
     truncated = False
     if sup is not None and math.isfinite(sup.radius):
         r_cut = sup.radius + float(np.linalg.norm(x0)) + 1.0

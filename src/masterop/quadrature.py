@@ -1071,7 +1071,8 @@ def exterior_spatial_mass(at, R: float, p: KernelParams, q: QuadSpec):
 def _auto_handoff(u: FunctionHandle, t0: float) -> float:
     """Hand-off point between the GH difference route and direct windows: 1, or a purely
     temporal support's whole window.  A longer GH route lets the Gaussian reach a support
-    far from x while the low orders' nodes lie in a hole of u, where zero sums agree."""
+    far from x while the low orders' nodes lie in an undeclared hole of u, where zero sums
+    agree; a declared one (``SupportBox.inner``) takes no GH route."""
     sup = u.support
     if math.isinf(sup.radius) and sup.t_lo > -math.inf:
         return max(1.0, t0 - sup.t_lo)
@@ -1086,7 +1087,8 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
     With an Auto horizon the support box must be declared and the
     exterior-in-time remainder of u is computed exactly; with an explicit
     horizon the remainder beyond it is dropped and ``truncation_flag``
-    signals that.
+    signals that.  In a hole declared around (x, t) (``SupportBox.inner`` or t > t_hi) of
+    a finite-radius u, it is the window alone.
     """
     x0, t0 = checked_point(u, at, p)
     if u.constant_value is not None:
@@ -1100,15 +1102,18 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
             "horizon for functions without one (the tool never silently truncates)")
 
     T_total = float(q.horizon) if q.horizon is not None else math.inf
-
-    # with no support box to hand off to, the GH route spans the whole horizon
-    hand = T_total if sup is None else min(_auto_handoff(u, t0), T_total)
-    hand = max(hand, 16.0 * q.a_min)
-
     u0 = u.at(x0, t0)
     u, nodes = counted(u)
-    # plus the exact mass of the u(x,t) term over (hand, inf)
-    res = _difference_panels(u, u0, x0, t0, p, q, hand) + u0 * slab_mass(hand, math.inf, p)
+    if (sup is not None and math.isfinite(sup.radius)
+            and (np.linalg.norm(x0) < sup.inner or t0 > sup.t_hi)):
+        # a declared hole: u vanishes near (x, t), so only the window -int int u M is left
+        hand, res = max(0.0, t0 - sup.t_hi), QuadResult(0.0, 0.0)
+    else:
+        # with no support box to hand off to, the GH route spans the whole horizon
+        hand = T_total if sup is None else min(_auto_handoff(u, t0), T_total)
+        hand = max(hand, 16.0 * q.a_min)
+        # plus the exact mass of the u(x,t) term over (hand, inf)
+        res = _difference_panels(u, u0, x0, t0, p, q, hand) + u0 * slab_mass(hand, math.inf, p)
 
     # remaining -int_{a>hand} int u M: direct over the support window
     u_gone_past = t0 - sup.t_lo if (sup is not None and sup.t_lo > -math.inf) else math.inf
@@ -1116,7 +1121,7 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
     if sup is not None and math.isfinite(sup.radius):
         upper = max(min(T_total, u_gone_past), hand)
         if upper > hand:
-            res = res - window_uM_integral(u, (x0, t0), p, q, hand, upper)
+            res = res - window_uM_integral(u, (x0, t0), p, q, hand, upper, r_lo=sup.inner)
         accounted = upper
     # everything beyond max(accounted, where u vanishes) is unknowable
     return replace(res, truncation_flag=accounted < u_gone_past, nodes_used=nodes())

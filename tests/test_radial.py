@@ -44,6 +44,12 @@ from masterop.quadrature import (
 )
 
 
+def _without_hole(u):
+    """u with its declared hole stripped: master_op then takes the difference panels
+    at a point inside it, the body these tests drive."""
+    return dataclasses.replace(u, support=dataclasses.replace(u.support, inner=0.0))
+
+
 # --- propagation of the declaration --------------------------------------------
 
 def test_families_and_constants_are_radial():
@@ -257,6 +263,7 @@ def test_centred_radial_body_evaluates_each_radius_once(monkeypatch):
     # at x = 0 every duration is centred; its sum is even in z, so the half
     # z >= 0 with doubled weights gives the whole rule's value
     u, at, p = w_family(4, 1.0, 0.5, n=3), (np.zeros(3), 0.1), kernel_constants(3, 0.5)
+    u = _without_hole(u)
     half = master_op(u, at, p, QuadSpec())
     monkeypatch.setattr(quadrature, "_radial_sums", _whole_rule_radial_sums)
     whole = master_op(u, at, p, QuadSpec())
@@ -266,7 +273,7 @@ def test_centred_radial_body_evaluates_each_radius_once(monkeypatch):
 
 @pytest.mark.parametrize("x", [0.0, 0.4, 2.0])
 @pytest.mark.parametrize("make, q", [
-    (lambda n: w_family(16, 1.0, 0.5, n=n), QuadSpec()),
+    (lambda n: _without_hole(w_family(16, 1.0, 0.5, n=n)), QuadSpec()),
     (_radial_gaussian, QuadSpec(horizon=60.0)),
 ], ids=["w16", "gaussian"])
 @pytest.mark.parametrize("n", [2, 3])
@@ -282,7 +289,7 @@ def test_radial_body_from_gh_order_one_agrees_with_the_default(n, make, q, x):
 
 @pytest.mark.parametrize("x", [0.0, 0.4])
 @pytest.mark.parametrize("make, q", [
-    (lambda n: w_family(16, 1.0, 0.5, n=n), QuadSpec()),
+    (lambda n: _without_hole(w_family(16, 1.0, 0.5, n=n)), QuadSpec()),
     (_radial_gaussian, QuadSpec(horizon=60.0)),
 ], ids=["w16", "gaussian"])
 @pytest.mark.parametrize("n", [2, 3])
