@@ -29,20 +29,17 @@ def tail_functional(u: FunctionHandle, at, R: float, p: KernelParams,
                     q: QuadSpec) -> QuadResult:
     """Exterior integral of u against the kernel, beyond the cylinder Q_R.
 
-    Split as (spatial tail for tau in (-R^2, t)) + (full space for
-    tau < -R^2); both pieces exclude the kernel singularity so plain
-    non-singular quadrature applies.
+    Split by radius: the shell |y| > R at every duration a = t - tau, plus
+    the ball for a > t + R^2.  A window starts its shell at u's declared
+    hole, so a support on one side of R takes one window.
     """
     check_scale(at, R)
     x0, t0 = checked_point(u, at, p)
-    sup = u.support
     a_split = t0 + R * R
+    a_end = math.inf if u.support is None else max(t0 - u.support.t_lo, a_split)
     u, nodes = counted(u)
-    near = window_uM_integral(u, (x0, t0), p, q, 0.0, a_split, r_lo=R)
-    a_end = math.inf
-    if sup is not None and sup.t_lo > -math.inf:
-        a_end = max(t0 - sup.t_lo, a_split)
-    res = near + window_uM_integral(u, (x0, t0), p, q, a_split, a_end)
+    res = (window_uM_integral(u, (x0, t0), p, q, 0.0, a_end, r_lo=R)
+           + window_uM_integral(u, (x0, t0), p, q, a_split, a_end, r_hi=R))
     if res.value < -res.err_estimate:
         warnings.warn("tail functional came out negative beyond its error "
                       "estimate; is u nonnegative?", stacklevel=2)

@@ -73,7 +73,7 @@ def fractional_laplacian(u: FunctionHandle, x, p: KernelParams, q: QuadSpec) -> 
     if (sup is not None and math.isfinite(sup.radius) and np.linalg.norm(x0) < sup.inner
             and u.frozen_until is not None and u.frozen_until >= 0.0):
         # -C int u |x-y|^{-2k}, k = n/2 + s: int_0^inf a^{-1-k} e^{-r^2/4a} da = Gamma(k) (4/r^2)^k
-        k, res = n / 2.0 + s, window_uM_integral(u, (x0, 0.0), p, q, 0.0, math.inf, r_lo=sup.inner)
+        k, res = n / 2.0 + s, window_uM_integral(u, (x0, 0.0), p, q, 0.0, math.inf)
         return replace(-C / (math.gamma(k) * 4.0 ** k * p.constant) * res, nodes_used=nodes())
     truncated = False
     if sup is not None and math.isfinite(sup.radius):

@@ -51,7 +51,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .handles import FunctionHandle, HOLDER, NumericError, constant, counted
+from .handles import FunctionHandle, HOLDER, NumericError, SupportBox, constant, counted
 from .kernel import KernelParams
 
 MAX_GH_ORDER = 200
@@ -951,7 +951,8 @@ def _frozen_window(u, x0, t_frozen: float, p: KernelParams, q: QuadSpec,
     at ``q.panel_tol(0)`` from ``_shell_panels``' finest count, u evaluated once per
     level, the kernel formed where u is nonzero.  A radial u takes the kernel's sphere
     average, its check weighed by K9 in r added to the error: two points at n = 1,
-    ``_angle_rule`` at n = 2, 3, tripled per radius until the check is within q.rel_tol."""
+    ``_angle_rule`` at n = 2, 3, tripled per radius until the check is within q.rel_tol.
+    Any other u takes the tensor rule of a = 0 at every A: u's detail, not the kernel, sets it."""
     n, pk, rho = p.n, p.n / 2.0 + p.s, float(np.linalg.norm(x0))
     angular = [0.0]
 
@@ -981,7 +982,7 @@ def _frozen_window(u, x0, t_frozen: float, p: KernelParams, q: QuadSpec,
             vals[nz] *= kern
             return vals
     else:
-        dirs, aw = angular_rule(n, 2 if n == 1 else int(_shell_angles(r_hi, rho, A)))
+        dirs, aw = angular_rule(n, 2 if n == 1 else int(_shell_angles(r_hi, rho, 0.0)))
 
         def f(rr):
             pts = rr.reshape(-1, 1, 1) * dirs
@@ -1008,6 +1009,7 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
                        r_hi: float | None = None):
     """int over a in (a_lo, a_hi], shell r_lo < |y| <= r_hi, of u(y, t-a) M(x-y, a).
 
+    Every shell starts at u's declared hole (``SupportBox.inner``), where u is 0.
     On a finite shell u's frozen past, a from max(a_lo, t - ``frozen_until``)
     to a_hi, is ``_frozen_window``, exact from a = 0 (a shell holding x is
     refused there); the rest ``window_integral``'s panels in v = 1/a.
@@ -1016,8 +1018,10 @@ def window_uM_integral(u: FunctionHandle, at, p: KernelParams, q: QuadSpec,
     requires a declared growth envelope on u.  Returns a QuadResult.
     """
     x0, t0 = checked_point(u, at, p)
-    if r_hi is None and u.support is not None and math.isfinite(u.support.radius):
-        r_hi = u.support.radius
+    sup = u.support or SupportBox()
+    r_lo = max(r_lo, sup.inner)
+    if r_hi is None and math.isfinite(sup.radius):
+        r_hi = sup.radius
     if a_hi <= a_lo or (r_hi is not None and r_hi <= r_lo):
         return QuadResult(0.0, 0.0)
 
@@ -1120,8 +1124,7 @@ def integrate_difference(u: FunctionHandle, at, p: KernelParams,
     accounted = hand
     if sup is not None and math.isfinite(sup.radius):
         upper = max(min(T_total, u_gone_past), hand)
-        if upper > hand:
-            res = res - window_uM_integral(u, (x0, t0), p, q, hand, upper, r_lo=sup.inner)
+        res = res - window_uM_integral(u, (x0, t0), p, q, hand, upper)
         accounted = upper
     # everything beyond max(accounted, where u vanishes) is unknowable
     return replace(res, truncation_flag=accounted < u_gone_past, nodes_used=nodes())

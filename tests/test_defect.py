@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,10 @@ from masterop import (
     w_family,
     zero,
 )
+from masterop import quadrature
 from masterop.defect import pool_map
-from masterop.handles import SupportBox, from_callable
+from masterop.handles import GROWTH_BOUNDED, SupportBox, from_callable, shifted
+from masterop.quadrature import window_uM_integral
 
 
 def gauss_bump():
@@ -102,6 +105,65 @@ def test_tail_scale_precondition(p_half, q_default):
     with pytest.raises(ValueError, match="R > 3"):
         tail_functional(constant(1.0, 1), (np.array([10.0]), 0.0), 20.0,
                         p_half, q_default)
+
+
+def _split_by_time(u, at, R, p, q):
+    """F(u, R) split by time: the shell |y| > R for a < t + R^2, all of y beyond."""
+    a_split = at[1] + R * R
+    a_end = max(at[1] - u.support.t_lo, a_split)
+    return (window_uM_integral(u, at, p, q, 0.0, a_split, r_lo=R)
+            + window_uM_integral(u, at, p, q, a_split, a_end))
+
+
+def _moving_bump(n):
+    """A nonnegative u of radius 10 that changes in time, with no declared symmetry."""
+    def f(pts, tt):
+        r2 = np.sum((pts - 0.5) ** 2, axis=-1)
+        return np.where(r2 < 81.0, (1.0 - r2 / 81.0) ** 3, 0.0) * (1.0 + 0.5 * np.cos(tt))
+
+    return from_callable(f, n, support=SupportBox(radius=10.0), growth=GROWTH_BOUNDED)
+
+
+@pytest.mark.parametrize("u, R, ts", [
+    *[(w_family(4, 1.0, 0.5, n=n), R, (-0.3, 0.5)) for n in (1, 2, 3) for R in (6.0, 9.0)],
+    (shifted(w_family(4, 1.0, 0.5, n=2), np.array([1.5, 0.0]), 0.0), 9.0, (-0.3, 0.5)),
+    (_moving_bump(2), 6.0, (-0.3, 0.5))],
+    ids=[f"w4-n{n}-R{R:g}" for n in (1, 2, 3) for R in (6, 9)] + ["shifted-w4", "moving"])
+def test_tail_split_by_radius_is_the_split_by_time(u, R, ts):
+    # the same region, (R^n x (-inf, t)) minus Q_R, taken as the shell
+    # |y| > R at every duration plus the ball for a > t + R^2: at R = 9 w_4's
+    # support 8 <= |y| <= 12 straddles R, at R = 6 it lies beyond it
+    p, q = kernel_constants(u.dim, 0.5), QuadSpec()
+    for t in ts:
+        at = (np.full(u.dim, 0.3), t)
+        by_radius, by_time = tail_functional(u, at, R, p, q), _split_by_time(u, at, R, p, q)
+        assert by_radius.value > 0.0
+        assert (abs(by_radius.value - by_time.value)
+                <= by_radius.err_estimate + by_time.err_estimate), t
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("j", [4, 8, 16, 32])
+@pytest.mark.parametrize("R", [6.0, 12.0, 24.0])
+def test_frozen_tail_of_w_evaluates_u_once_per_level(n, j, R, monkeypatch):
+    # w_j's support 2j <= |y| <= 3j lies on one side of R, and w_j is frozen
+    # for t <= 0: F(w_j, R) is one frozen window, whose radial adaptive_gl
+    # calls the evaluator once per bisection level
+    windows, levels, base = [], [], quadrature.adaptive_gl
+
+    def counting(f, panels, tol=math.inf):
+        windows.append(len(panels))
+        return base(lambda x: levels.append(x.shape) or f(x), panels, tol)
+
+    monkeypatch.setattr(quadrature, "adaptive_gl", counting)
+    w, calls = w_family(j, 1.0, 0.5, n=n), []
+    u = dataclasses.replace(w, evaluator=lambda pts, tt: calls.append(len(pts))
+                            or w.evaluator(pts, tt))
+    for t in (-0.5, 0.0):
+        del windows[:], levels[:], calls[:]
+        res = tail_functional(u, (np.full(n, 0.3), t), R, kernel_constants(n, 0.5), QuadSpec())
+        assert res.value > 0.0
+        assert len(windows) == 1 and len(calls) == len(levels), t
 
 
 # --- defect estimator ----------------------------------------------------------

@@ -103,8 +103,9 @@ def test_tail_functional_evaluates_a_frozen_past_once_per_rule(n, x_bar, monkeyp
 
 @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "moving"])
 def test_nan_in_the_hole_of_u_stops_the_tail_functional(frozen):
-    # the kernel skips the columns where u is 0, but a NaN is not 0: u is
-    # still evaluated there, and the evaluation refuses it
+    # the kernel skips the columns where u is 0, but a NaN is not 0: with
+    # its hole |y| < 32 undeclared, u is still evaluated at |y| < 20, and
+    # the evaluation refuses it
     base = w_family(16, 1.0, 0.5, n=2)
 
     def evaluator(pts, tt):
@@ -112,6 +113,7 @@ def test_nan_in_the_hole_of_u_stops_the_tail_functional(frozen):
         return np.where(np.linalg.norm(pts, axis=-1) < 20.0, math.nan, vals)
 
     u = dataclasses.replace(base, evaluator=evaluator,
+                            support=dataclasses.replace(base.support, inner=0.0),
                             frozen_until=base.frozen_until if frozen else None)
     with pytest.raises(NumericError, match="non-finite value of u"):
         tail_functional(u, (np.full(2, 0.3), 0.1), 6.0, kernel_constants(2, 0.5), QuadSpec())

@@ -210,6 +210,24 @@ def test_frozen_past_is_read_by_the_window_only():
     assert "reach" not in {arg.arg for arg in window.args.args + window.args.kwonlyargs}
 
 
+def test_hole_clip_has_one_home():
+    # window_uM_integral starts every shell at u's declared hole, so no
+    # caller passes SupportBox.inner as its r_lo (keyword or seventh argument)
+    offenders = []
+    for path in sorted((SRC / "masterop").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and "window_uM_integral"
+                    in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                continue
+            r_lo = [kw.value for kw in node.keywords if kw.arg == "r_lo"] + node.args[6:7]
+            offenders += [f"{path.name}:{node.lineno}" for arg in r_lo for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Attribute) and sub.attr == "inner"]
+    assert offenders == []
+    assert _referrers("window_uM_integral") >= {"defect.py:tail_functional",
+                                                "operators.py:fractional_laplacian",
+                                                "quadrature.py:integrate_difference"}
+
+
 _STAGES = {"quadrature.py": {"adaptive_gl", "window_integral", "singular_integral",
                              "_difference_panels", "small_a_closure", "window_uM_integral",
                              "exterior_spatial_mass"},

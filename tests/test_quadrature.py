@@ -637,10 +637,12 @@ def _phi_far_reference(n, s, j, A, rho):
         return sum(quad(lambda y: u_at(abs(y)) * g((rho - y) ** 2), lo, hi,
                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
                    for lo, hi in ((-3.0 * j, -2.0 * j), (2.0 * j, 3.0 * j)))
-    # n = 3: the sphere at radius r, in sigma = rho^2 + r^2 - 2 rho r mu, is
-    # pi r / rho times the integral of g over ((r - rho)^2, (r + rho)^2)
-    return quad(lambda r: u_at(r) * math.pi * r / rho * quad(
-        g, (r - rho) ** 2, (r + rho) ** 2, epsabs=0.0, epsrel=1e-13)[0],
+    # n = 3: the sphere at radius r, in sigma = (r - rho)^2 + 4 r rho v with
+    # v = (1 - mu) / 2, is 4 pi r^2 times the integral of g over v in (0, 1);
+    # the width 4 r rho taken as (r + rho)^2 - (r - rho)^2 would lose
+    # log10(r / rho) digits
+    return quad(lambda r: u_at(r) * 4.0 * math.pi * r * r * quad(
+        lambda v: g((r - rho) ** 2 + 4.0 * r * rho * v), 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0],
         2.0 * j, 3.0 * j, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
@@ -859,21 +861,28 @@ def test_shell_values_keep_one_rule_per_panel(n, make):
                           _one_rule_shell_values(u, x0, 0.1, end[0], 0.5, 3.0, p)[None])
 
 
-@pytest.mark.parametrize("n, nodes, calls", [(1, 2_655, 4), (2, 2_673, 4), (3, 2_709, 5)],
-                         ids=["n1", "n2", "n3"])
-def test_tail_functional_builds_each_shell_rule_once_per_level(n, nodes, calls):
-    # 43 evaluator calls when every adaptive_gl panel built its own rule; w_j
-    # is frozen for t <= 0, so its frozen windows evaluate it once per level
-    # of their radial panels (one call each, and a bisection at n = 3), and
-    # the moving rows 0.16 < a < 0.5 once per shell rule (two rules), at the
-    # radii the kernel reaches
-    u, sizes = _call_sizes(w_family(16, 1.0, 0.5, n=n))
-    res = tail_functional(u, (np.full(n, 0.3), 0.5), 6.0, kernel_constants(n, 0.5), QuadSpec())
-    assert len(sizes) == calls
-    assert res.nodes_used == nodes
-    # blocks of whole panels stay under the cap, or are one panel of the
-    # largest radial rule, 96 panels of _GL_HI nodes, at its 9 durations
-    assert max(sizes) <= max(_SHELL_BLOCK, len(_K9[0]) * 96 * _GL_HI)
+@pytest.mark.parametrize("n", [1, 2, 3], ids=["n1", "n2", "n3"])
+def test_tail_functional_builds_each_shell_rule_once_per_level(n):
+    # F(w_16, 6) is one window, the shell 32 < |y| <= 48 over every
+    # duration: the ball |y| <= 6 lies in w_16's hole.  At t = 0.5 the
+    # kernel reaches |y| = 32 from a = 31.5^2 / 200 = 4.96 on, in w_16's
+    # frozen past, so u is evaluated once, on 96 radial K9 panels; declared
+    # moving, once per shell rule and bisection level
+    w = w_family(16, 1.0, 0.5, n=n)
+    args = ((np.full(n, 0.3), 0.5), 6.0, kernel_constants(n, 0.5), QuadSpec())
+    for u, calls, nodes in ((w, 1, 96 * len(_K9[0])),
+                            (dataclasses.replace(w, frozen_until=None), 7, 48_384)):
+        u, sizes = _call_sizes(u)
+        res = tail_functional(u, *args)
+        assert (len(sizes), res.nodes_used) == (calls, nodes)
+        # blocks of whole panels stay under the cap, or are one panel of the
+        # largest radial rule, 96 panels of _GL_HI nodes, at its 9 durations
+        assert max(sizes) <= max(_SHELL_BLOCK, len(_K9[0]) * 96 * _GL_HI)
+
+
+def _hole_undeclared(u):
+    """u with ``SupportBox.inner`` 0: windows then run their shells through u's hole."""
+    return dataclasses.replace(u, support=dataclasses.replace(u.support, inner=0.0))
 
 
 def _kernel_tally(monkeypatch):
@@ -889,24 +898,32 @@ def _kernel_tally(monkeypatch):
     return tally
 
 
-@pytest.mark.parametrize("n, formed, everywhere, nodes", [
-    (1, 1_296, 2_466, 4_194), (2, 1_350, 2_520, 4_248), (3, 1_404, 2_574, 4_302)],
+@pytest.mark.parametrize("n, declared, undeclared", [
+    (1, (963, 972, 1_836), (1_296, 2_466, 4_194)),
+    (2, (1_026, 1_035, 1_899), (1_350, 2_520, 4_248)),
+    (3, (1_053, 1_062, 1_926), (1_404, 2_574, 4_302))],
     ids=["n1", "n2", "n3"])
-def test_shell_kernel_is_formed_only_where_u_is_nonzero(n, formed, everywhere, nodes, monkeypatch):
-    # w_4 is phi_4 (zero off 8 <= |y| <= 12) in its frozen past: the moving
-    # rows' kernel skips the columns of its hole, while u is evaluated at as
-    # many points as before and every sum is the sum of the kernel formed
-    # everywhere; the frozen windows form no Funk-Hecke kernel
+def test_shell_kernel_is_formed_only_where_u_is_nonzero(n, declared, undeclared, monkeypatch):
+    # w_4 is phi_4 (zero off 8 <= |y| <= 12) in its frozen past: with its
+    # hole declared the moving rows' shell starts at |y| = 8; undeclared it
+    # starts at R = 6 and the kernel skips the columns of the hole.  Either
+    # way u is evaluated at as many points as with the kernel formed
+    # everywhere, every sum is that sum, and the frozen window forms no
+    # Funk-Hecke kernel
     tally = _kernel_tally(monkeypatch)
-    args = (w_family(4, 1.0, 0.5, n=n), (np.full(n, 0.3), 0.5), 6.0,
-            kernel_constants(n, 0.5), QuadSpec())
-    res = tail_functional(*args)
-    assert (tally[0], res.nodes_used) == (formed, nodes)
-    tally[0] = 0
-    monkeypatch.setattr(quadrature, "_nonzero_span", lambda nonzero: slice(None))
-    full = tail_functional(*args)
-    assert (tally[0], full.nodes_used) == (everywhere, nodes)
-    assert (res.value, res.err_estimate) == (full.value, full.err_estimate)
+    w = w_family(4, 1.0, 0.5, n=n)
+    span = quadrature._nonzero_span
+    for u, (formed, everywhere, nodes) in ((w, declared), (_hole_undeclared(w), undeclared)):
+        args = (u, (np.full(n, 0.3), 0.5), 6.0, kernel_constants(n, 0.5), QuadSpec())
+        tally[0] = 0
+        monkeypatch.setattr(quadrature, "_nonzero_span", span)
+        res = tail_functional(*args)
+        assert (tally[0], res.nodes_used) == (formed, nodes)
+        tally[0] = 0
+        monkeypatch.setattr(quadrature, "_nonzero_span", lambda nonzero: slice(None))
+        full = tail_functional(*args)
+        assert (tally[0], full.nodes_used) == (everywhere, nodes)
+        assert (res.value, res.err_estimate) == (full.value, full.err_estimate)
 
 
 def test_tensor_shell_kernel_is_the_kernel_formed_everywhere(monkeypatch):
@@ -923,7 +940,8 @@ def test_tensor_shell_kernel_is_the_kernel_formed_everywhere(monkeypatch):
 @pytest.mark.parametrize("n, everywhere", [(1, 10_098), (2, 10_107), (3, 10_107)],
                          ids=["1", "2", "3"])
 def test_shell_inside_the_hole_of_u_forms_no_kernel(n, everywhere, monkeypatch):
-    # |y| <= 30 lies wholly inside the hole |y| < 32 of w_16: its frozen
+    # |y| <= 30 lies wholly inside the hole |y| < 32 of w_16: declared, the
+    # shell starts at 32 and u is not evaluated.  Undeclared, its frozen
     # window forms no closed-form kernel, and the same window declared
     # moving forms no Funk-Hecke kernel unless it is formed everywhere, on
     # the radii each rule's durations reach
@@ -934,6 +952,10 @@ def test_shell_inside_the_hole_of_u_forms_no_kernel(n, everywhere, monkeypatch):
                         or base(p, sigma, A, B))
     w = w_family(16, 1.0, 0.5, n=n)
     args = ((np.full(n, 0.3), 0.1), kernel_constants(n, 0.5), QuadSpec(), 1.0, 40.0)
+    declared, sizes = _call_sizes(w)
+    assert window_uM_integral(declared, *args, r_lo=0.0, r_hi=30.0) == QuadResult(0.0, 0.0)
+    assert sizes == []
+    w = _hole_undeclared(w)
     res = window_uM_integral(w, *args, r_lo=0.0, r_hi=30.0)
     assert (res.value, res.err_estimate, frozen[0], tally[0]) == (0.0, 0.0, 0, 0)
     moving = dataclasses.replace(w, frozen_until=None)
